@@ -20,8 +20,8 @@ from luinv.exact import (
     poly_mul,
     series_from_rational,
 )
-from luinv.laurent import LaurentPoly3, MemoryBudgetError
 from luinv.molien import (
+    MemoryBudgetError,
     SeriesReport,
     MultigradedTable,
     poincare_coefficients,
@@ -52,7 +52,6 @@ __all__ = [
     "poly_from_factored",
     "poly_mul",
     "series_from_rational",
-    "LaurentPoly3",
     "MemoryBudgetError",
     "SeriesReport",
     "MultigradedTable",

@@ -21,8 +21,8 @@ from luinv.invariants import (
     eval_matrix_form,
     invariance_battery,
 )
-from luinv.laurent import MemoryBudgetError
 from luinv.molien import (
+    MemoryBudgetError,
     poincare_coefficients,
     poincare_multigraded,
     quadrature_coefficients,
@@ -82,14 +82,7 @@ def cmd_verify(args) -> int:
     quad = _quadrature_check(coeffs, args.grid_size) if args.with_quadrature else None
     passed = report.all_passed and (quad is None or quad["passed"])
 
-    checks = {
-        "theorem_match": report.theorem_match,
-        "palindrome_numerator": report.palindrome_numerator,
-        "palindrome_nonneg_numerator": report.palindrome_nonneg_numerator,
-        "nonneg_coefficients": report.nonneg_coefficients,
-        "transform_identity": report.transform_identity,
-        "degree_gap_35": report.degree_gap == 35,
-    }
+    checks = report.checks()
     if quad is not None:
         checks["quadrature_match"] = quad["passed"]
 
@@ -229,6 +222,17 @@ def cmd_multigraded(args) -> int:
     return 0 if consistent else 1
 
 
+def _memory_budget(text: str) -> int:
+    """argparse type for --memory-budget: a positive byte count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="luinv",
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="exact series coefficients")
     p.add_argument("--max-degree", type=int, default=14)
     p.add_argument("--format", **common_fmt)
-    p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES")
+    p.add_argument("--memory-budget", type=_memory_budget, default=None, metavar="BYTES")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", help="check the closed form and identities")
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-quadrature", action="store_true")
     p.add_argument("--grid-size", type=int, default=None)
     p.add_argument("--format", **common_fmt)
-    p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES")
+    p.add_argument("--memory-budget", type=_memory_budget, default=None, metavar="BYTES")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("invariants", help="evaluate the seven invariants")
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multigraded", help="dimensions refined by multidegree")
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--format", **common_fmt)
-    p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES")
+    p.add_argument("--memory-budget", type=_memory_budget, default=None, metavar="BYTES")
     p.set_defaults(func=cmd_multigraded)
 
     return parser

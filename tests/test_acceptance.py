@@ -8,6 +8,7 @@ import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from luinv import reference
@@ -20,9 +21,8 @@ from luinv.invariants import (
     independence_rank,
     invariance_battery,
 )
-from luinv.laurent import LaurentPoly3
 from luinv.molien import (
-    homogeneous_character,
+    _character_windows,
     poincare_coefficients,
     poincare_multigraded,
     quadrature_coefficients,
@@ -104,20 +104,22 @@ def test_criterion_4_brute_force_character_oracle():
     for entry in weight_system().entries:
         weights.extend([entry.weight] * entry.multiplicity)
     ok = len(weights) == 35
+    # a run to degree 6 keeps the full window [-d, d]^3 for every d <= 3
+    engine = _character_windows([weights], 6)
     for d in range(4):
-        terms = {}
+        expected = np.zeros((2 * d + 1,) * 3, dtype=object)
         for combo in itertools.combinations_with_replacement(range(35), d):
-            total = (
-                sum(weights[i][0] for i in combo),
-                sum(weights[i][1] for i in combo),
-                sum(weights[i][2] for i in combo),
-            )
-            terms[total] = terms.get(total, 0) + 1
-        ok = ok and LaurentPoly3.from_terms(terms) == homogeneous_character(d)
+            expected[
+                sum(weights[i][0] for i in combo) + d,
+                sum(weights[i][1] for i in combo) + d,
+                sum(weights[i][2] for i in combo) + d,
+            ] += 1
+        block = engine[(d,)]
+        ok = ok and block.shape == expected.shape and bool((block == expected).all())
     _criterion(
         4,
         "symmetric-power characters by multiset enumeration equal the "
-        "Newton-recurrence characters for degrees 0..3",
+        "engine's coefficient arrays cell by cell for degrees 0..3",
         ok,
     )
 

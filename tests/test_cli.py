@@ -1,6 +1,7 @@
 """Command-line interface: contracts, formats, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -18,6 +19,22 @@ def write_state(tmp_path, name, rho):
     path = tmp_path / name
     path.write_text(state_to_json(rho))
     return str(path)
+
+
+def assert_advised_degree_runs(capsys, subcommand, degree, budget):
+    """Over budget: exit 2 with an advisory degree that runs in that budget."""
+    args = ("--memory-budget", str(budget), "--format", "json")
+    code, _, err = run_cli(capsys, subcommand, "--max-degree", str(degree), *args)
+    assert code == 2
+    match = re.search(r"feasible max degree is (\d+)", err)
+    assert match, err
+    advised = match.group(1)
+    code, out, _ = run_cli(capsys, subcommand, "--max-degree", advised, *args)
+    assert code == 0 and json.loads(out)["schema"]
+    code, _, _ = run_cli(
+        capsys, subcommand, "--max-degree", str(int(advised) + 1), *args
+    )
+    assert code == 2
 
 
 def pure_product_file(tmp_path):
@@ -53,17 +70,28 @@ class TestSeries:
         assert out.splitlines() == ["degree,coefficient", "0,1", "1,0", "2,3"]
 
     def test_memory_budget_exit_2_with_advisory(self, capsys):
-        code, _, err = run_cli(
-            capsys, "series", "--max-degree", "19", "--memory-budget", "20000"
-        )
-        assert code == 2
-        assert "feasible max degree" in err
+        assert_advised_degree_runs(capsys, "series", 19, 20000)
+
+    @pytest.mark.parametrize("subcommand", ["series", "verify", "multigraded"])
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_nonpositive_memory_budget_rejected(self, capsys, subcommand, budget):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([subcommand, "--max-degree", "3", "--memory-budget", budget])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--memory-budget" in err and "Traceback" not in err
 
 
 class TestVerify:
     def test_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-degree", "8")
         assert code == 0
+        assert "all checks passed" in out
+
+    def test_degree_zero_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-degree", "0")
+        assert code == 0
+        assert "series_head: pass" in out
         assert "all checks passed" in out
 
     def test_with_quadrature(self, capsys):
@@ -83,6 +111,7 @@ class TestVerify:
         assert payload["degree_gap"] == 35
         assert len(payload["hsop_degrees"]) == 24
         assert payload["first_mismatch"] is None
+        assert payload["checks"]["series_head"] is True
 
     def test_corrupted_fixture_names_degree(self, capsys, monkeypatch):
         tampered = list(reference.NUMERATOR_LOW_COEFFS)
@@ -99,6 +128,7 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0] == "check,result"
         assert "theorem_match,pass" in lines
+        assert "series_head,pass" in lines
 
 
 class TestInvariants:
@@ -254,6 +284,9 @@ class TestMultigraded:
     def test_note_present_in_plain(self, capsys):
         _, out, _ = run_cli(capsys, "multigraded", "--max-degree", "0")
         assert "note:" in out
+
+    def test_memory_budget_exit_2_with_advisory(self, capsys):
+        assert_advised_degree_runs(capsys, "multigraded", 12, 20000)
 
 
 class TestDeterminism:

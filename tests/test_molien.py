@@ -3,26 +3,25 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from luinv.laurent import (
-    InexactDivisionError,
-    LaurentPoly3,
-    MemoryBudgetError,
-    lp_constant_term,
-    lp_mul,
-)
 from luinv.molien import (
     TAGS,
-    CharacterCache,
-    homogeneous_character,
+    WEYL_TERMS,
+    MemoryBudgetError,
+    WeightEntry,
+    WeightSystem,
+    _character_windows,
+    _dimensions,
+    _window,
     poincare_coefficients,
     poincare_multigraded,
-    power_sum,
     quadrature_coefficients,
     verify_theorem,
     weight_system,
-    weyl_factor,
 )
 
 # Independent transcription of the 21 distinct weights with their
@@ -74,7 +73,7 @@ class TestWeightSystem:
             weight_system().subsystem("nope")
 
     def test_character_at_ones_is_dimension(self):
-        assert weight_system().character().eval_ones() == 35
+        assert engine_character(weight_system().weights(), 1).sum() == 35
 
     def test_weights_are_closed_under_negation(self):
         # conjugation-invariance of the representation
@@ -85,97 +84,95 @@ class TestWeightSystem:
 
 class TestWeylFactor:
     def test_constant_term_is_one(self):
-        assert weyl_factor().constant_term() == 1
+        assert dict(WEYL_TERMS)[(0, 0, 0)] == 1
 
     def test_vanishes_at_ones(self):
-        assert weyl_factor().eval_ones() == 0
+        assert sum(c for _, c in WEYL_TERMS) == 0
 
     def test_known_coefficients(self):
-        w = weyl_factor()
-        assert w.coefficient((-1, 0, 0)) == -1
-        assert w.coefficient((0, -1, 0)) == -1
+        w = dict(WEYL_TERMS)
+        assert w[(-1, 0, 0)] == -1
+        assert w[(0, -1, 0)] == -1
         # the product of all four negative factors
-        assert w.coefficient((-1, -2, -2)) == 1
-        assert w.coefficient((0, -2, -2)) == -1
-        assert w.nnz == 12
+        assert w[(-1, -2, -2)] == 1
+        assert w[(0, -2, -2)] == -1
+        assert len(WEYL_TERMS) == len(w) == 12
+        assert w == weyl_by_expansion()
 
 
-class TestPowerSums:
-    def test_p1_is_the_character(self):
-        assert power_sum(1) == weight_system().character()
-
-    def test_pk_substitutes_powers(self):
-        p1 = power_sum(1)
-        for k in (2, 3, 5):
-            assert power_sum(k) == p1.substitute_power(k)
-
-    def test_pk_at_ones_is_dimension(self):
-        assert power_sum(4).eval_ones() == 35
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            power_sum(0)
+def dict_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v != 0}
 
 
-def brute_force_character(d: int) -> LaurentPoly3:
+def weyl_by_expansion() -> dict:
+    """The Weyl factor multiplied out from its four linear factors."""
+    out = {(0, 0, 0): 1}
+    for e in ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, -1, -1)):
+        out = dict_mul(out, {(0, 0, 0): 1, e: -1})
+    return out
+
+
+def brute_force_character(weights, d: int) -> dict:
     """h_d by direct enumeration of weight multisets (oracle)."""
-    weights = []
-    for entry in weight_system().entries:
-        weights.extend([entry.weight] * entry.multiplicity)
-    assert len(weights) == 35
     terms = {}
-    for combo in itertools.combinations_with_replacement(range(35), d):
-        total = [0, 0, 0]
-        for idx in combo:
-            w = weights[idx]
-            total[0] += w[0]
-            total[1] += w[1]
-            total[2] += w[2]
-        key = tuple(total)
+    for combo in itertools.combinations_with_replacement(weights, d):
+        key = tuple(sum(w[i] for w in combo) for i in range(3))
         terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly3.from_terms(terms)
+    return terms
+
+
+def dense(terms: dict, d: int) -> np.ndarray:
+    """terms laid out on the full window [-d, d]^3."""
+    block = np.zeros((2 * d + 1,) * 3, dtype=object)
+    for (a, b, c), coeff in terms.items():
+        block[a + d, b + d, c + d] = coeff
+    return block
+
+
+def engine_character(weights, d: int) -> np.ndarray:
+    """The engine's h_d from a run to degree 2d, where nothing is pruned."""
+    assert _window(d, 2 * d) == (-d, d)
+    block = _character_windows([weights], 2 * d)[(d,)]
+    assert block.shape == (2 * d + 1,) * 3
+    return block
 
 
 class TestCharacters:
     def test_h0_and_h1(self):
-        cache = CharacterCache()
-        assert cache.character(0) == LaurentPoly3.one()
-        assert cache.character(1) == power_sum(1)
+        weights = weight_system().weights()
+        assert (engine_character(weights, 0) == dense({(0, 0, 0): 1}, 0)).all()
+        h1 = engine_character(weights, 1)
+        assert (h1 == dense(EXPECTED_MULTIPLICITIES, 1)).all()
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
-    def test_newton_matches_brute_force(self, d):
-        assert homogeneous_character(d) == brute_force_character(d)
+    def test_engine_matches_brute_force(self, d):
+        weights = weight_system().weights()
+        assert len(weights) == 35
+        expected = dense(brute_force_character(weights, d), d)
+        assert (engine_character(weights, d) == expected).all()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_dimension_via_stars_and_bars(self, d):
         # dim Sym^d of a 35-dim space, independently of any weights
-        assert homogeneous_character(d).eval_ones() == math.comb(34 + d, d)
+        h = engine_character(weight_system().weights(), d)
+        assert h.sum() == math.comb(34 + d, d)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            homogeneous_character(-1)
+            _character_windows([weight_system().weights()], -1)
 
     def test_small_system_by_hand(self):
         # {x, 1/x}: size-3 multisets give x^3 + x + 1/x + 1/x^3
-        from luinv.molien import WeightEntry, WeightSystem
-
-        ws = WeightSystem(
-            (
-                WeightEntry((1, 0, 0), 1, "qubit"),
-                WeightEntry((-1, 0, 0), 1, "qubit"),
-            )
-        )
-        h3 = CharacterCache(ws).character(3)
-        assert dict(h3.terms()) == {
-            (3, 0, 0): 1,
-            (1, 0, 0): 1,
-            (-1, 0, 0): 1,
-            (-3, 0, 0): 1,
-        }
+        h3 = engine_character([(1, 0, 0), (-1, 0, 0)], 3)
+        expected = {(3, 0, 0): 1, (1, 0, 0): 1, (-1, 0, 0): 1, (-3, 0, 0): 1}
+        assert (h3 == dense(expected, 3)).all()
 
     def test_split_multiplicity_entries_are_equivalent(self):
-        from luinv.molien import WeightEntry, WeightSystem
-
         merged = WeightSystem((WeightEntry((1, 0, 0), 3, "qubit"),))
         split = WeightSystem(
             (
@@ -183,16 +180,29 @@ class TestCharacters:
                 WeightEntry((1, 0, 0), 1, "qubit"),
             )
         )
-        assert CharacterCache(merged).character(2) == CharacterCache(split).character(2)
+        h2 = engine_character(merged.weights(), 2)
+        assert (h2 == engine_character(split.weights(), 2)).all()
+        # six size-2 multisets of three copies of x
+        assert (h2 == dense({(2, 0, 0): 6}, 2)).all()
 
-    def test_corrupted_cache_state_trips_divisibility_guard(self):
-        # integral weight multiplicities can never trip the Newton
-        # division; a corrupted cached character does, deterministically
-        cache = CharacterCache()
-        cache.character(1)
-        cache._h[1] = cache._h[1] + LaurentPoly3.one()
-        with pytest.raises(InexactDivisionError, match="weight system"):
-            cache.character(2)
+    @given(
+        st.lists(
+            st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=1, max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 4),
+    )
+    def test_dimensions_match_brute_force_ct(self, grades, max_degree):
+        expected = {}
+        for delta in itertools.product(range(max_degree + 1), repeat=len(grades)):
+            if sum(delta) > max_degree:
+                continue
+            product = weyl_by_expansion()
+            for weights, d in zip(grades, delta):
+                product = dict_mul(product, brute_force_character(weights, d))
+            expected[delta] = product.get((0, 0, 0), 0)
+        assert _dimensions(grades, max_degree, None) == expected
 
 
 class TestSeries:
@@ -214,9 +224,13 @@ class TestSeries:
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
     def test_ct_shortcut_matches_full_product(self, d):
-        # the engine's dot against the weyl factor == literal CT of product
-        h = homogeneous_character(d)
-        full = lp_constant_term(lp_mul(weyl_factor(), h))
+        # the engine's dot against the weyl factor on a pruned window ==
+        # literal CT of the full product
+        h = engine_character(weight_system().weights(), d)
+        terms = {
+            (a - d, b - d, c - d): int(v) for (a, b, c), v in np.ndenumerate(h) if v
+        }
+        full = dict_mul(weyl_by_expansion(), terms).get((0, 0, 0), 0)
         assert poincare_coefficients(d)[d] == full
 
     def test_memory_budget_advisory(self):
@@ -263,6 +277,14 @@ class TestVerifyTheorem:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             verify_theorem([])
+
+    def test_series_head_is_a_named_check(self):
+        assert verify_theorem([1]).all_passed
+        for head in ([2], [1, 1]):
+            report = verify_theorem(head)
+            assert not report.series_head
+            assert report.checks()["series_head"] is False
+            assert not report.all_passed
 
 
 class TestMultigraded:
