@@ -134,6 +134,24 @@ def dense(terms: dict, d: int) -> np.ndarray:
     return block
 
 
+def sparse(block: np.ndarray, d: int) -> dict:
+    """The nonzero terms of a block laid out on [-d, d]^3."""
+    return {
+        (a - d, b - d, c - d): coeff
+        for (a, b, c), coeff in np.ndenumerate(block)
+        if coeff != 0
+    }
+
+
+def power_sum(weights, k: int) -> dict:
+    """p_k = sum over the weights w of x^(k*w)."""
+    terms = {}
+    for w in weights:
+        key = (k * w[0], k * w[1], k * w[2])
+        terms[key] = terms.get(key, 0) + 1
+    return terms
+
+
 def engine_character(weights, d: int) -> np.ndarray:
     """The engine's h_d from a run to degree 2d, where nothing is pruned."""
     assert _window(d, 2 * d) == (-d, d)
@@ -150,11 +168,19 @@ class TestCharacters:
         assert (h1 == dense(EXPECTED_MULTIPLICITIES, 1)).all()
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
-    def test_engine_matches_brute_force(self, d):
+    def test_newton_matches_brute_force(self, d):
+        # the engine's h_d equals enumeration, and satisfies Newton's
+        # identity d*h_d = sum_k p_k*h_{d-k} that it no longer relies on
         weights = weight_system().weights()
         assert len(weights) == 35
-        expected = dense(brute_force_character(weights, d), d)
-        assert (engine_character(weights, d) == expected).all()
+        h_d = engine_character(weights, d)
+        assert (h_d == dense(brute_force_character(weights, d), d)).all()
+        newton = {}
+        for k in range(1, d + 1):
+            h = sparse(engine_character(weights, d - k), d - k)
+            for key, coeff in dict_mul(power_sum(weights, k), h).items():
+                newton[key] = newton.get(key, 0) + coeff
+        assert (d * h_d == dense(newton, d)).all()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_dimension_via_stars_and_bars(self, d):
