@@ -31,7 +31,6 @@ from luinv.molien import (
     weight_system,
 )
 from luinv.states import (
-    Matrix,
     StateDecomposition,
     decompose_state,
     recompose,
@@ -60,7 +59,6 @@ __all__ = [
     "quadrature_coefficients",
     "verify_theorem",
     "weight_system",
-    "Matrix",
     "StateDecomposition",
     "decompose_state",
     "recompose",

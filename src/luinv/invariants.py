@@ -30,7 +30,6 @@ import numpy as np
 
 from luinv.exact import GaussianRational
 from luinv.states import (
-    Matrix,
     StateDecomposition,
     apply_local_unitary,
     decompose_state,
@@ -82,6 +81,28 @@ class InvariantVector:
         return getattr(self, name)
 
 
+def det(m: np.ndarray):
+    """Determinant of a 2x2 or 3x3 array, exact or float.
+
+    np.linalg.det cannot take object arrays, and the cofactor expansion
+    keeps Gaussian-rational entries exact.
+    """
+    if m.shape == (2, 2):
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if m.shape == (3, 3):
+        return (
+            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        )
+    raise ValueError(f"determinant implemented for 2x2 and 3x3 only, got shape {m.shape}")
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray):
+    """tr(a @ b) without forming the product."""
+    return (a * b.T).sum()
+
+
 def _realize(value, imag_tolerance: float) -> Value:
     if isinstance(value, GaussianRational):
         if not value.is_real:
@@ -102,16 +123,15 @@ def eval_matrix_form(
 ) -> InvariantVector:
     """Evaluate the invariants directly on the pieces X, Y, Z."""
     x, y, z = dec.local_a, dec.local_b, dec.corr
-    id2 = Matrix.identity(2, dec.exact)
     z2 = z @ z
     values = (
-        x.det(),
-        (y @ y).trace(),
-        z2.trace(),
-        y.det(),
-        (z2 @ z).trace(),
-        (x.kron(y) @ z).trace(),
-        (id2.kron(y) @ z2).trace(),
+        det(x),
+        _trace_product(y, y),
+        np.trace(z2),
+        det(y),
+        _trace_product(z2, z),
+        _trace_product(np.kron(x, y), z),
+        _trace_product(np.kron(np.eye(2, dtype=y.dtype), y), z2),
     )
     return InvariantVector(*(_realize(v, imag_tolerance) for v in values))
 
@@ -127,36 +147,26 @@ def eval_basis_form(
     """
     x, y = dec.local_a, dec.local_b
     parts = dec.corr_parts
-    paulis = pauli_basis()
-    if not dec.exact:
-        paulis = tuple(p.to_float() for p in paulis)
+    paulis = pauli_basis() if dec.exact else pauli_basis().astype(complex)
     half = Fraction(1, 2) if dec.exact else 0.5
 
+    x_tr = np.einsum("ab,kba->k", x, paulis)  # tr(X E_k)
     # det of a traceless hermitian 2x2 is minus its squared Bloch length
-    bloch = [(x @ e).trace() * half for e in paulis]
-    i1 = -sum((b * b for b in bloch), GaussianRational(0) if dec.exact else 0j)
+    bloch = x_tr * half
+    i1 = -(bloch * bloch).sum()
 
-    pauli_tr2 = [[(paulis[k] @ paulis[l]).trace() for l in range(3)] for k in range(3)]
-    part_tr2 = [[(parts[k] @ parts[l]).trace() for l in range(3)] for k in range(3)]
-    i3 = sum(pauli_tr2[k][l] * part_tr2[k][l] for k in range(3) for l in range(3))
+    # traces of products of two and of three basis elements, k, l, m
+    pauli_tr2 = np.einsum("kab,lba->kl", paulis, paulis)
+    part_tr2 = np.einsum("kab,lba->kl", parts, parts)
+    pauli_tr3 = np.einsum("kab,lbc,mca->klm", paulis, paulis, paulis)
+    part_tr3 = np.einsum("klac,mca->klm", parts[:, None] @ parts[None, :], parts)
 
-    i5 = sum(
-        (paulis[k] @ paulis[l] @ paulis[m]).trace()
-        * (parts[k] @ parts[l] @ parts[m]).trace()
-        for k in range(3)
-        for l in range(3)
-        for m in range(3)
-    )
+    i3 = (pauli_tr2 * part_tr2).sum()
+    i5 = (pauli_tr3 * part_tr3).sum()
+    i6 = (x_tr * np.einsum("ab,kba->k", y, parts)).sum()
+    i7 = (pauli_tr2 * np.einsum("ab,kbc,lca->kl", y, parts, parts)).sum()
 
-    i6 = sum((x @ paulis[k]).trace() * (y @ parts[k]).trace() for k in range(3))
-
-    i7 = sum(
-        pauli_tr2[k][l] * (y @ parts[k] @ parts[l]).trace()
-        for k in range(3)
-        for l in range(3)
-    )
-
-    values = (i1, (y @ y).trace(), i3, y.det(), i5, i6, i7)
+    values = (i1, _trace_product(y, y), i3, det(y), i5, i6, i7)
     return InvariantVector(*(_realize(v, imag_tolerance) for v in values))
 
 
@@ -231,7 +241,7 @@ def _integer_rank(rows: List[List[int]]) -> int:
     return rank
 
 
-def independence_rank(states: Sequence[Matrix], degree: int) -> int:
+def independence_rank(states: Sequence[np.ndarray], degree: int) -> int:
     """Exact rank of the evaluation matrix of one degree's invariants.
 
     Rows are exact states, columns the invariants of the given degree
@@ -246,7 +256,7 @@ def independence_rank(states: Sequence[Matrix], degree: int) -> int:
         raise ValueError("degree must be 2 or 3")
     rows: List[List[int]] = []
     for rho in states:
-        if not rho.exact:
+        if rho.dtype != object:
             raise ValueError("independence_rank needs exact states")
         vec = eval_matrix_form(decompose_state(rho))
         values = [vec.component(name) for name in names]

@@ -318,7 +318,8 @@ def quadrature_coefficients(
     of binomial/geometric series), multiplied by the t-free weyl factor,
     and averaged.  The integrand's exponents are bounded, so for
     M >= 2*max_degree + 5 the grid average is exact up to rounding and
-    the result's imaginary part must vanish to tolerance.
+    the result's imaginary part, relative to max(1, |real part|) degree
+    by degree, must vanish to tolerance.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -352,10 +353,12 @@ def quadrature_coefficients(
         series = out
 
     averages = (weyl[:, None] * series).mean(axis=0)
-    worst_imag = float(np.abs(averages.imag).max())
-    if worst_imag > imag_tolerance:
+    # rounding error grows with the coefficients, so compare relative to them
+    relative_imag = np.abs(averages.imag) / np.maximum(1.0, np.abs(averages.real))
+    worst_imag = float(relative_imag.max())
+    if not worst_imag <= imag_tolerance:
         raise ArithmeticError(
-            f"quadrature result has imaginary residue {worst_imag:.3e} "
+            f"quadrature result has relative imaginary residue {worst_imag:.3e} "
             f"above tolerance {imag_tolerance:.3e}"
         )
     return [float(v) for v in averages.real]

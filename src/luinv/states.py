@@ -12,9 +12,11 @@ hermitian 3x3 parts Y_k.  These pieces are exactly the coordinates on
 which the local-unitary invariants act, so the decomposition is the
 bridge between raw states and invariant evaluation.
 
-Matrices carry either exact Gaussian-rational entries or complex floats;
-every operation preserves exactness unless a float operand forces a
-promotion.  Exact random states come from A A^dagger / tr(A A^dagger)
+A state is a plain 6x6 numpy array, row index 3*i + j for qubit index i
+and qutrit index j.  Exact states are ``dtype=object`` arrays of
+GaussianRational entries (``rho.dtype == object`` is the exact test),
+float states are complex128; ``astype(complex)`` turns the first into
+the second.  Exact random states come from A A^dagger / tr(A A^dagger)
 with Gaussian-integer A, float ones from the Ginibre ensemble, and Haar
 special unitaries from QR with the standard phase fix.
 """
@@ -22,10 +24,11 @@ special unitaries from QR with the standard phase fix.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -36,324 +39,88 @@ STATE_SCHEMA = "luinv.state.v1"
 Scalar = Union[int, Fraction, GaussianRational, float, complex]
 
 
-def _is_float_entry(value) -> bool:
-    return isinstance(value, (float, complex)) and not isinstance(value, bool)
-
-
-def _as_exact(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise TypeError(f"cannot use {type(value).__name__} in an exact matrix")
-
-
-class Matrix:
-    """Immutable dense matrix, exact (Gaussian rational) or complex float."""
-
-    __slots__ = ("rows", "exact")
-
-    def __init__(self, rows: Iterable[Iterable[Scalar]], exact: Optional[bool] = None):
-        raw = tuple(tuple(row) for row in rows)
-        if not raw or any(len(r) != len(raw[0]) for r in raw):
-            raise ValueError("rows must be nonempty and of equal length")
-        if exact is None:
-            exact = not any(_is_float_entry(v) for r in raw for v in r)
-        if exact:
-            rows_c = tuple(tuple(_as_exact(v) for v in r) for r in raw)
-        else:
-            rows_c = tuple(tuple(complex(v) for v in r) for r in raw)
-        object.__setattr__(self, "rows", rows_c)
-        object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def zeros(cls, n: int, m: Optional[int] = None, exact: bool = True) -> "Matrix":
-        m = n if m is None else m
-        fill: Scalar = GaussianRational(0) if exact else 0j
-        return cls([[fill] * m for _ in range(n)], exact=exact)
-
-    @classmethod
-    def identity(cls, n: int, exact: bool = True) -> "Matrix":
-        if exact:
-            return cls(
-                [[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)],
-                exact=True,
-            )
-        return cls([[complex(i == j) for j in range(n)] for i in range(n)], exact=False)
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
-
-    def __getitem__(self, key: Tuple[int, int]):
-        i, j = key
-        return self.rows[i][j]
-
-    def to_float(self) -> "Matrix":
-        if not self.exact:
-            return self
-        return Matrix([[complex(v) for v in r] for r in self.rows], exact=False)
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array([[complex(v) for v in r] for r in self.rows], dtype=complex)
-
-    def _pair(self, other: "Matrix") -> Tuple["Matrix", "Matrix"]:
-        if self.exact and not other.exact:
-            return self.to_float(), other
-        if other.exact and not self.exact:
-            return self, other.to_float()
-        return self, other
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in addition")
-        a, b = self._pair(other)
-        return Matrix(
-            [
-                [a.rows[i][j] + b.rows[i][j] for j in range(a.shape[1])]
-                for i in range(a.shape[0])
-            ],
-            exact=a.exact,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-v for v in r] for r in self.rows], exact=self.exact)
-
-    def __mul__(self, scalar: Scalar) -> "Matrix":
-        if isinstance(scalar, Matrix):
-            raise TypeError("use @ for matrix products, * is scalar only")
-        if _is_float_entry(scalar) and self.exact:
-            return self.to_float() * scalar
-        if not self.exact:
-            scalar = complex(scalar)
-        return Matrix([[v * scalar for v in r] for r in self.rows], exact=self.exact)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape[1] != other.shape[0]:
-            raise ValueError("shape mismatch in matrix product")
-        a, b = self._pair(other)
-        n, k, m = a.shape[0], a.shape[1], b.shape[1]
-        return Matrix(
-            [
-                [
-                    sum((a.rows[i][s] * b.rows[s][j] for s in range(k)),
-                        GaussianRational(0) if a.exact else 0j)
-                    for j in range(m)
-                ]
-                for i in range(n)
-            ],
-            exact=a.exact,
-        )
-
-    def dagger(self) -> "Matrix":
-        n, m = self.shape
-        if self.exact:
-            return Matrix(
-                [[self.rows[j][i].conjugate() for j in range(n)] for i in range(m)],
-                exact=True,
-            )
-        return Matrix(
-            [[self.rows[j][i].conjugate() for j in range(n)] for i in range(m)],
-            exact=False,
-        )
-
-    def trace(self):
-        n, m = self.shape
-        if n != m:
-            raise ValueError("trace needs a square matrix")
-        start: Scalar = GaussianRational(0) if self.exact else 0j
-        return sum((self.rows[i][i] for i in range(n)), start)
-
-    def det(self):
-        n, m = self.shape
-        if n != m or n > 3:
-            raise ValueError("determinant implemented for square sizes up to 3")
-        r = self.rows
-        if n == 1:
-            return r[0][0]
-        if n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        a, b = self._pair(other)
-        p, q = a.shape
-        r, s = b.shape
-        return Matrix(
-            [
-                [a.rows[i][k] * b.rows[j][l] for k in range(q) for l in range(s)]
-                for i in range(p)
-                for j in range(r)
-            ],
-            exact=a.exact,
-        )
-
-    def is_hermitian(self, tolerance: float = 0.0) -> bool:
-        if self.shape[0] != self.shape[1]:
-            return False
-        if self.exact:
-            return self == self.dagger()
-        return self.max_abs_diff(self.dagger()) <= tolerance
-
-    def max_abs_diff(self, other: "Matrix") -> float:
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in comparison")
-        a, b = self.to_float(), other.to_float()
-        return max(
-            abs(a.rows[i][j] - b.rows[i][j])
-            for i in range(a.shape[0])
-            for j in range(a.shape[1])
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.exact == other.exact
-            and self.shape == other.shape
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.exact, self.rows))
-
-    def __repr__(self):
-        kind = "exact" if self.exact else "float"
-        return f"Matrix({self.shape[0]}x{self.shape[1]}, {kind})"
-
-
-def pauli_basis() -> Tuple[Matrix, Matrix, Matrix]:
-    """The three Pauli matrices, exact, with tr(E_k E_l) = 2 delta_kl."""
-    i = GaussianRational.i()
-    return (
-        Matrix([[0, 1], [1, 0]]),
-        Matrix([[GaussianRational(0), -i], [i, GaussianRational(0)]]),
-        Matrix([[1, 0], [0, -1]]),
-    )
-
-
-def gellmann_basis() -> Tuple[Matrix, ...]:
-    """The eight Gell-Mann matrices with tr(G_a G_b) = 2 delta_ab.
-
-    Float entries only: the diagonal generator carries a 1/sqrt(3)
-    normalizer, which no rational rescaling can remove while keeping the
-    trace-orthonormality convention, so there is no exact counterpart.
-    """
-    s3 = 1.0 / np.sqrt(3.0)
-    mats = [
-        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
-        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
-        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
-        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
-        [[s3, 0, 0], [0, s3, 0], [0, 0, -2 * s3]],
-    ]
-    return tuple(Matrix([[complex(v) for v in row] for row in m], exact=False) for m in mats)
-
-
-def tensor_product(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with the first (qubit) factor major."""
-    return a.kron(b)
-
-
-def partial_trace_qutrit(m: Matrix) -> Matrix:
-    """Trace out the qutrit factor of a 6x6 matrix, leaving 2x2."""
-    if m.shape != (6, 6):
-        raise ValueError("expected a 6x6 matrix")
-    return Matrix(
+def pauli_basis() -> np.ndarray:
+    """The three Pauli matrices as a (3, 2, 2) exact array, tr(E_k E_l) = 2 delta_kl."""
+    g = GaussianRational
+    return np.array(
         [
-            [
-                sum((m.rows[3 * i + j][3 * k + j] for j in range(3)),
-                    GaussianRational(0) if m.exact else 0j)
-                for k in range(2)
-            ]
-            for i in range(2)
+            [[g(0), g(1)], [g(1), g(0)]],
+            [[g(0), g(0, -1)], [g(0, 1), g(0)]],
+            [[g(1), g(0)], [g(0), g(-1)]],
         ],
-        exact=m.exact,
+        dtype=object,
     )
 
 
-def partial_trace_qubit(m: Matrix) -> Matrix:
-    """Trace out the qubit factor of a 6x6 matrix, leaving 3x3."""
-    if m.shape != (6, 6):
-        raise ValueError("expected a 6x6 matrix")
-    return Matrix(
-        [
-            [
-                sum((m.rows[3 * i + j][3 * i + l] for i in range(2)),
-                    GaussianRational(0) if m.exact else 0j)
-                for l in range(3)
-            ]
-            for j in range(3)
-        ],
-        exact=m.exact,
-    )
+def partial_trace_qutrit(m: np.ndarray) -> np.ndarray:
+    """Trace out the qutrit factor of a 6x6 array, leaving 2x2."""
+    return np.trace(m.reshape(2, 3, 2, 3), axis1=1, axis2=3)
+
+
+def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
+    """Trace out the qubit factor of a 6x6 array, leaving 3x3."""
+    return np.trace(m.reshape(2, 3, 2, 3), axis1=0, axis2=2)
 
 
 @dataclass(frozen=True)
 class StateDecomposition:
     """Bloch-style pieces of a state: rho = I/6 + X(x)I + I(x)Y + Z."""
 
-    local_a: Matrix  # X: 2x2 traceless hermitian, qubit side
-    local_b: Matrix  # Y: 3x3 traceless hermitian, qutrit side
-    corr: Matrix  # Z: 6x6, both partial traces vanish
-    corr_parts: Tuple[Matrix, Matrix, Matrix]  # Y_k with Z = sum E_k (x) Y_k
+    local_a: np.ndarray  # X: 2x2 traceless hermitian, qubit side
+    local_b: np.ndarray  # Y: 3x3 traceless hermitian, qutrit side
+    corr: np.ndarray  # Z: 6x6, both partial traces vanish
+    corr_parts: np.ndarray  # (3, 3, 3): Y_k with Z = sum E_k (x) Y_k
 
     @property
     def exact(self) -> bool:
-        return self.corr.exact
+        return self.corr.dtype == object
 
 
-def validate_state(rho: Matrix, tolerance: float = 1e-12) -> None:
-    """Raise ValueError unless rho is 6x6 hermitian with unit trace."""
+def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> None:
+    """Raise ValueError unless rho is 6x6 hermitian with unit trace.
+
+    Exact states must hold GaussianRational entries only; float states
+    are held to the tolerance, and a NaN anywhere fails the checks.
+    """
     if rho.shape != (6, 6):
-        raise ValueError(f"expected a 6x6 matrix, got {rho.shape[0]}x{rho.shape[1]}")
-    if rho.exact:
-        if not rho.is_hermitian():
+        raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
+    dagger = np.conjugate(rho).T
+    if rho.dtype == object:
+        if not all(isinstance(v, GaussianRational) for v in rho.flat):
+            raise ValueError("exact states must hold GaussianRational entries")
+        if not np.array_equal(rho, dagger):
             raise ValueError("state is not hermitian")
-        if rho.trace() != GaussianRational(1):
-            raise ValueError(f"state trace is {rho.trace()}, not 1")
+        if np.trace(rho) != 1:
+            raise ValueError(f"state trace is {np.trace(rho)}, not 1")
     else:
-        if not rho.is_hermitian(tolerance):
+        if not np.abs(rho - dagger).max() <= tolerance:
             raise ValueError("state is not hermitian within tolerance")
-        if abs(rho.trace() - 1) > tolerance:
-            raise ValueError(f"state trace deviates from 1 by {abs(rho.trace() - 1):.3e}")
+        deviation = abs(np.trace(rho) - 1)
+        if not deviation <= tolerance:
+            raise ValueError(f"state trace deviates from 1 by {deviation:.3e}")
 
 
-def decompose_state(rho: Matrix, tolerance: float = 1e-12) -> StateDecomposition:
+def _local_sum(local_a: np.ndarray, local_b: np.ndarray, sixth: Scalar) -> np.ndarray:
+    """I/6 + X (x) I + I (x) Y in the dtype of the pieces."""
+    dtype = local_a.dtype
+    return (
+        np.eye(6, dtype=dtype) * sixth
+        + np.kron(local_a, np.eye(3, dtype=dtype))
+        + np.kron(np.eye(2, dtype=dtype), local_b)
+    )
+
+
+def decompose_state(rho: np.ndarray, tolerance: float = 1e-12) -> StateDecomposition:
     """Split a validated state into its local and correlation pieces."""
     validate_state(rho, tolerance)
-    exact = rho.exact
-    half = Fraction(1, 2) if exact else 0.5
-    third = Fraction(1, 3) if exact else 1.0 / 3.0
-    id2 = Matrix.identity(2, exact)
-    id3 = Matrix.identity(3, exact)
-    id6 = Matrix.identity(6, exact)
-    local_a = (partial_trace_qutrit(rho) - id2 * half) * third
-    local_b = (partial_trace_qubit(rho) - id3 * third) * half
-    corr = rho - id6 * (third * half) - local_a.kron(id3) - id2.kron(local_b)
-    paulis = pauli_basis() if exact else tuple(p.to_float() for p in pauli_basis())
-    corr_parts = tuple(
-        partial_trace_qubit(e.kron(id3) @ corr) * half for e in paulis
-    )
+    exact = rho.dtype == object
+    half, third = (Fraction(1, 2), Fraction(1, 3)) if exact else (0.5, 1.0 / 3.0)
+    local_a = (partial_trace_qutrit(rho) - np.eye(2, dtype=rho.dtype) * half) * third
+    local_b = (partial_trace_qubit(rho) - np.eye(3, dtype=rho.dtype) * third) * half
+    corr = rho - _local_sum(local_a, local_b, third * half)
+    paulis = pauli_basis() if exact else pauli_basis().astype(complex)
+    # Y_k = tr_qubit((E_k (x) I) Z) / 2
+    corr_parts = np.einsum("kab,bjal->kjl", paulis, corr.reshape(2, 3, 2, 3)) * half
     return StateDecomposition(local_a, local_b, corr, corr_parts)
 
 
@@ -365,28 +132,17 @@ def scale_components(dec: StateDecomposition, a: Scalar, b: Scalar, c: Scalar) -
     are tested.
     """
     return StateDecomposition(
-        dec.local_a * a,
-        dec.local_b * b,
-        dec.corr * c,
-        tuple(p * c for p in dec.corr_parts),
+        dec.local_a * a, dec.local_b * b, dec.corr * c, dec.corr_parts * c
     )
 
 
-def recompose(dec: StateDecomposition) -> Matrix:
+def recompose(dec: StateDecomposition) -> np.ndarray:
     """Rebuild the density matrix from its decomposition pieces."""
-    exact = dec.exact
-    sixth = Fraction(1, 6) if exact else 1.0 / 6.0
-    id2 = Matrix.identity(2, exact)
-    id3 = Matrix.identity(3, exact)
-    return (
-        Matrix.identity(6, exact) * sixth
-        + dec.local_a.kron(id3)
-        + id2.kron(dec.local_b)
-        + dec.corr
-    )
+    sixth = Fraction(1, 6) if dec.exact else 1.0 / 6.0
+    return _local_sum(dec.local_a, dec.local_b, sixth) + dec.corr
 
 
-def random_state(seed: int, kind: str = "rational") -> Matrix:
+def random_state(seed: int, kind: str = "rational") -> np.ndarray:
     """Deterministic random density matrix.
 
     kind="rational": A A^dagger / tr(A A^dagger) with a Gaussian-integer
@@ -396,7 +152,7 @@ def random_state(seed: int, kind: str = "rational") -> Matrix:
     if kind == "rational":
         rng = random.Random(seed)
         while True:
-            a = Matrix(
+            a = np.array(
                 [
                     [
                         GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
@@ -404,27 +160,26 @@ def random_state(seed: int, kind: str = "rational") -> Matrix:
                     ]
                     for _ in range(6)
                 ],
-                exact=True,
+                dtype=object,
             )
-            gram = a @ a.dagger()
-            tr = gram.trace()
-            if tr != GaussianRational(0):
+            gram = a @ np.conjugate(a).T
+            tr = np.trace(gram)
+            if tr != 0:
                 return gram * (1 / tr)
     if kind == "psd_float":
         rng_np = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         g = rng_np.normal(size=(6, 6)) + 1j * rng_np.normal(size=(6, 6))
         gram_np = g @ g.conj().T
-        gram_np = gram_np / np.trace(gram_np).real
-        return Matrix([[complex(v) for v in row] for row in gram_np], exact=False)
+        return gram_np / np.trace(gram_np).real
     raise ValueError(f"unknown state kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class LocalUnitaryPair:
-    """An element (u2, u3) of SU(2) x SU(3), float entries."""
+    """An element (u2, u3) of SU(2) x SU(3), complex128 arrays."""
 
-    u2: Matrix
-    u3: Matrix
+    u2: np.ndarray
+    u3: np.ndarray
 
 
 def _haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -442,39 +197,56 @@ def random_local_unitary(seed) -> LocalUnitaryPair:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     u2 = _haar_special_unitary(2, rng)
     u3 = _haar_special_unitary(3, rng)
-    as_matrix = lambda u: Matrix([[complex(v) for v in row] for row in u], exact=False)
-    return LocalUnitaryPair(as_matrix(u2), as_matrix(u3))
+    return LocalUnitaryPair(u2, u3)
 
 
-def apply_local_unitary(rho: Matrix, pair: LocalUnitaryPair) -> Matrix:
-    """Conjugate a state by u2 (x) u3."""
-    u = pair.u2.kron(pair.u3)
-    return u @ rho.to_float() @ u.dagger()
+def apply_local_unitary(rho: np.ndarray, pair: LocalUnitaryPair) -> np.ndarray:
+    """Conjugate a state by u2 (x) u3, in float arithmetic."""
+    u = np.kron(pair.u2, pair.u3)
+    return u @ rho.astype(complex) @ u.conj().T
 
 
 def _fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-def state_to_json(rho: Matrix, indent: Optional[int] = None) -> str:
+def state_to_json(rho: np.ndarray, indent: Optional[int] = None) -> str:
     """Serialize a 6x6 state to the versioned JSON schema."""
     if rho.shape != (6, 6):
         raise ValueError("expected a 6x6 matrix")
-    if rho.exact:
+    if rho.dtype == object:
         matrix = [
             [[_fraction_str(v.re), _fraction_str(v.im)] for v in row]
-            for row in rho.rows
+            for row in rho.tolist()
         ]
         scalar = "rational"
     else:
-        matrix = [[[v.real, v.imag] for v in row] for row in rho.rows]
+        matrix = [[[v.real, v.imag] for v in row] for row in rho.astype(complex).tolist()]
         scalar = "float"
     payload = {"schema": STATE_SCHEMA, "scalar": scalar, "matrix": matrix}
     return json.dumps(payload, indent=indent)
 
 
-def state_from_json(text: str) -> Matrix:
-    """Parse a state from the versioned JSON schema, validating shape."""
+def _parse_entry(entry, scalar: str, where: str) -> Scalar:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ValueError(f"entry {where} must be an [re, im] pair, got {entry!r}")
+    re_part, im_part = entry
+    if scalar == "rational":
+        try:
+            return GaussianRational(Fraction(str(re_part)), Fraction(str(im_part)))
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"bad rational entry {where} {entry!r}: {err}") from err
+    try:
+        value = complex(float(re_part), float(im_part))
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"bad float entry {where} {entry!r}: {err}") from err
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"non-finite float entry {where} {entry!r}")
+    return value
+
+
+def state_from_json(text: str) -> np.ndarray:
+    """Parse a state from the versioned JSON schema, validating shape and entries."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -491,19 +263,8 @@ def state_from_json(text: str) -> Matrix:
         or any(not isinstance(r, list) or len(r) != 6 for r in matrix)
     ):
         raise ValueError("matrix must be a 6x6 array of [re, im] pairs")
-    rows: List[List[Scalar]] = []
-    for r in matrix:
-        row: List[Scalar] = []
-        for entry in r:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ValueError("each entry must be an [re, im] pair")
-            re_part, im_part = entry
-            if scalar == "rational":
-                try:
-                    row.append(GaussianRational(Fraction(str(re_part)), Fraction(str(im_part))))
-                except (ValueError, ZeroDivisionError) as err:
-                    raise ValueError(f"bad rational entry {entry!r}: {err}") from err
-            else:
-                row.append(complex(float(re_part), float(im_part)))
-        rows.append(row)
-    return Matrix(rows, exact=(scalar == "rational"))
+    rows: List[List[Scalar]] = [
+        [_parse_entry(entry, scalar, f"({i}, {j})") for j, entry in enumerate(r)]
+        for i, r in enumerate(matrix)
+    ]
+    return np.array(rows, dtype=object if scalar == "rational" else complex)

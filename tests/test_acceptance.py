@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from luinv import reference
-from luinv.exact import UniPoly, palindrome_check, series_from_rational
+from luinv.exact import GaussianRational, UniPoly, palindrome_check, series_from_rational
 from luinv.invariants import (
     COMPONENTS,
     MULTIDEGREES,
@@ -29,7 +29,7 @@ from luinv.molien import (
     verify_theorem,
     weight_system,
 )
-from luinv.states import Matrix, decompose_state, scale_components
+from luinv.states import decompose_state, scale_components
 
 EXPECTED_14 = [
     1, 0, 3, 4, 15, 25, 90, 170, 489, 1059, 2600, 5641, 12872, 27099, 57990,
@@ -197,7 +197,10 @@ def test_criterion_5_invariant_identities(rational_states):
         Fraction(1, 18),
         Fraction(1, 18),
     )
-    pure = Matrix([[int(r == 0 and c == 0) for c in range(6)] for r in range(6)])
+    pure = np.array(
+        [[GaussianRational(int(r == 0 and c == 0)) for c in range(6)] for r in range(6)],
+        dtype=object,
+    )
     ok = oracle == expected
     ok = ok and eval_matrix_form(decompose_state(pure)).as_tuple() == oracle
     agree = 0

@@ -1,9 +1,13 @@
 """Command-line interface: contracts, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luinv import cli, reference
 from luinv.states import random_state, state_to_json
@@ -45,6 +49,13 @@ def pure_product_file(tmp_path):
     path = tmp_path / "pure.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def float_state_payload(entry):
+    """A valid float state file payload with entry (0, 1) replaced."""
+    matrix = [[[1 / 6 if i == j else 0, 0] for j in range(6)] for i in range(6)]
+    matrix[0][1] = entry
+    return {"schema": "luinv.state.v1", "scalar": "float", "matrix": matrix}
 
 
 class TestSeries:
@@ -100,6 +111,15 @@ class TestVerify:
         )
         assert code == 0
         assert "quadrature_match: pass" in out
+
+    def test_quadrature_past_degree_15(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-degree", "16", "--with-quadrature", "--format", "json"
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"]
+        quad = payload["quadrature"]
+        assert quad["passed"] and quad["max_residual"] < quad["tolerance"]
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
@@ -212,6 +232,21 @@ class TestInvariants:
         code, _, err = run_cli(capsys, "invariants", "--state", str(path))
         assert code == 2 and "trace" in err
 
+    def test_null_float_entry_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(float_state_payload([None, 0])))
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert code == 2 and out == ""
+        assert "bad float entry (0, 1)" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("part", [float("nan"), float("inf")])
+    def test_non_finite_float_entry_exit_2(self, capsys, tmp_path, part):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(float_state_payload([part, 0])))  # NaN / Infinity literals
+        code, _, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert code == 2
+        assert "non-finite float entry" in err and "hermitian" not in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--state", "/nonexistent.json")
         assert code == 2 and "state file" in err
@@ -294,3 +329,91 @@ class TestDeterminism:
         _, out_a, _ = run_cli(capsys, "series", "--max-degree", "8", "--format", "json")
         _, out_b, _ = run_cli(capsys, "series", "--max-degree", "8", "--format", "json")
         assert out_a == out_b
+
+
+def _state_files(root):
+    """Named state files, good and malformed, written under root."""
+    good_rational = [[["1" if i == j == 0 else "0", "0"] for j in range(6)] for i in range(6)]
+    texts = {
+        "rational": {"schema": "luinv.state.v1", "scalar": "rational", "matrix": good_rational},
+        "float": float_state_payload([0, 0]),
+        "null_entry": float_state_payload([None, 0]),
+        "nan_entry": float_state_payload([float("nan"), 0]),
+        "string_entry": float_state_payload(["x", 0]),
+        "list_entry": float_state_payload([[1], 0]),
+        "short_entry": float_state_payload([0]),
+        "not_hermitian": float_state_payload([1, 0]),
+        "bad_rational": {"schema": "luinv.state.v1", "scalar": "rational",
+                         "matrix": [[[None, "1/0"]] * 6] * 6},
+        "wrong_schema": {"schema": "luinv.state.v0"},
+        "bad_shape": {"schema": "luinv.state.v1", "scalar": "float", "matrix": [[0] * 6] * 6},
+        "top_level_list": [1, 2, 3],
+    }
+    paths = {}
+    for name, payload in texts.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    paths["garbage"] = root / "garbage.json"
+    paths["garbage"].write_text("{nope")
+    paths["not_utf8"] = root / "not_utf8.json"
+    paths["not_utf8"].write_bytes(b"\xff\xfe\x00")
+    paths["missing"] = root / "missing.json"
+    paths["directory"] = root
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    return _state_files(tmp_path_factory.mktemp("states"))
+
+
+@st.composite
+def cli_argv(draw, state_files):
+    sub = draw(st.sampled_from(["series", "verify", "multigraded", "invariants"]))
+    argv = [sub]
+    if sub == "invariants":
+        source = draw(st.sampled_from(["--state", "--random", "--battery", None]))
+        if source == "--state":
+            argv += ["--state", state_files[draw(st.sampled_from(sorted(state_files)))]]
+        elif source is not None:
+            argv.append(source)
+        if source == "--battery":
+            argv += ["--trials", str(draw(st.integers(-1, 3)))]
+        scalar = draw(st.sampled_from([None, "exact", "float"]))
+        if scalar is not None:
+            argv += ["--scalar", scalar]
+        seed = draw(st.one_of(st.none(), st.integers(-2, 2**40).map(str), st.just("x")))
+        if seed is not None:
+            argv += ["--seed", seed]
+    else:
+        argv += ["--max-degree", str(draw(st.integers(-2, 4)))]
+        budget = draw(st.sampled_from([None, "-5", "0", "1", "777", "1e3", "abc", str(10**9)]))
+        if budget is not None:
+            argv += ["--memory-budget", budget]
+        if sub == "verify" and draw(st.booleans()):
+            argv.append("--with-quadrature")
+            grid = draw(st.one_of(st.none(), st.integers(-3, 21)))
+            if grid is not None:
+                argv += ["--grid-size", str(grid)]
+    fmt = draw(st.sampled_from([None, "plain", "csv", "json"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    return argv
+
+
+class TestContract:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_every_command_line_keeps_the_exit_contract(self, state_files, data):
+        argv = data.draw(cli_argv(state_files))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if "json" in argv and code in (0, 1):
+            payload = json.loads(out.getvalue())
+            assert "schema" in payload

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from luinv.exact import GaussianRational
 from luinv.invariants import (
     COMPONENTS,
     DEGREE_THREE,
@@ -17,7 +19,6 @@ from luinv.invariants import (
     invariance_battery,
 )
 from luinv.states import (
-    Matrix,
     StateDecomposition,
     decompose_state,
     random_state,
@@ -35,8 +36,17 @@ PURE_PRODUCT_VALUES = (
 )
 
 
-def pure_product_state() -> Matrix:
-    return Matrix([[int(i == 0 and j == 0) for j in range(6)] for i in range(6)])
+def exact(rows) -> np.ndarray:
+    """Object array of GaussianRational from nested ints and Fractions."""
+    return np.array([[GaussianRational(v) for v in row] for row in rows], dtype=object)
+
+
+def exact_identity(n: int) -> np.ndarray:
+    return exact([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def pure_product_state() -> np.ndarray:
+    return exact([[int(i == 0 and j == 0) for j in range(6)] for i in range(6)])
 
 
 class TestInvariantVector:
@@ -63,7 +73,7 @@ class TestEvaluation:
         assert vec.as_tuple() == PURE_PRODUCT_VALUES
 
     def test_maximally_mixed_vanishes(self):
-        rho = Matrix.identity(6) * Fraction(1, 6)
+        rho = exact_identity(6) * Fraction(1, 6)
         assert eval_matrix_form(decompose_state(rho)).as_tuple() == (Fraction(0),) * 7
 
     def test_exact_values_are_fractions(self):
@@ -88,22 +98,18 @@ class TestEvaluation:
     def test_float_tracks_exact_evaluation(self, seed):
         rho = random_state(seed, "rational")
         exact = eval_matrix_form(decompose_state(rho))
-        approx = eval_matrix_form(decompose_state(rho.to_float()))
+        approx = eval_matrix_form(decompose_state(rho.astype(complex)))
         for name in COMPONENTS:
             assert abs(float(exact.component(name)) - approx.component(name)) < 1e-12
 
     def test_non_hermitian_correlation_is_caught(self):
-        from luinv.exact import GaussianRational
-
         # a doctored corr part with a genuinely non-real cubic trace
         dec = decompose_state(pure_product_state())
-        rows = [[GaussianRational(0)] * 6 for _ in range(6)]
-        rows[0][1] = GaussianRational(1)
-        rows[1][2] = GaussianRational(1)
-        rows[2][0] = GaussianRational(0, 1)
-        bad = StateDecomposition(
-            dec.local_a, dec.local_b, Matrix(rows), dec.corr_parts
-        )
+        corr = exact([[0] * 6 for _ in range(6)])
+        corr[0, 1] = GaussianRational(1)
+        corr[1, 2] = GaussianRational(1)
+        corr[2, 0] = GaussianRational(0, 1)
+        bad = StateDecomposition(dec.local_a, dec.local_b, corr, dec.corr_parts)
         with pytest.raises(ArithmeticError, match="imaginary"):
             eval_matrix_form(bad)
 
@@ -160,8 +166,8 @@ class TestIndependence:
     def test_degenerate_family_has_lower_rank(self):
         # states with only a qubit part: every Y- or Z-dependent
         # invariant vanishes identically
-        x = Matrix([[Fraction(1, 12), 0], [0, Fraction(-1, 12)]])
-        rho = Matrix.identity(6) * Fraction(1, 6) + x.kron(Matrix.identity(3))
+        x = exact([[Fraction(1, 12), 0], [0, Fraction(-1, 12)]])
+        rho = exact_identity(6) * Fraction(1, 6) + np.kron(x, exact_identity(3))
         states = [rho]
         assert independence_rank(states, 2) == 1
         assert independence_rank(states, 3) == 0
