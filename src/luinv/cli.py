@@ -63,8 +63,12 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _quadrature_check(coeffs: List[int], grid_size: Optional[int]) -> dict:
-    approx = quadrature_coefficients(len(coeffs) - 1, grid_size)
+def _quadrature_check(
+    coeffs: List[int], grid_size: Optional[int], memory_budget: Optional[int]
+) -> dict:
+    # without a budget the call keeps its two-argument form and the default cap
+    budget = {} if memory_budget is None else {"memory_budget": memory_budget}
+    approx = quadrature_coefficients(len(coeffs) - 1, grid_size, **budget)
     # relative, since the float error grows with the coefficients
     residual = max(abs(a - c) / max(1, abs(c)) for a, c in zip(approx, coeffs))
     rounded_ok = [round(a) for a in approx] == list(coeffs)
@@ -78,7 +82,11 @@ def _quadrature_check(coeffs: List[int], grid_size: Optional[int]) -> dict:
 def cmd_verify(args) -> int:
     coeffs = poincare_coefficients(args.max_degree, memory_budget=args.memory_budget)
     report = verify_theorem(coeffs)
-    quad = _quadrature_check(coeffs, args.grid_size) if args.with_quadrature else None
+    quad = (
+        _quadrature_check(coeffs, args.grid_size, args.memory_budget)
+        if args.with_quadrature
+        else None
+    )
     passed = report.all_passed and (quad is None or quad["passed"])
 
     checks = report.checks()

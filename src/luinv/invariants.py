@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -111,6 +111,9 @@ def _realize(value, imag_tolerance: float) -> Value:
             )
         return value.re
     v = complex(value)
+    # a finite state can overflow to inf or nan, which no output format can carry
+    if not (isfinite(v.real) and isfinite(v.imag)):
+        raise ArithmeticError(f"invariant value {v!r} is not finite")
     if abs(v.imag) > imag_tolerance:
         raise ArithmeticError(
             f"invariant value has imaginary part {v.imag:.3e} above tolerance"

@@ -21,8 +21,11 @@ the top degree.  Giving each subspace its own t yields the multigraded
 table from the same update.
 
 A floating-point quadrature over the torus grid provides an independent
-cross-check of the exact coefficients, and verify_theorem compares the
-whole series against the tabulated closed form in luinv.reference.
+cross-check of the exact coefficients: at every grid point it sums the
+power sums p_k = sum_w w^k of the weights, recovers h_d from Newton's
+identity d h_d = sum_k p_k h_{d-k}, and averages weyl_factor * h_d over
+the grid.  verify_theorem compares the whole series against the
+tabulated closed form in luinv.reference.
 """
 
 from __future__ import annotations
@@ -165,6 +168,12 @@ def _feasible_degree(grades: int, weights: int, budget: int) -> int:
     return d
 
 
+def _degree_advice(feasible: int) -> str:
+    if feasible < 0:
+        return "no degree fits this budget"
+    return f"with this budget the feasible max degree is {feasible}"
+
+
 def _overlap(target: Tuple[int, int], source: Tuple[int, int], shift: int):
     """Slices of the target and source ranges where source + shift lands."""
     start = max(target[0], source[0] + shift)
@@ -194,12 +203,7 @@ def _character_windows(
     weights = sum(len(ws) for ws in grades)
     need = _estimated_bytes(len(grades), weights, max_degree)
     if need > budget:
-        feasible = _feasible_degree(len(grades), weights, budget)
-        advice = (
-            f"with this budget the feasible max degree is {feasible}"
-            if feasible >= 0
-            else "no degree fits this budget"
-        )
+        advice = _degree_advice(_feasible_degree(len(grades), weights, budget))
         raise MemoryBudgetError(
             f"max degree {max_degree} needs an estimated {need} bytes, over "
             f"the budget of {budget}; {advice}"
@@ -304,22 +308,83 @@ def _distinct_weight_factors(ws: WeightSystem) -> List[Tuple[Tuple[int, int, int
     return sorted(terms.items())
 
 
+def _quadrature_bytes(max_degree: int, grid_size: int) -> int:
+    """Bytes the quadrature holds at its peak, estimated before allocating.
+
+    The power sums and the series are (max_degree + 1, M^3) complex128
+    arrays; the grid coordinates, the Weyl factor, the running weight
+    power and the temporaries of one row operation hold at most eight
+    more M^3 complex values per point.
+    """
+    return grid_size ** 3 * 16 * (2 * (max_degree + 1) + 8)
+
+
+def _check_quadrature_budget(max_degree: int, grid_size: int, budget: int) -> None:
+    """Raise MemoryBudgetError, naming what would fit, if the grid is too big."""
+    need = _quadrature_bytes(max_degree, grid_size)
+    if need <= budget:
+        return
+    # the cube root lands within a step of the largest grid that fits
+    m = min(grid_size, int((budget / _quadrature_bytes(max_degree, 1)) ** (1 / 3)) + 1)
+    while m > 0 and _quadrature_bytes(max_degree, m) > budget:
+        m -= 1
+    if m >= 2 * max_degree + 5:
+        advice = f"the largest grid within it at this degree is {m}"
+    else:
+        d = -1  # at the default grid, 2 * degree + 7
+        while _quadrature_bytes(d + 1, 2 * d + 9) <= budget:
+            d += 1
+        advice = _degree_advice(d)
+    raise MemoryBudgetError(
+        f"quadrature at max degree {max_degree} on a {grid_size}^3 grid needs an "
+        f"estimated {need} bytes, over the budget of {budget}; {advice}"
+    )
+
+
+def _torus_series(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, max_degree: int
+) -> np.ndarray:
+    """h_0..h_max_degree of the 35 weights at the torus points (x, y, z).
+
+    Returns an (max_degree + 1, points) complex array whose row d is the
+    t^d coefficient of prod_w (1 - t w)^(-mult).  The power sums
+    p_k = sum_w mult * w^k give it by Newton's identity
+    d * h_d = sum_{k=1..d} p_k * h_{d-k}, so each step is a contiguous
+    row operation.
+    """
+    order = max_degree + 1
+    power = np.zeros((order, x.size), dtype=np.complex128)  # row k holds p_k
+    for (ex, ey, ez), mult in _distinct_weight_factors(weight_system()):
+        wval = (x ** ex) * (y ** ey) * (z ** ez)
+        wpow = np.ones_like(wval)
+        for k in range(1, order):
+            wpow *= wval
+            power[k] += mult * wpow
+    series = np.empty_like(power)
+    series[0] = 1.0
+    for d in range(1, order):
+        series[d] = np.einsum("kp,kp->p", power[1 : d + 1], series[d - 1 :: -1]) / d
+    return series
+
+
 def quadrature_coefficients(
     max_degree: int,
     grid_size: Optional[int] = None,
     *,
     imag_tolerance: float = 1e-9,
+    memory_budget: Optional[int] = None,
 ) -> List[float]:
     """Series coefficients by trapezoid quadrature over the torus grid.
 
     Independent of the exact path: at every grid point (x, y, z) on the
-    M^3 lattice of M-th roots of unity, the reciprocal of the product
-    prod (1 - t w)^mult is expanded as a truncated t-series (a product
-    of binomial/geometric series), multiplied by the t-free weyl factor,
+    M^3 lattice of M-th roots of unity, the power sums of the 35 weights
+    give the truncated t-series of prod (1 - t w)^(-mult) by Newton's
+    identity; each coefficient is multiplied by the t-free weyl factor
     and averaged.  The integrand's exponents are bounded, so for
     M >= 2*max_degree + 5 the grid average is exact up to rounding and
     the result's imaginary part, relative to max(1, |real part|) degree
-    by degree, must vanish to tolerance.
+    by degree, must vanish to tolerance.  Raises MemoryBudgetError,
+    before allocating, if the estimated bytes held exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -330,29 +395,16 @@ def quadrature_coefficients(
         raise ValueError(
             f"grid_size {grid_size} is below the exactness bound {min_grid}"
         )
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    _check_quadrature_budget(max_degree, grid_size, budget)
     m = grid_size
     omega = np.exp(2j * np.pi * np.arange(m) / m)
     x, y, z = (g.ravel() for g in np.meshgrid(omega, omega, omega, indexing="ij"))
     weyl = (1 - 1 / x) * (1 - 1 / y) * (1 - 1 / z) * (1 - 1 / (y * z))
 
-    order = max_degree + 1
-    series = np.zeros((x.size, order), dtype=np.complex128)
-    series[:, 0] = 1.0
-    for (ex, ey, ez), mult in _distinct_weight_factors(weight_system()):
-        wval = (x ** ex) * (y ** ey) * (z ** ez)
-        # (1 - t*wval)^(-mult) = sum_k C(k+mult-1, mult-1) wval^k t^k
-        factor = np.empty_like(series)
-        factor[:, 0] = 1.0
-        wpow = np.ones_like(wval)
-        for k in range(1, order):
-            wpow = wpow * wval
-            factor[:, k] = math.comb(k + mult - 1, mult - 1) * wpow
-        out = np.zeros_like(series)
-        for j in range(order):
-            out[:, j:] += series[:, [j]] * factor[:, : order - j]
-        series = out
-
-    averages = (weyl[:, None] * series).mean(axis=0)
+    series = _torus_series(x, y, z, max_degree)
+    series *= weyl
+    averages = series.mean(axis=1)
     # rounding error grows with the coefficients, so compare relative to them
     relative_imag = np.abs(averages.imag) / np.maximum(1.0, np.abs(averages.real))
     worst_imag = float(relative_imag.max())

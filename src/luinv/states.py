@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
@@ -227,13 +228,35 @@ def state_to_json(rho: np.ndarray, indent: Optional[int] = None) -> str:
     return json.dumps(payload, indent=indent)
 
 
+def _rational(part) -> Fraction:
+    """Fraction(str(part)), refused when its digits would outgrow Python's limit.
+
+    Fraction expands a decimal exponent into an integer with that many
+    digits, so "1e10000000" alone takes seconds.  The digit count and the
+    exponent are both held to the int-string limit, or to its default of
+    4300 where the limit is off or the interpreter predates it.
+    """
+    text = str(part)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    try:
+        exponent = abs(int(text.lower().partition("e")[2]))
+    except ValueError:  # no exponent, or a malformed one that Fraction rejects
+        exponent = 0
+    if sum(c.isdigit() for c in text) > limit or exponent > limit:
+        raise ValueError(
+            f"a part has more than {limit} digits or a decimal exponent "
+            f"beyond {limit}"
+        )
+    return Fraction(text)
+
+
 def _parse_entry(entry, scalar: str, where: str) -> Scalar:
     if not isinstance(entry, list) or len(entry) != 2:
         raise ValueError(f"entry {where} must be an [re, im] pair, got {entry!r}")
     re_part, im_part = entry
     if scalar == "rational":
         try:
-            return GaussianRational(Fraction(str(re_part)), Fraction(str(im_part)))
+            return GaussianRational(_rational(re_part), _rational(im_part))
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"bad rational entry {where} {entry!r}: {err}") from err
     try:

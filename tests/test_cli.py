@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,22 @@ class TestVerify:
         assert code == 0 and payload["passed"]
         quad = payload["quadrature"]
         assert quad["passed"] and quad["max_residual"] < quad["tolerance"]
+
+    def test_quadrature_over_memory_budget_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--max-degree", "3", "--with-quadrature", "--grid-size", "400"
+        )
+        assert code == 2 and out == ""
+        assert "largest grid within it at this degree is 161" in err
+        assert "Traceback" not in err
+
+    def test_quadrature_memory_budget_advisory_degree_runs(self, capsys):
+        args = ("--with-quadrature", "--memory-budget", "10000000", "--format", "json")
+        code, _, err = run_cli(capsys, "verify", "--max-degree", "20", *args)
+        assert code == 2 and "quadrature" in err
+        assert "feasible max degree is 10" in err
+        code, out, _ = run_cli(capsys, "verify", "--max-degree", "10", *args)
+        assert code == 0 and json.loads(out)["checks"]["quadrature_match"]
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
@@ -246,6 +263,30 @@ class TestInvariants:
         code, _, err = run_cli(capsys, "invariants", "--state", str(path))
         assert code == 2
         assert "non-finite float entry" in err and "hermitian" not in err
+
+    def test_overflowing_float_state_exit_2(self, capsys, tmp_path):
+        payload = float_state_payload([1e200, 0])
+        payload["matrix"][1][0] = [1e200, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "invariants", "--state", str(path), "--format", "json"
+        )
+        assert code == 2 and out == ""
+        assert "not finite" in err and "Traceback" not in err
+
+    def test_huge_rational_exponent_exit_2_quickly(self, capsys, tmp_path):
+        matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
+        matrix[2][5] = ["1e10000000", "0"]
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix})
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "bad rational entry (2, 5)" in err and "Traceback" not in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--state", "/nonexistent.json")

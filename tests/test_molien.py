@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from luinv import molien
 from luinv.molien import (
+    DEFAULT_MEMORY_BUDGET,
     TAGS,
     WEYL_TERMS,
     MemoryBudgetError,
@@ -16,6 +18,9 @@ from luinv.molien import (
     WeightSystem,
     _character_windows,
     _dimensions,
+    _distinct_weight_factors,
+    _quadrature_bytes,
+    _torus_series,
     _window,
     poincare_coefficients,
     poincare_multigraded,
@@ -282,6 +287,59 @@ class TestQuadrature:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             quadrature_coefficients(-2)
+
+    def test_matches_exact_through_22(self):
+        exact = poincare_coefficients(22)
+        approx = quadrature_coefficients(22)
+        assert [round(a) for a in approx] == exact
+        assert max(abs(a - e) / max(1, e) for a, e in zip(approx, exact)) < 1e-9
+
+    def test_newton_matches_binomial_product(self):
+        """Newton's identity on power sums against the product of the
+        21 truncated binomial series, at random torus points."""
+        max_degree = 10
+        rng = np.random.default_rng(20)
+        x, y, z = np.exp(2j * np.pi * rng.random((3, 7)))
+        order = max_degree + 1
+        product = np.zeros((x.size, order), dtype=np.complex128)
+        product[:, 0] = 1.0
+        for (ex, ey, ez), mult in _distinct_weight_factors(weight_system()):
+            wval = (x ** ex) * (y ** ey) * (z ** ez)
+            factor = np.array(
+                [math.comb(k + mult - 1, mult - 1) * wval ** k for k in range(order)]
+            ).T
+            out = np.zeros_like(product)
+            for j in range(order):
+                out[:, j:] += product[:, [j]] * factor[:, : order - j]
+            product = out
+        newton = _torus_series(x, y, z, max_degree)
+        assert newton.shape == (order, x.size)
+        # |h_d| is at most comb(34 + d, d) on the torus; rounding is relative to that
+        scale = np.array([math.comb(34 + d, d) for d in range(order)])[:, None]
+        assert np.all(np.abs(newton - product.T) <= 1e-12 * scale)
+
+    def test_independent_of_the_engine(self, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the quadrature must not call the exact engine")
+
+        exact = poincare_coefficients(6)
+        monkeypatch.setattr(molien, "_character_windows", engine)
+        with pytest.raises(AssertionError, match="exact engine"):
+            poincare_coefficients(6)
+        assert [round(a) for a in quadrature_coefficients(6)] == exact
+
+    def test_memory_budget_names_the_largest_grid(self):
+        with pytest.raises(MemoryBudgetError, match="largest grid within it .* is 161"):
+            quadrature_coefficients(3, grid_size=400)
+        assert _quadrature_bytes(3, 161) <= DEFAULT_MEMORY_BUDGET < _quadrature_bytes(3, 162)
+
+    def test_memory_budget_advisory_degree_runs(self):
+        budget = 10_000_000
+        with pytest.raises(MemoryBudgetError, match="feasible max degree is 10"):
+            quadrature_coefficients(20, memory_budget=budget)
+        assert len(quadrature_coefficients(10, memory_budget=budget)) == 11
+        with pytest.raises(MemoryBudgetError):
+            quadrature_coefficients(11, memory_budget=budget)
 
 
 class TestVerifyTheorem:

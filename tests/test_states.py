@@ -392,3 +392,20 @@ class TestJsonIO:
         payload = {"schema": "luinv.state.v1", "scalar": "float", "matrix": matrix}
         with pytest.raises(ValueError, match=r"non-finite float entry \(2, 2\)"):
             state_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "part", ["1e10000000", "1E1_000_000", "-2.5e-4301", "1" * 4301, "1/" + "3" * 4301]
+    )
+    def test_rejects_rational_part_beyond_digit_limit(self, part):
+        matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
+        matrix[3][4] = ["0", part]
+        payload = {"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix}
+        with pytest.raises(ValueError, match=r"bad rational entry \(3, 4\).*4300 digits"):
+            state_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("part", ["1e4300", "-7e-4300", "1" * 4300, "1.5E+12"])
+    def test_accepts_rational_part_at_digit_limit(self, part):
+        matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
+        matrix[3][4] = matrix[4][3] = [part, "0"]
+        payload = {"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix}
+        assert state_from_json(json.dumps(payload))[3, 4] == GaussianRational(Fraction(part))
