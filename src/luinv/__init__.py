@@ -11,15 +11,7 @@ The package has two halves that cross-check each other:
   on density matrices, in exact rational and floating arithmetic.
 """
 
-from luinv.exact import (
-    GaussianRational,
-    UniPoly,
-    UniSeries,
-    palindrome_check,
-    poly_from_factored,
-    poly_mul,
-    series_from_rational,
-)
+from luinv.exact import GaussianRational
 from luinv.molien import (
     MemoryBudgetError,
     SeriesReport,
@@ -45,12 +37,6 @@ from luinv.invariants import (
 
 __all__ = [
     "GaussianRational",
-    "UniPoly",
-    "UniSeries",
-    "palindrome_check",
-    "poly_from_factored",
-    "poly_mul",
-    "series_from_rational",
     "MemoryBudgetError",
     "SeriesReport",
     "MultigradedTable",

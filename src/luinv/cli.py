@@ -191,7 +191,9 @@ def cmd_invariants(args) -> int:
         return 0 if report.passed else 1
 
     rho = _load_state(args)
-    vec = eval_matrix_form(decompose_state(rho))
+    # a huge float state overflows quietly: _realize rejects the non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = eval_matrix_form(decompose_state(rho))
     _print_invariants(vec, "rational" if rho.dtype == object else "float", args.format)
     return 0
 

@@ -1,21 +1,20 @@
-"""Exact scalar and univariate polynomial arithmetic.
+"""Exact complex scalars for density matrices.
 
 Integers are plain Python ints and rationals are ``fractions.Fraction``,
-both arbitrary precision.  This module adds the pieces the standard
-library lacks: complex numbers with rational parts, dense univariate
-polynomials with exact coefficients, and truncated power series.
+both arbitrary precision.  The one piece the standard library lacks is a
+complex number with rational parts: GaussianRational, the entry type of
+exact states (``dtype=object`` numpy arrays).  The closed form of the
+series needs no exact type of its own; it lives on plain integer tuples
+in :mod:`luinv.reference`.
 
-All values are immutable after construction and every operation is a
-pure function, so everything here is safe to share between threads.
+Values are immutable after construction and every operation is a pure
+function, so they are safe to share between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-#: Degree of the zero polynomial.  A distinguished marker (never -1).
-NEG_INF = float("-inf")
+from typing import Union
 
 Rat = Union[int, Fraction]
 
@@ -26,11 +25,6 @@ def _as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
-
-
-def _normalize_scalar(q: Fraction):
-    """Collapse integral Fractions back to int (keeps reprs and JSON clean)."""
-    return int(q) if q.denominator == 1 else q
 
 
 class GaussianRational:
@@ -48,10 +42,6 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
-
-    @classmethod
-    def i(cls) -> "GaussianRational":
-        return cls(0, 1)
 
     @staticmethod
     def _coerce(value):
@@ -147,201 +137,3 @@ class GaussianRational:
             return str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-class UniPoly:
-    """Dense univariate polynomial with exact coefficients.
-
-    ``coeffs[k]`` is the coefficient of t^k; trailing zeros are trimmed,
-    and the zero polynomial is the empty tuple (its degree is NEG_INF).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rat] = ()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.coefficient(k) - other.coefficient(k) for k in range(n)
-        )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __call__(self, t):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def __repr__(self):
-        if self.is_zero:
-            return "UniPoly(0)"
-        terms = [
-            f"{c}*t^{k}" for k, c in enumerate(self.coeffs) if c != 0
-        ]
-        shown = " + ".join(terms[:6])
-        if len(terms) > 6:
-            shown += f" + ... ({len(terms)} terms)"
-        return f"UniPoly({shown})"
-
-
-class UniSeries:
-    """Power series truncated at a fixed order (inclusive).
-
-    Holds exactly ``order + 1`` coefficients; multiplication discards
-    everything above the truncation order.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[Rat]):
-        coeffs = tuple(coeffs)
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
-        if len(coeffs) != order + 1:
-            raise ValueError(
-                f"expected {order + 1} coefficients for order {order}, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniSeries is immutable")
-
-    def coefficient(self, k: int):
-        return self.coeffs[k]
-
-    def __mul__(self, other: "UniSeries") -> "UniSeries":
-        order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i in range(order + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(order + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return UniSeries(order, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.order > 7 else ""
-        return f"UniSeries(order={self.order}, [{head}{tail}])"
-
-
-def poly_mul(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Exact product of two polynomials."""
-    return a * b
-
-
-def poly_from_factored(
-    factors: Sequence[tuple[int, int]], *, times_one_plus_t: bool = False
-) -> UniPoly:
-    """Expand a product of cyclotomic-style factors.
-
-    ``factors`` is a list of (e, m) pairs, each contributing (1 - t^e)^m;
-    ``times_one_plus_t`` appends the lone (1 + t) factor some closed
-    forms carry.  The empty product is 1.
-    """
-    out = UniPoly.one()
-    for exponent, multiplicity in factors:
-        if exponent < 1 or multiplicity < 1:
-            raise ValueError("factor exponents and multiplicities must be >= 1")
-        base = UniPoly([1] + [0] * (exponent - 1) + [-1])
-        for _ in range(multiplicity):
-            out = out * base
-    if times_one_plus_t:
-        out = out * UniPoly([1, 1])
-    return out
-
-
-def series_from_rational(num: UniPoly, den: UniPoly, order: int) -> UniSeries:
-    """Taylor coefficients of num/den through t^order, exact.
-
-    Requires den(0) != 0.  Coefficients come out as ints whenever the
-    expansion is integral (always the case when den(0) = +-1).
-    """
-    d0 = den.coefficient(0)
-    if d0 == 0:
-        raise ZeroDivisionError(
-            "denominator has zero constant term; rational function has no Taylor expansion"
-        )
-    coeffs: list = []
-    for d in range(order + 1):
-        acc = num.coefficient(d)
-        for k in range(1, min(d, den.degree if not den.is_zero else 0) + 1):
-            dk = den.coefficient(k)
-            if dk != 0:
-                acc -= dk * coeffs[d - k]
-        q = Fraction(acc, d0) if isinstance(acc, int) else acc / d0
-        coeffs.append(_normalize_scalar(q))
-    return UniSeries(order, coeffs)
-
-
-def palindrome_check(p: UniPoly, d: int) -> bool:
-    """True iff coefficient(k) == coefficient(d - k) for all 0 <= k <= d."""
-    if not p.is_zero and p.degree > d:
-        raise ValueError(f"polynomial degree {p.degree} exceeds claimed degree {d}")
-    return all(p.coefficient(k) == p.coefficient(d - k) for k in range(d // 2 + 1))

@@ -198,10 +198,10 @@ def invariance_battery(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    children = np.random.SeedSequence(seed).spawn(trials)
     max_dev, worst_trial, worst_component = 0.0, 0, COMPONENTS[0]
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    for t in range(trials):
+        # the t-th child of SeedSequence(seed), made only when it is needed
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
         rho = random_state(rng, kind="psd_float")
         before = eval_matrix_form(decompose_state(rho))
         pair = random_local_unitary(rng)

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from luinv import reference
-from luinv.exact import UniPoly, palindrome_check, series_from_rational
 
 Weight = Tuple[int, int, int]
 
@@ -145,25 +144,28 @@ def _window(d: int, max_degree: int) -> Tuple[int, int]:
     return max(-d, d - max_degree), min(d, max_degree - d + 2)
 
 
-def _estimated_bytes(grades: int, weights: int, max_degree: int) -> int:
+def _estimated_bytes(grades: int, weights: int, max_degree: int, budget: int) -> int:
     """Bytes held by a run, estimated before anything is allocated.
 
     Each cell is a pointer to an int no larger than comb(weights - 1 + D,
     D): a degree-d piece has nonnegative coefficients summing to at most
-    comb(weights - 1 + d, d), which grows with d.
+    comb(weights - 1 + d, d), which grows with d.  Stops summing once the
+    total passes the budget, so a result over the budget is a lower bound.
     """
-    top = math.comb(weights - 1 + max_degree, max_degree)
-    cells = 0
+    size = 8 + sys.getsizeof(math.comb(weights - 1 + max_degree, max_degree))
+    total = 0
     for d in range(max_degree + 1):
         lo, hi = _window(d, max_degree)
-        cells += math.comb(d + grades - 1, grades - 1) * (hi - lo + 1) ** 3
-    return cells * (8 + sys.getsizeof(top))
+        total += math.comb(d + grades - 1, grades - 1) * (hi - lo + 1) ** 3 * size
+        if total > budget:
+            break
+    return total
 
 
 def _feasible_degree(grades: int, weights: int, budget: int) -> int:
     """Largest max_degree whose estimate fits the budget, -1 if none."""
     d = -1
-    while _estimated_bytes(grades, weights, d + 1) <= budget:
+    while _estimated_bytes(grades, weights, d + 1, budget) <= budget:
         d += 1
     return d
 
@@ -201,12 +203,12 @@ def _character_windows(
         raise ValueError("max_degree must be nonnegative")
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     weights = sum(len(ws) for ws in grades)
-    need = _estimated_bytes(len(grades), weights, max_degree)
+    need = _estimated_bytes(len(grades), weights, max_degree, budget)
     if need > budget:
         advice = _degree_advice(_feasible_degree(len(grades), weights, budget))
         raise MemoryBudgetError(
-            f"max degree {max_degree} needs an estimated {need} bytes, over "
-            f"the budget of {budget}; {advice}"
+            f"max degree {max_degree} needs an estimated {need} bytes or more, "
+            f"over the budget of {budget}; {advice}"
         )
 
     windows = [_window(d, max_degree) for d in range(max_degree + 1)]
@@ -449,6 +451,34 @@ class SeriesReport:
         return all(self.checks().values())
 
 
+def _taylor_head(
+    num: Sequence[int], den: Sequence[int], max_degree: int
+) -> List[int]:
+    """Taylor coefficients of num/den through t^max_degree.
+
+    Runs c_d = num_d - sum_{k>=1} den_k c_{d-k}, which stays in integers
+    because den(0) must be 1.
+    """
+    if den[0] != 1:
+        raise ValueError("the expansion needs a denominator with constant term 1")
+    out: List[int] = []
+    for d in range(max_degree + 1):
+        acc = num[d] if d < len(num) else 0
+        for k in range(1, min(d, len(den) - 1) + 1):
+            acc -= den[k] * out[d - k]
+        out.append(acc)
+    return out
+
+
+def _palindromic(coeffs: Sequence[int], degree: int) -> bool:
+    """True iff coefficient k equals coefficient degree - k for every k.
+
+    Missing entries count as zero; a nonzero entry past degree fails.
+    """
+    padded = tuple(coeffs) + (0,) * (degree + 1 - len(coeffs))
+    return not any(padded[degree + 1:]) and padded[: degree + 1] == padded[degree::-1]
+
+
 def verify_theorem(computed: Sequence[int]) -> SeriesReport:
     """Check computed series coefficients against the tabulated closed form.
 
@@ -469,18 +499,16 @@ def verify_theorem(computed: Sequence[int]) -> SeriesReport:
     num_star = reference.nonneg_numerator_poly()
     den_star = reference.nonneg_denominator_poly()
 
-    expected = series_from_rational(num, den, len(computed) - 1)
-    first_mismatch = None
-    for d, value in enumerate(computed):
-        if value != expected.coefficient(d):
-            first_mismatch = d
-            break
+    expected = _taylor_head(num, den, len(computed) - 1)
+    first_mismatch = next(
+        (d for d, (a, b) in enumerate(zip(computed, expected)) if a != b), None
+    )
 
     # (1 - t + t^2)(1 + t^3), the factor relating the two forms
-    transform = UniPoly([1, -1, 1]) * UniPoly([1, 0, 0, 1])
+    transform = np.convolve([1, -1, 1], [1, 0, 0, 1])
 
-    gap = den.degree - num.degree
-    gap_star = den_star.degree - num_star.degree
+    gap = len(den) - len(num)
+    gap_star = len(den_star) - len(num_star)
     hsop = tuple(
         e
         for e, mult in sorted(reference.NONNEG_DENOMINATOR_FACTORS)
@@ -491,13 +519,13 @@ def verify_theorem(computed: Sequence[int]) -> SeriesReport:
         coefficients=tuple(computed),
         theorem_match=first_mismatch is None,
         first_mismatch=first_mismatch,
-        palindrome_numerator=palindrome_check(num, reference.NUMERATOR_DEGREE),
-        palindrome_nonneg_numerator=palindrome_check(
+        palindrome_numerator=_palindromic(num, reference.NUMERATOR_DEGREE),
+        palindrome_nonneg_numerator=_palindromic(
             num_star, reference.NONNEG_NUMERATOR_DEGREE
         ),
-        nonneg_coefficients=all(c >= 0 for c in num_star.coeffs),
-        transform_identity=(den * transform == den_star)
-        and (num * transform == num_star),
+        nonneg_coefficients=all(c >= 0 for c in num_star),
+        transform_identity=np.array_equal(np.convolve(den, transform), den_star)
+        and np.array_equal(np.convolve(num, transform), num_star),
         degree_gap=gap if gap == gap_star else -1,
         hsop_degrees=hsop,
         series_head=computed[0] == 1 and all(c == 0 for c in computed[1:2]),

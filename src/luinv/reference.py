@@ -2,9 +2,12 @@
 local-unitary invariant algebra.
 
 Every golden value consumed by the verification pipeline lives in this
-one file so it can be audited in a single place.  Nothing here is
-computed; the engine in :mod:`luinv.molien` recomputes the series from
-scratch and :func:`luinv.molien.verify_theorem` compares the two.
+one file so it can be audited in a single place.  Polynomials are plain
+tuples of Python ints, coefficient k at index k.  Nothing here is
+computed beyond completing the tabulated numerators and expanding the
+factored denominators; the engine in :mod:`luinv.molien` recomputes the
+series from scratch and :func:`luinv.molien.verify_theorem` compares the
+two.
 
 The series P(t) = sum_d dim(invariants of degree d) t^d is a rational
 function N(t)/D(t).  N is palindromic of degree 70, so only the
@@ -20,7 +23,7 @@ expected degrees of a homogeneous system of parameters.
 
 from __future__ import annotations
 
-from luinv.exact import UniPoly, poly_from_factored
+from typing import Sequence, Tuple
 
 # --- reduced form: N / D ------------------------------------------------
 
@@ -78,7 +81,31 @@ class ReferenceDataError(ValueError):
     """Tabulated data fails its own internal consistency checks."""
 
 
-def _mirror_complete(low_coeffs, degree, tail_check) -> UniPoly:
+def _expand_factors(
+    factors: Sequence[Tuple[int, int]], *, times_one_plus_t: bool = False
+) -> Tuple[int, ...]:
+    """Coefficients of prod (1 - t^e)^m over the (e, m) pairs.
+
+    ``times_one_plus_t`` appends the lone (1 + t) factor D carries.  Each
+    factor is the in-place update c[k] -= c[k - e] (c[k] += c[k - 1] for
+    1 + t) with k running downward, so every read sees the old value.
+    The empty product is (1,).
+    """
+    if any(e < 1 or m < 1 for e, m in factors):
+        raise ValueError("factor exponents and multiplicities must be >= 1")
+    top = sum(e * m for e, m in factors) + (1 if times_one_plus_t else 0)
+    c = [1] + [0] * top
+    for e, m in factors:
+        for _ in range(m):
+            for k in range(top, e - 1, -1):
+                c[k] -= c[k - e]
+    if times_one_plus_t:
+        for k in range(top, 0, -1):
+            c[k] += c[k - 1]
+    return tuple(c)
+
+
+def _mirror_complete(low_coeffs, degree, tail_check) -> Tuple[int, ...]:
     coeffs = [0] * (degree + 1)
     for k, c in enumerate(low_coeffs):
         coeffs[k] = c
@@ -89,24 +116,24 @@ def _mirror_complete(low_coeffs, degree, tail_check) -> UniPoly:
                 f"tabulated coefficient {c} at degree {k} disagrees with "
                 f"mirrored value {coeffs[k]}"
             )
-    return UniPoly(coeffs)
+    return tuple(coeffs)
 
 
-def numerator_poly() -> UniPoly:
+def numerator_poly() -> Tuple[int, ...]:
     """N(t): palindromic numerator of the series, completed by mirroring."""
     return _mirror_complete(
         NUMERATOR_LOW_COEFFS, NUMERATOR_DEGREE, NUMERATOR_TAIL_CHECK
     )
 
 
-def denominator_poly() -> UniPoly:
+def denominator_poly() -> Tuple[int, ...]:
     """D(t), expanded from its factored form (degree 105)."""
-    return poly_from_factored(
+    return _expand_factors(
         DENOMINATOR_FACTORS, times_one_plus_t=DENOMINATOR_TIMES_ONE_PLUS_T
     )
 
 
-def nonneg_numerator_poly() -> UniPoly:
+def nonneg_numerator_poly() -> Tuple[int, ...]:
     """N*(t): the nonnegative palindromic numerator (degree 75)."""
     return _mirror_complete(
         NONNEG_NUMERATOR_LOW_COEFFS,
@@ -115,9 +142,9 @@ def nonneg_numerator_poly() -> UniPoly:
     )
 
 
-def nonneg_denominator_poly() -> UniPoly:
+def nonneg_denominator_poly() -> Tuple[int, ...]:
     """D*(t), expanded from its factored form (degree 110)."""
-    return poly_from_factored(NONNEG_DENOMINATOR_FACTORS)
+    return _expand_factors(NONNEG_DENOMINATOR_FACTORS)
 
 
 def hsop_degrees() -> tuple[int, ...]:

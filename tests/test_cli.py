@@ -84,6 +84,13 @@ class TestSeries:
     def test_memory_budget_exit_2_with_advisory(self, capsys):
         assert_advised_degree_runs(capsys, "series", 19, 20000)
 
+    def test_huge_degree_over_default_budget_exit_2_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "series", "--max-degree", "10000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "feasible max degree is 95" in err
+
     @pytest.mark.parametrize("subcommand", ["series", "verify", "multigraded"])
     @pytest.mark.parametrize("budget", ["-5", "0"])
     def test_nonpositive_memory_budget_rejected(self, capsys, subcommand, budget):
@@ -274,6 +281,8 @@ class TestInvariants:
         )
         assert code == 2 and out == ""
         assert "not finite" in err and "Traceback" not in err
+        # numpy's overflow warnings stay silent: the error line is all there is
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_huge_rational_exponent_exit_2_quickly(self, capsys, tmp_path):
         matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]

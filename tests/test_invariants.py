@@ -11,6 +11,7 @@ from luinv.invariants import (
     DEGREE_THREE,
     DEGREE_TWO,
     MULTIDEGREES,
+    InvarianceReport,
     InvariantVector,
     _integer_rank,
     eval_basis_form,
@@ -20,7 +21,9 @@ from luinv.invariants import (
 )
 from luinv.states import (
     StateDecomposition,
+    apply_local_unitary,
     decompose_state,
+    random_local_unitary,
     random_state,
     scale_components,
 )
@@ -149,6 +152,32 @@ class TestInvarianceBattery:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             invariance_battery(trials=0, seed=1)
+
+    @pytest.mark.parametrize("trials, seed", [(1, 0), (3, 5), (12, 2**40 + 3)])
+    def test_matches_spawned_children(self, trials, seed):
+        # reference: every child spawned up front, trial t drawing from child t
+        children = np.random.SeedSequence(seed).spawn(trials)
+        max_dev, worst_trial, worst_component = 0.0, 0, COMPONENTS[0]
+        for t, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            rho = random_state(rng, kind="psd_float")
+            before = eval_matrix_form(decompose_state(rho))
+            pair = random_local_unitary(rng)
+            after = eval_matrix_form(decompose_state(apply_local_unitary(rho, pair)))
+            for name in COMPONENTS:
+                v, w = before.component(name), after.component(name)
+                dev = abs(w - v) / max(1.0, abs(v))
+                if dev > max_dev:
+                    max_dev, worst_trial, worst_component = dev, t, name
+        expected = InvarianceReport(
+            trials=trials,
+            tolerance=1e-9,
+            max_deviation=max_dev,
+            worst_trial=worst_trial,
+            worst_component=worst_component,
+            passed=max_dev <= 1e-9,
+        )
+        assert invariance_battery(trials, seed) == expected
 
 
 class TestIndependence:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from luinv import molien
+from luinv import molien, reference
 from luinv.molien import (
     DEFAULT_MEMORY_BUDGET,
     TAGS,
@@ -369,6 +369,25 @@ class TestVerifyTheorem:
             assert not report.series_head
             assert report.checks()["series_head"] is False
             assert not report.all_passed
+
+    @pytest.mark.parametrize(
+        "table, index, value, check",
+        [
+            ("NONNEG_NUMERATOR_LOW_COEFFS", 10, 734, "transform_identity"),
+            ("NONNEG_DENOMINATOR_FACTORS", 6, (9, 1), "transform_identity"),
+            ("NONNEG_NUMERATOR_LOW_COEFFS", 1, -1, "nonneg_coefficients"),
+            ("DENOMINATOR_FACTORS", 6, (9, 1), "degree_gap_35"),
+        ],
+    )
+    def test_tampered_table_fails_its_check(self, monkeypatch, table, index, value, check):
+        computed = list(reference.TAYLOR_COEFFS)
+        assert verify_theorem(computed).checks()[check] is True
+        tampered = list(getattr(reference, table))
+        tampered[index] = value
+        monkeypatch.setattr(reference, table, tuple(tampered))
+        report = verify_theorem(computed)
+        assert report.checks()[check] is False
+        assert not report.all_passed
 
 
 class TestMultigraded:
