@@ -24,7 +24,6 @@ from luinv.invariants import (
     invariance_battery,
 )
 from luinv.molien import (
-    MemoryBudgetError,
     poincare_coefficients,
     poincare_multigraded,
     quadrature_coefficients,
@@ -301,10 +300,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--trials must be positive")
     try:
         return args.func(args)
-    except MemoryBudgetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as err:
+    # MemoryError covers MemoryBudgetError and an allocation refused outright
+    except (MemoryError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

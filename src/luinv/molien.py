@@ -12,29 +12,30 @@ dimension of the degree-d invariant space is
 
 where h_d, the character of the d-th symmetric power of the weight
 system, is the t^d coefficient of prod_w (1 - t w)^(-1) over the 35
-weights.  The engine builds that product one weight at a time on dense
-arrays of Python ints: dividing by (1 - t w) is the update
-G[d] += w * G[d-1], applied for increasing d, so it only ever adds
-nonnegative integers and needs no division.  Each degree keeps only the
-exponent window that can still reach the Weyl factor's twelve terms by
-the top degree.  Giving each subspace its own t yields the multigraded
-table from the same update.
+weights.  The Weyl factor is (1 - 1/x) times an x-free part, so the
+engine takes the x constant term in closed form and is left with a 2-D
+problem, which it evaluates mod p at every point of a square grid of
+roots of unity in F_p: dividing by (1 - t w) is the update G[d] += w *
+G[d-1] on int64 rows, and the grid average against the Weyl factor is
+each dimension mod p.  A few primes joined by the Chinese remainder
+theorem give the integers.  Giving each subspace its own t yields the
+multigraded table from the same update.
 
-A floating-point quadrature over the torus grid provides an independent
-cross-check of the exact coefficients: at every grid point it sums the
-power sums p_k = sum_w w^k of the weights, recovers h_d from Newton's
-identity d h_d = sum_k p_k h_{d-k}, and averages weyl_factor * h_d over
-the grid.  verify_theorem compares the whole series against the
-tabulated closed form in luinv.reference.
+A floating-point quadrature over the 3-D torus grid, which does not use
+the x constant-term identity, cross-checks the exact coefficients: at
+every grid point it sums the power sums p_k = sum_w w^k of the weights,
+recovers h_d from Newton's identity d h_d = sum_k p_k h_{d-k}, and
+averages weyl_factor * h_d over the grid.  verify_theorem compares the
+whole series against the tabulated closed form in luinv.reference.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,109 +135,58 @@ def weight_system() -> WeightSystem:
     return WeightSystem(tuple(entries))
 
 
-def _window(d: int, max_degree: int) -> Tuple[int, int]:
-    """Exponent range kept on every axis at total degree d.
+def _estimated_bytes(k: int, d: int) -> int:
+    """Bytes the engine holds at its peak for k grades to degree d.
 
-    Each further degree moves an exponent by at most one, so a cell
-    outside this range cannot reach the Weyl factor's negated support
-    [0, 2]^3 by max_degree.
+    A row is an int64 per point of the M^2 grid, M = d + 3.  E has a row
+    per multidegree, P and Q one per multidegree of at most half the total
+    degree, and eight more rows hold grid values and the temporaries of
+    one update.  The multidegree tables and the residues take a few
+    hundred bytes per multidegree.
     """
-    return max(-d, d - max_degree), min(d, max_degree - d + 2)
+    cells = math.comb(d + k, k)
+    rows = cells + 2 * math.comb((d + 1) // 2 + k, k) + 8
+    return 8 * (d + 3) ** 2 * rows + 500 * cells + 8192
 
 
-def _estimated_bytes(grades: int, weights: int, max_degree: int, budget: int) -> int:
-    """Bytes held by a run, estimated before anything is allocated.
-
-    Each cell is a pointer to an int no larger than comb(weights - 1 + D,
-    D): a degree-d piece has nonnegative coefficients summing to at most
-    comb(weights - 1 + d, d), which grows with d.  Stops summing once the
-    total passes the budget, so a result over the budget is a lower bound.
-    """
-    size = 8 + sys.getsizeof(math.comb(weights - 1 + max_degree, max_degree))
-    total = 0
-    for d in range(max_degree + 1):
-        lo, hi = _window(d, max_degree)
-        total += math.comb(d + grades - 1, grades - 1) * (hi - lo + 1) ** 3 * size
-        if total > budget:
-            break
-    return total
-
-
-def _feasible_degree(grades: int, weights: int, budget: int) -> int:
-    """Largest max_degree whose estimate fits the budget, -1 if none."""
-    d = -1
-    while _estimated_bytes(grades, weights, d + 1, budget) <= budget:
-        d += 1
-    return d
-
-
-def _degree_advice(feasible: int) -> str:
-    if feasible < 0:
+def _degree_advice(fits: Callable[[int], bool]) -> str:
+    """Name the largest max degree that fits, for fits true up to some degree
+    and false beyond it: double the degree until it fails, then bisect."""
+    lo, hi = -1, 1
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    if lo < 0:
         return "no degree fits this budget"
-    return f"with this budget the feasible max degree is {feasible}"
+    return f"with this budget the feasible max degree is {lo}"
 
 
-def _overlap(target: Tuple[int, int], source: Tuple[int, int], shift: int):
-    """Slices of the target and source ranges where source + shift lands."""
-    start = max(target[0], source[0] + shift)
-    stop = min(target[1], source[1] + shift) + 1
-    return (
-        slice(start - target[0], stop - target[0]),
-        slice(start - shift - source[0], stop - shift - source[0]),
-    )
+def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
+    """Primes p = k*m + 1 < 2^31, largest first, each with an element of order m."""
+    for p in range((2**31 - 2) // m * m + 1, m, -m):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            roots = (pow(c, (p - 1) // m, p) for c in range(2, p))
+            yield p, next(w for w in roots if len({pow(w, j, p) for j in range(m)}) == m)
 
 
-def _character_windows(
-    grades: Sequence[Sequence[Weight]],
-    max_degree: int,
-    memory_budget: Optional[int] = None,
-) -> Dict[Tuple[int, ...], np.ndarray]:
-    """Pruned coefficients of prod_g prod_{w in grades[g]} (1 - t_g w)^(-1).
+def _divide(series: np.ndarray, weights: Iterable, sources: Sequence, p: int) -> None:
+    """Divide series by prod (1 - t_g w) in place, mod p.
 
-    Maps each multidegree delta with total degree d <= max_degree to a
-    cube of Python ints whose corner sits at exponent _window(d,
-    max_degree)[0] on every axis.  Weight exponents must lie in
-    {-1, 0, 1}.  Raises MemoryBudgetError, before allocating, if the
-    estimated bytes held exceed the budget.
+    Row i of series holds a multidegree's values at the grid points, and
+    sources[g][i] is the row of that multidegree less one in grade g, or
+    -1.  weights yields (g, values of w at the points).  The update
+    series[i] += w * series[sources[g][i]], for increasing i, only adds.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    weights = sum(len(ws) for ws in grades)
-    need = _estimated_bytes(len(grades), weights, max_degree, budget)
-    if need > budget:
-        advice = _degree_advice(_feasible_degree(len(grades), weights, budget))
-        raise MemoryBudgetError(
-            f"max degree {max_degree} needs an estimated {need} bytes or more, "
-            f"over the budget of {budget}; {advice}"
-        )
-
-    windows = [_window(d, max_degree) for d in range(max_degree + 1)]
-    order = sorted(
-        (
-            delta
-            for delta in itertools.product(range(max_degree + 1), repeat=len(grades))
-            if sum(delta) <= max_degree
-        ),
-        key=sum,
-    )
-    blocks = {}
-    for delta in order:
-        lo, hi = windows[sum(delta)]
-        blocks[delta] = np.zeros((hi - lo + 1,) * 3, dtype=object)
-    blocks[order[0]][0, 0, 0] = 1
-    for g, grade in enumerate(grades):
-        for w in grade:
-            for delta in order:
-                if delta[g] == 0:
-                    continue
-                prev = delta[:g] + (delta[g] - 1,) + delta[g + 1:]
-                d = sum(delta)
-                target, source = zip(
-                    *(_overlap(windows[d], windows[d - 1], a) for a in w)
-                )
-                blocks[delta][target] += blocks[prev][source]
-    return blocks
+    for g, w in weights:
+        for i, j in enumerate(sources[g][: len(series)]):
+            if j >= 0:
+                series[i] += w * series[j]
+                series[i] %= p
 
 
 def _dimensions(
@@ -244,18 +194,72 @@ def _dimensions(
     max_degree: int,
     memory_budget: Optional[int],
 ) -> Dict[Tuple[int, ...], int]:
-    """CT(weyl * G[delta]) for every multidegree of _character_windows."""
-    out = {}
-    for delta, block in _character_windows(grades, max_degree, memory_budget).items():
-        lo = _window(sum(delta), max_degree)[0]
-        total = 0
-        for (ex, ey, ez), coeff in WEYL_TERMS:
-            index = (-ex - lo, -ey - lo, -ez - lo)
-            # a Weyl term beyond the window meets a coefficient that is zero
-            if max(index) < block.shape[0]:
-                total += coeff * block[index]
-        out[delta] = int(total)
-    return out
+    """CT(weyl * G[delta]) for each multidegree delta of total degree at most
+    max_degree, where G = prod_g prod_{w in grades[g]} (1 - t_g w)^(-1).
+
+    P(x) and Q(1/x), the factors of the weights with x-exponent +1 and -1,
+    pair as CT_x[(1 - 1/x) P(x) Q(1/x)] = sum_a P_a Q_a - sum_a P_(a+1) Q_a.
+    The rest has (y, z)-exponents in [-max_degree - 2, max_degree], so its
+    average over the grid of M-th roots of unity in F_p, M = max_degree +
+    3, is its constant term mod p, and enough primes fix it by the Chinese
+    remainder theorem.  Weight exponents must lie in {-1, 0, 1}.  Raises
+    MemoryBudgetError, before allocating, if the estimated bytes held
+    exceed the budget.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    k, m = len(grades), max_degree + 3
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    need = _estimated_bytes(k, max_degree)
+    if need > budget:
+        raise MemoryBudgetError(
+            f"max degree {max_degree} needs an estimated {need} bytes, over the "
+            f"budget of {budget}; "
+            + _degree_advice(lambda d: _estimated_bytes(k, d) <= budget)
+        )
+    e = np.zeros((math.comb(max_degree + k, k), m * m), dtype=np.int64)
+    pq = np.zeros((2, math.comb((max_degree + 1) // 2 + k, k), m * m), dtype=np.int64)
+    # multidegrees by total degree; those of total t start at row comb(t + k - 1, k)
+    cube = itertools.product(range(max_degree + 1), repeat=k)
+    order = sorted((d for d in cube if sum(d) <= max_degree), key=sum)
+    row = {delta: i for i, delta in enumerate(order)}
+    sources = [
+        [row.get(d[:g] + (d[g] - 1,) + d[g + 1:], -1) for d in order] for g in range(k)
+    ]
+    split = [  # (grade, weight) by x-exponent +1, -1 and 0
+        [(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, -1, 0)
+    ]
+    # |CT| <= the sum of the cells of G[delta] <= comb(weights + max_degree, max_degree)
+    bound = 2 * math.comb(sum(map(len, grades)) + max_degree, max_degree)
+    values, modulus, primes, grid = [0] * len(order), 1, _grid_primes(m), np.arange(m)
+    while modulus <= bound:
+        p, omega = next(primes)
+        powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
+
+        def at(w):  # y^w[1] z^w[2] at the grid points
+            return np.outer(powers[w[1] * grid % m], powers[w[2] * grid % m]).ravel() % p
+
+        for series, weights in zip(pq, split):
+            series.fill(0)
+            series[0] = 1
+            _divide(series, ((g, at(w)) for g, w in weights), sources, p)
+        e.fill(0)
+        for a, alpha in enumerate(order[: len(pq[0])]):
+            # pair with the Q rows of total sum(alpha) - 1 and sum(alpha) in range
+            first = math.comb(max(sum(alpha) - 2, -1) + k, k)
+            last = math.comb(min(sum(alpha), max_degree - sum(alpha)) + k, k)
+            for b in range(first, last):
+                t = row[tuple(map(operator.add, alpha, order[b]))]
+                sign = 1 if sum(order[b]) == sum(alpha) else -1
+                e[t] = (e[t] + sign * (pq[0, a] * pq[1, b] % p)) % p
+        _divide(e, ((g, at(w)) for g, w in split[2]), sources, p)
+        weyl = sum(c * at(w) for w, c in WEYL_TERMS if w[0] == 0) % p
+        # a row sums fewer than 2^32 values below 2^31, which int64 holds
+        residues = [int((r * weyl % p).sum()) * pow(m * m, -1, p) % p for r in e]
+        inverse = pow(modulus, -1, p)
+        values = [v + (r - v) * inverse % p * modulus for v, r in zip(values, residues)]
+        modulus *= p
+    return {d: v - modulus if 2 * v > modulus else v for d, v in zip(order, values)}
 
 
 def poincare_coefficients(
@@ -332,11 +336,8 @@ def _check_quadrature_budget(max_degree: int, grid_size: int, budget: int) -> No
         m -= 1
     if m >= 2 * max_degree + 5:
         advice = f"the largest grid within it at this degree is {m}"
-    else:
-        d = -1  # at the default grid, 2 * degree + 7
-        while _quadrature_bytes(d + 1, 2 * d + 9) <= budget:
-            d += 1
-        advice = _degree_advice(d)
+    else:  # at the default grid, 2 * degree + 7
+        advice = _degree_advice(lambda d: _quadrature_bytes(d, 2 * d + 7) <= budget)
     raise MemoryBudgetError(
         f"quadrature at max degree {max_degree} on a {grid_size}^3 grid needs an "
         f"estimated {need} bytes, over the budget of {budget}; {advice}"

@@ -5,6 +5,7 @@ go by; without ``-s`` pytest shows them for failing criteria only.
 """
 
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from luinv.invariants import (
     invariance_battery,
 )
 from luinv.molien import (
-    _character_windows,
+    _divide,
+    _grid_primes,
     _palindromic,
     _taylor_head,
     poincare_coefficients,
@@ -110,8 +112,18 @@ def test_criterion_4_brute_force_character_oracle():
     for entry in weight_system().entries:
         weights.extend([entry.weight] * entry.multiplicity)
     ok = len(weights) == 35
-    # a run to degree 6 keeps the full window [-d, d]^3 for every d <= 3
-    engine = _character_windows([weights], 6)
+    # the engine's series at every point of the m^3 grid of m-th roots of
+    # unity in F_p; m = 7 is prime and at least 2d + 1 for every d <= 3, so
+    # these values fix every cell of a character on [-d, d]^3
+    m = 7
+    p, omega = next(_grid_primes(m))
+    ok = ok and all(p % q for q in range(2, math.isqrt(p) + 1))
+    ok = ok and omega != 1 and pow(omega, m, p) == 1
+    powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
+    points = np.indices((m, m, m)).reshape(3, -1)
+    series = np.zeros((4, m**3), dtype=np.int64)
+    series[0] = 1
+    _divide(series, ((0, powers[np.dot(w, points) % m]) for w in weights), [[-1, 0, 1, 2]], p)
     for d in range(4):
         expected = np.zeros((2 * d + 1,) * 3, dtype=object)
         for combo in itertools.combinations_with_replacement(range(35), d):
@@ -120,12 +132,20 @@ def test_criterion_4_brute_force_character_oracle():
                 sum(weights[i][1] for i in combo) + d,
                 sum(weights[i][2] for i in combo) + d,
             ] += 1
-        block = engine[(d,)]
-        ok = ok and block.shape == expected.shape and bool((block == expected).all())
+        # the enumerated character at the grid points, one axis at a time
+        transform = np.array(
+            [[pow(omega, e * a, p) for e in range(-d, d + 1)] for a in range(m)],
+            dtype=object,
+        )
+        values = expected
+        for _ in range(3):
+            values = np.tensordot(values, transform, axes=(0, 1)) % p
+        ok = ok and bool((values.reshape(-1) == series[d]).all())
     _criterion(
         4,
         "symmetric-power characters by multiset enumeration equal the "
-        "engine's coefficient arrays cell by cell for degrees 0..3",
+        "engine's series at every point of an F_p torus grid that fixes "
+        "every cell, for degrees 0..3",
         ok,
     )
 
@@ -293,19 +313,20 @@ def test_criterion_9_structural_constants():
 
 @pytest.mark.long
 def test_stretch_full_numerator_reconstruction():
-    """Beyond the gate: the series through t^35 pins down all of N.
+    """Beyond the gate: the series through t^110, past the denominator.
 
     The denominator has degree 105 and the numerator degree 70 with a
     palindromic coefficient vector, so coefficients 0..35 of the series
-    determine N completely; matching them against the tabulated closed
-    form checks every numerator entry, not just the degree-19 head.
+    already determine N.  Going on past deg D = 105, under the default
+    memory budget, also checks the coefficients that the closed form's
+    denominator recurrence produces, not just the degree-19 head.
     """
-    computed = poincare_coefficients(35)
+    computed = poincare_coefficients(110)
     expansion = _taylor_head(
-        reference.numerator_poly(), reference.denominator_poly(), 35
+        reference.numerator_poly(), reference.denominator_poly(), 110
     )
     assert computed == expansion
     print(
-        "[PASS] stretch: series through degree 35 matches the closed form "
-        f"(c35 = {computed[35]})"
+        "[PASS] stretch: series through degree 110 matches the closed form "
+        f"(c110 = {computed[110]})"
     )

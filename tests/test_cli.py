@@ -89,7 +89,16 @@ class TestSeries:
         code, out, err = run_cli(capsys, "series", "--max-degree", "10000000")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "feasible max degree is 95" in err
+        assert "feasible max degree is 402" in err
+
+    def test_huge_degree_and_budget_exit_2_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "series", "--max-degree", str(10**12), "--memory-budget", str(10**30)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "feasible max degree is" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("subcommand", ["series", "verify", "multigraded"])
     @pytest.mark.parametrize("budget", ["-5", "0"])
@@ -136,6 +145,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "largest grid within it at this degree is 161" in err
         assert "Traceback" not in err
+
+    def test_refused_allocation_exit_2(self, capsys):
+        # within the budget, but numpy refuses the 14.2 PiB grid at once
+        code, out, err = run_cli(
+            capsys, "verify", "--max-degree", "3", "--with-quadrature",
+            "--grid-size", "100000", "--memory-budget", str(10**30),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_quadrature_memory_budget_advisory_degree_runs(self, capsys):
         args = ("--with-quadrature", "--memory-budget", "10000000", "--format", "json")

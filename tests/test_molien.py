@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from luinv.molien import (
     MemoryBudgetError,
     WeightEntry,
     WeightSystem,
-    _character_windows,
     _dimensions,
     _distinct_weight_factors,
+    _divide,
+    _estimated_bytes,
+    _grid_primes,
     _quadrature_bytes,
     _torus_series,
-    _window,
     poincare_coefficients,
     poincare_multigraded,
     quadrature_coefficients,
@@ -157,12 +159,40 @@ def power_sum(weights, k: int) -> dict:
     return terms
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def engine_character(weights, d: int) -> np.ndarray:
-    """The engine's h_d from a run to degree 2d, where nothing is pruned."""
-    assert _window(d, 2 * d) == (-d, d)
-    block = _character_windows([weights], 2 * d)[(d,)]
-    assert block.shape == (2 * d + 1,) * 3
-    return block
+    """The engine's h_d on the full window [-d, d]^3, cell by cell.
+
+    The engine's series builder runs at every point of the m^3 grid of
+    m-th roots of unity in F_p, m = 2d + 1.  There the values of a
+    Laurent polynomial with exponents in [-d, d]^3 fix every cell, and
+    the inverse transform, one axis at a time, recovers them.
+    """
+    m = 2 * d + 1
+    p, omega = next(_grid_primes(m))
+    assert is_prime(p) and pow(omega, m, p) == 1
+    assert all(pow(omega, m // q, p) != 1 for q in range(2, m + 1) if m % q == 0 and is_prime(q))
+    powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
+    points = np.indices((m, m, m)).reshape(3, -1)
+    series = np.zeros((d + 1, m**3), dtype=np.int64)
+    series[0] = 1
+    _divide(series, ((0, powers[np.dot(w, points) % m]) for w in weights), [[-1, *range(d)]], p)
+    inverse = np.array(
+        [[pow(omega, -e * a, p) for a in range(m)] for e in range(-d, d + 1)], dtype=object
+    )
+    block = series[d].astype(object).reshape(m, m, m)
+    for _ in range(3):
+        block = np.tensordot(block, inverse, axes=(0, 1)) % p
+    # cells are below p / 2 in absolute value; lift them to the integers
+    return (block * pow(m**3, -1, p) + p // 2) % p - p // 2
+
+
+def ct_of_product(a: dict, b: dict) -> int:
+    """CT(a * b) of two Laurent polynomials held as dicts."""
+    return sum(c * b.get((-e[0], -e[1], -e[2]), 0) for e, c in a.items())
 
 
 class TestCharacters:
@@ -195,7 +225,7 @@ class TestCharacters:
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            _character_windows([weight_system().weights()], -1)
+            _dimensions([weight_system().weights()], -1, None)
 
     def test_small_system_by_hand(self):
         # {x, 1/x}: size-3 multisets give x^3 + x + 1/x + 1/x^3
@@ -235,6 +265,27 @@ class TestCharacters:
             expected[delta] = product.get((0, 0, 0), 0)
         assert _dimensions(grades, max_degree, None) == expected
 
+    @pytest.mark.parametrize(
+        "grades",
+        [
+            [[(1, 1, 0), (-1, -1, 0), (0, 1, -1), (1, 0, 1), (-1, 0, -1), (0, 0, 1)]],
+            [[(1, 0, 1), (-1, 1, 0), (0, 0, -1)], [(1, -1, 0), (-1, -1, -1), (0, 1, 1)]],
+        ],
+    )
+    def test_x_elimination_at_depth(self, grades):
+        # x-exponents +1, -1 and 0 in every system, far past the hypothesis depth
+        max_degree = 20
+        chars = [[brute_force_character(ws, d) for d in range(max_degree + 1)] for ws in grades]
+        expected = {}
+        for delta in itertools.product(range(max_degree + 1), repeat=len(grades)):
+            if sum(delta) <= max_degree:
+                product = weyl_by_expansion()
+                for g, d in enumerate(delta[:-1]):
+                    product = dict_mul(product, chars[g][d])
+                expected[delta] = ct_of_product(product, chars[-1][delta[-1]])
+        assert len(set(expected.values())) >= 5  # not a trivial answer
+        assert _dimensions(grades, max_degree, None) == expected
+
 
 class TestSeries:
     def test_low_degrees(self):
@@ -267,6 +318,19 @@ class TestSeries:
     def test_memory_budget_advisory(self):
         with pytest.raises(MemoryBudgetError, match="feasible max degree"):
             poincare_coefficients(19, memory_budget=30_000)
+
+    @pytest.mark.parametrize("tags, degrees", [(None, (0, 3, 12, 35)), (TAGS, (0, 3, 8))])
+    def test_estimate_bounds_the_traced_peak(self, tags, degrees):
+        ws = weight_system()
+        grades = [ws.weights()] if tags is None else [ws.subsystem(t).weights() for t in tags]
+        for d in degrees:
+            tracemalloc.start()
+            try:
+                _dimensions(grades, d, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _estimated_bytes(len(grades), d), (d, peak)
 
 
 class TestQuadrature:
@@ -323,7 +387,8 @@ class TestQuadrature:
             raise AssertionError("the quadrature must not call the exact engine")
 
         exact = poincare_coefficients(6)
-        monkeypatch.setattr(molien, "_character_windows", engine)
+        monkeypatch.setattr(molien, "_dimensions", engine)
+        monkeypatch.setattr(molien, "_divide", engine)
         with pytest.raises(AssertionError, match="exact engine"):
             poincare_coefficients(6)
         assert [round(a) for a in quadrature_coefficients(6)] == exact
