@@ -1,28 +1,26 @@
 """Command-line front end: series, verify, invariants, multigraded.
 
 Every subcommand is deterministic for a fixed command line (randomized
-modes require an explicit seed), emits plain, csv or json output (json
-payloads carry a versioned "schema" field), and follows one exit-code
-contract: 0 for success or all checks passing, 1 for a verification
-failure, 2 for usage or resource errors.
+modes require an explicit seed) and follows one exit-code contract: 0
+for success or all checks passing, 1 for a verification failure, 2 for
+usage or resource errors.  Each builds its result once, and ``_emit``,
+the one place that reads ``--format``, prints it: json is the whole
+payload with a versioned "schema" field, csv one table with its header
+(verify's leaves out first_mismatch and max_residual), plain a few lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from luinv.invariants import (
-    COMPONENTS,
-    InvariantVector,
-    eval_matrix_form,
-    invariance_battery,
-)
+from luinv.invariants import eval_matrix_form, invariance_battery
 from luinv.molien import (
     poincare_coefficients,
     poincare_multigraded,
@@ -35,30 +33,25 @@ QUADRATURE_TOLERANCE = 1e-6
 BATTERY_TOLERANCE = 1e-9
 
 
-def _value_str(v) -> str:
-    return _fraction_str(v) if isinstance(v, Fraction) else repr(v)
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _emit(fmt: str, payload: dict, table: List[Sequence], plain: List[str]) -> None:
+    """Print the payload as json, the table as csv, or the plain lines."""
+    if fmt == "json":
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
+    elif fmt == "csv":
+        lines = [",".join(str(v) for v in row) for row in table]
+    else:
+        lines = plain
+    print("\n".join(lines))
 
 
 def cmd_series(args) -> int:
     coeffs = poincare_coefficients(args.max_degree, memory_budget=args.memory_budget)
-    if args.format == "plain":
-        print(" ".join(str(c) for c in coeffs))
-    elif args.format == "csv":
-        print("degree,coefficient")
-        for d, c in enumerate(coeffs):
-            print(f"{d},{c}")
-    else:
-        _emit_json(
-            {
-                "schema": "luinv.series.v1",
-                "max_degree": args.max_degree,
-                "coefficients": coeffs,
-            }
-        )
+    _emit(
+        args.format,
+        {"schema": "luinv.series.v1", "max_degree": args.max_degree, "coefficients": coeffs},
+        [("degree", "coefficient"), *enumerate(coeffs)],
+        [" ".join(str(c) for c in coeffs)],
+    )
     return 0
 
 
@@ -81,43 +74,34 @@ def _quadrature_check(
 def cmd_verify(args) -> int:
     coeffs = poincare_coefficients(args.max_degree, memory_budget=args.memory_budget)
     report = verify_theorem(coeffs)
-    quad = (
-        _quadrature_check(coeffs, args.grid_size, args.memory_budget)
-        if args.with_quadrature
-        else None
-    )
-    passed = report.all_passed and (quad is None or quad["passed"])
-
     checks = report.checks()
-    if quad is not None:
+    quad = None
+    if args.with_quadrature:
+        quad = _quadrature_check(coeffs, args.grid_size, args.memory_budget)
         checks["quadrature_match"] = quad["passed"]
-
-    if args.format == "plain":
-        for name, ok in checks.items():
-            print(f"{name}: {'pass' if ok else 'FAIL'}")
-        if report.first_mismatch is not None:
-            print(f"first mismatch at degree {report.first_mismatch}")
-        if quad is not None:
-            print(f"quadrature max residual: {quad['max_residual']:.3e}")
-        print("all checks passed" if passed else "verification FAILED")
-    elif args.format == "csv":
-        print("check,result")
-        for name, ok in checks.items():
-            print(f"{name},{'pass' if ok else 'fail'}")
-    else:
-        _emit_json(
-            {
-                "schema": "luinv.report.v1",
-                "max_degree": report.max_degree,
-                "coefficients": list(report.coefficients),
-                "checks": checks,
-                "first_mismatch": report.first_mismatch,
-                "degree_gap": report.degree_gap,
-                "hsop_degrees": list(report.hsop_degrees),
-                "quadrature": quad,
-                "passed": passed,
-            }
-        )
+    passed = all(checks.values())
+    plain = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in checks.items()]
+    if report.first_mismatch is not None:
+        plain.append(f"first mismatch at degree {report.first_mismatch}")
+    if quad is not None:
+        plain.append(f"quadrature max residual: {quad['max_residual']:.3e}")
+    plain.append("all checks passed" if passed else "verification FAILED")
+    _emit(
+        args.format,
+        {
+            "schema": "luinv.report.v1",
+            "max_degree": report.max_degree,
+            "coefficients": list(report.coefficients),
+            "checks": checks,
+            "first_mismatch": report.first_mismatch,
+            "degree_gap": report.degree_gap,
+            "hsop_degrees": list(report.hsop_degrees),
+            "quadrature": quad,
+            "passed": passed,
+        },
+        [("check", "result"), *((name, "pass" if ok else "fail") for name, ok in checks.items())],
+        plain,
+    )
     return 0 if passed else 1
 
 
@@ -139,95 +123,67 @@ def _load_state(args) -> np.ndarray:
     return random_state(args.seed, kind)
 
 
-def _print_invariants(vec: InvariantVector, scalar: str, fmt: str) -> None:
-    values = vec.as_dict()
-    if fmt == "plain":
-        print(" ".join(_value_str(values[name]) for name in COMPONENTS))
-    elif fmt == "csv":
-        print("invariant,value")
-        for name in COMPONENTS:
-            print(f"{name},{_value_str(values[name])}")
-    else:
-        encoded = {
-            name: _value_str(v) if isinstance(v, Fraction) else v
-            for name, v in values.items()
-        }
-        _emit_json(
-            {"schema": "luinv.invariants.v1", "scalar": scalar, "values": encoded}
-        )
-
-
 def cmd_invariants(args) -> int:
     if args.battery:
         report = invariance_battery(args.trials, args.seed, BATTERY_TOLERANCE)
-        if args.format == "plain":
-            verdict = "PASS" if report.passed else "FAIL"
-            print(
-                f"{verdict} max_deviation={report.max_deviation:.3e} "
+        fields = dataclasses.asdict(report)
+        _emit(
+            args.format,
+            {"schema": "luinv.battery.v1", **fields},
+            [("field", "value"), *fields.items()],
+            [
+                f"{'PASS' if report.passed else 'FAIL'} "
+                f"max_deviation={report.max_deviation:.3e} "
                 f"({report.trials} trials, tolerance {report.tolerance:.1e}, "
                 f"worst {report.worst_component} at trial {report.worst_trial})"
-            )
-        elif args.format == "csv":
-            print("field,value")
-            print(f"trials,{report.trials}")
-            print(f"tolerance,{report.tolerance}")
-            print(f"max_deviation,{report.max_deviation}")
-            print(f"worst_component,{report.worst_component}")
-            print(f"worst_trial,{report.worst_trial}")
-            print(f"passed,{report.passed}")
-        else:
-            _emit_json(
-                {
-                    "schema": "luinv.battery.v1",
-                    "trials": report.trials,
-                    "tolerance": report.tolerance,
-                    "max_deviation": report.max_deviation,
-                    "worst_component": report.worst_component,
-                    "worst_trial": report.worst_trial,
-                    "passed": report.passed,
-                }
-            )
+            ],
+        )
         return 0 if report.passed else 1
 
     rho = _load_state(args)
     # a huge float state overflows quietly: _realize rejects the non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
         vec = eval_matrix_form(decompose_state(rho))
-    _print_invariants(vec, "rational" if rho.dtype == object else "float", args.format)
+    values = {
+        name: _fraction_str(v) if isinstance(v, Fraction) else v
+        for name, v in vec.as_dict().items()
+    }
+    _emit(
+        args.format,
+        {
+            "schema": "luinv.invariants.v1",
+            "scalar": "rational" if rho.dtype == object else "float",
+            "values": values,
+        },
+        [("invariant", "value"), *values.items()],
+        [" ".join(str(v) for v in values.values())],
+    )
     return 0
 
 
 def cmd_multigraded(args) -> int:
-    table = poincare_multigraded(
-        args.max_degree, memory_budget=args.memory_budget
-    )
+    table = poincare_multigraded(args.max_degree, memory_budget=args.memory_budget)
     single = poincare_coefficients(args.max_degree, memory_budget=args.memory_budget)
     row_sums = table.row_sums()
     consistent = row_sums == single
     entries = sorted(table.entries.items())
-
-    if args.format == "plain":
-        for (d1, d2, d3), value in entries:
-            print(f"{d1} {d2} {d3} {value}")
-        print(f"row sums consistent with series: {'yes' if consistent else 'NO'}")
-        print(f"note: {table.note}")
-    elif args.format == "csv":
-        print("d1,d2,d3,dimension")
-        for (d1, d2, d3), value in entries:
-            print(f"{d1},{d2},{d3},{value}")
-    else:
-        _emit_json(
-            {
-                "schema": "luinv.multigraded.v1",
-                "max_total_degree": table.max_total_degree,
-                "entries": [
-                    {"degrees": list(k), "dimension": v} for k, v in entries
-                ],
-                "row_sums": row_sums,
-                "row_sums_match": consistent,
-                "note": table.note,
-            }
-        )
+    _emit(
+        args.format,
+        {
+            "schema": "luinv.multigraded.v1",
+            "max_total_degree": table.max_total_degree,
+            "entries": [{"degrees": list(k), "dimension": v} for k, v in entries],
+            "row_sums": row_sums,
+            "row_sums_match": consistent,
+            "note": table.note,
+        },
+        [("d1", "d2", "d3", "dimension"), *((*k, v) for k, v in entries)],
+        [
+            *(f"{d1} {d2} {d3} {value}" for (d1, d2, d3), value in entries),
+            f"row sums consistent with series: {'yes' if consistent else 'NO'}",
+            f"note: {table.note}",
+        ],
+    )
     return 0 if consistent else 1
 
 
@@ -242,6 +198,15 @@ def _memory_budget(text: str) -> int:
     return value
 
 
+def _engine_options(max_degree: int) -> argparse.ArgumentParser:
+    """--max-degree and --memory-budget of the series, verify and multigraded commands."""
+    # one per subcommand: set_defaults on a shared parent's action moves them all
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--max-degree", type=int, default=max_degree)
+    options.add_argument("--memory-budget", type=_memory_budget, default=None, metavar="BYTES")
+    return options
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="luinv",
@@ -251,24 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
-    common_fmt = dict(choices=("plain", "csv", "json"), default="plain")
-
-    p = sub.add_parser("series", help="exact series coefficients")
-    p.add_argument("--max-degree", type=int, default=14)
-    p.add_argument("--format", **common_fmt)
-    p.add_argument("--memory-budget", type=_memory_budget, default=None, metavar="BYTES")
+    p = sub.add_parser("series", parents=[_engine_options(14), fmt], help="exact series coefficients")
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("verify", help="check the closed form and identities")
-    p.add_argument("--max-degree", type=int, default=14)
+    p = sub.add_parser(
+        "verify", parents=[_engine_options(14), fmt], help="check the closed form and identities"
+    )
     p.add_argument("--with-quadrature", action="store_true")
     p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--format", **common_fmt)
-    p.add_argument("--memory-budget", type=_memory_budget, default=None, metavar="BYTES")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("invariants", help="evaluate the seven invariants")
+    p = sub.add_parser("invariants", parents=[fmt], help="evaluate the seven invariants")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--state", metavar="FILE", help="JSON state file")
     source.add_argument("--random", action="store_true", help="random state (needs --seed)")
@@ -276,13 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scalar", choices=("exact", "float"), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--format", **common_fmt)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("multigraded", help="dimensions refined by multidegree")
-    p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--format", **common_fmt)
-    p.add_argument("--memory-budget", type=_memory_budget, default=None, metavar="BYTES")
+    p = sub.add_parser(
+        "multigraded", parents=[_engine_options(6), fmt], help="dimensions refined by multidegree"
+    )
     p.set_defaults(func=cmd_multigraded)
 
     return parser
@@ -298,6 +257,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("randomized modes require --seed")
         if args.battery and args.trials < 1:
             parser.error("--trials must be positive")
+        if args.battery and args.scalar == "exact":
+            parser.error("--battery runs in floats only; drop --scalar exact")
+    if args.subcommand == "verify" and args.grid_size is not None and not args.with_quadrature:
+        parser.error("--grid-size needs --with-quadrature")
     try:
         return args.func(args)
     # MemoryError covers MemoryBudgetError and an allocation refused outright

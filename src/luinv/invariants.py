@@ -16,7 +16,7 @@ X, Y, Z.  The basis form rewrites everything through Pauli traces and
 the correlation parts Y_k of Z = sum_k E_k (x) Y_k, so agreement of the
 two routes cross-checks both the algebra and the decomposition.  All
 seven values are real; the exact route enforces a vanishing imaginary
-part and returns Fractions, the float route enforces it to tolerance.
+part and returns Fractions, the float route holds it to IMAG_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ DEGREE_TWO = ("i1", "i2", "i3")
 DEGREE_THREE = ("i4", "i5", "i6", "i7")
 
 Value = Union[Fraction, float]
+
+#: Largest imaginary part a float invariant may carry before it is refused.
+IMAG_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def _trace_product(a: np.ndarray, b: np.ndarray):
     return (a * b.T).sum()
 
 
-def _realize(value, imag_tolerance: float) -> Value:
+def _realize(value) -> Value:
     if isinstance(value, GaussianRational):
         if not value.is_real:
             raise ArithmeticError(
@@ -114,16 +117,14 @@ def _realize(value, imag_tolerance: float) -> Value:
     # a finite state can overflow to inf or nan, which no output format can carry
     if not (isfinite(v.real) and isfinite(v.imag)):
         raise ArithmeticError(f"invariant value {v!r} is not finite")
-    if abs(v.imag) > imag_tolerance:
+    if abs(v.imag) > IMAG_TOLERANCE:
         raise ArithmeticError(
             f"invariant value has imaginary part {v.imag:.3e} above tolerance"
         )
     return v.real
 
 
-def eval_matrix_form(
-    dec: StateDecomposition, imag_tolerance: float = 1e-9
-) -> InvariantVector:
+def eval_matrix_form(dec: StateDecomposition) -> InvariantVector:
     """Evaluate the invariants directly on the pieces X, Y, Z."""
     x, y, z = dec.local_a, dec.local_b, dec.corr
     z2 = z @ z
@@ -136,12 +137,10 @@ def eval_matrix_form(
         _trace_product(np.kron(x, y), z),
         _trace_product(np.kron(np.eye(2, dtype=y.dtype), y), z2),
     )
-    return InvariantVector(*(_realize(v, imag_tolerance) for v in values))
+    return InvariantVector(*(_realize(v) for v in values))
 
 
-def eval_basis_form(
-    dec: StateDecomposition, imag_tolerance: float = 1e-9
-) -> InvariantVector:
+def eval_basis_form(dec: StateDecomposition) -> InvariantVector:
     """Evaluate the invariants through Pauli traces and the parts Y_k.
 
     Independent of eval_matrix_form wherever the correlation part
@@ -170,7 +169,7 @@ def eval_basis_form(
     i7 = (pauli_tr2 * np.einsum("ab,kbc,lca->kl", y, parts, parts)).sum()
 
     values = (i1, _trace_product(y, y), i3, det(y), i5, i6, i7)
-    return InvariantVector(*(_realize(v, imag_tolerance) for v in values))
+    return InvariantVector(*(_realize(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,8 @@ class InvarianceReport:
     trials: int
     tolerance: float
     max_deviation: float
-    worst_trial: int
     worst_component: str
+    worst_trial: int
     passed: bool
 
 

@@ -72,6 +72,8 @@ WEYL_TERMS = (
 
 #: Default cap on the engine's estimated bytes held (1 GiB).
 DEFAULT_MEMORY_BUDGET = 1 << 30
+#: Largest relative imaginary residue the quadrature's averages may carry.
+IMAG_TOLERANCE = 1e-9
 
 MULTIGRADED_NOTE = (
     "multigraded dimensions are engine output only; unlike the single-graded "
@@ -374,7 +376,6 @@ def quadrature_coefficients(
     max_degree: int,
     grid_size: Optional[int] = None,
     *,
-    imag_tolerance: float = 1e-9,
     memory_budget: Optional[int] = None,
 ) -> List[float]:
     """Series coefficients by trapezoid quadrature over the torus grid.
@@ -386,8 +387,9 @@ def quadrature_coefficients(
     and averaged.  The integrand's exponents are bounded, so for
     M >= 2*max_degree + 5 the grid average is exact up to rounding and
     the result's imaginary part, relative to max(1, |real part|) degree
-    by degree, must vanish to tolerance.  Raises MemoryBudgetError,
-    before allocating, if the estimated bytes held exceed the budget.
+    by degree, must stay within IMAG_TOLERANCE.  Raises
+    MemoryBudgetError, before allocating, if the estimated bytes held
+    exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -411,10 +413,10 @@ def quadrature_coefficients(
     # rounding error grows with the coefficients, so compare relative to them
     relative_imag = np.abs(averages.imag) / np.maximum(1.0, np.abs(averages.real))
     worst_imag = float(relative_imag.max())
-    if not worst_imag <= imag_tolerance:
+    if not worst_imag <= IMAG_TOLERANCE:
         raise ArithmeticError(
             f"quadrature result has relative imaginary residue {worst_imag:.3e} "
-            f"above tolerance {imag_tolerance:.3e}"
+            f"above tolerance {IMAG_TOLERANCE:.3e}"
         )
     return [float(v) for v in averages.real]
 

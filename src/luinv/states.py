@@ -111,9 +111,9 @@ def _local_sum(local_a: np.ndarray, local_b: np.ndarray, sixth: Scalar) -> np.nd
     )
 
 
-def decompose_state(rho: np.ndarray, tolerance: float = 1e-12) -> StateDecomposition:
-    """Split a validated state into its local and correlation pieces."""
-    validate_state(rho, tolerance)
+def decompose_state(rho: np.ndarray) -> StateDecomposition:
+    """Split a state, validated at the default tolerance, into its pieces."""
+    validate_state(rho)
     exact = rho.dtype == object
     half, third = (Fraction(1, 2), Fraction(1, 3)) if exact else (0.5, 1.0 / 3.0)
     local_a = (partial_trace_qutrit(rho) - np.eye(2, dtype=rho.dtype) * half) * third

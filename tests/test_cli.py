@@ -163,6 +163,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--max-degree", "10", *args)
         assert code == 0 and json.loads(out)["checks"]["quadrature_match"]
 
+    @pytest.mark.parametrize("grid", ["3", "100"])
+    def test_grid_size_without_quadrature_rejected(self, capsys, grid):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--max-degree", "3", "--grid-size", grid])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--grid-size needs --with-quadrature" in captured.err
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--max-degree", "6", "--format", "json"
@@ -338,6 +346,66 @@ class TestInvariants:
         payload = json.loads(out_a)
         assert payload["schema"] == "luinv.battery.v1"
         assert payload["passed"] is True
+
+    def test_pure_product_csv(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "invariants", "--state", pure_product_file(tmp_path), "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "invariant,value", "i1,-1/36", "i2,1/6", "i3,1/3", "i4,1/108",
+            "i5,0", "i6,1/18", "i7,1/18",
+        ]
+
+    def test_random_exact_seed_7_plain(self, capsys):
+        code, out, _ = run_cli(capsys, "invariants", "--random", "--seed", "7")
+        assert code == 0
+        assert out == (
+            "-297/357604 355/41262 10079/89401 -7081/222072084 238557/26730899 "
+            "15881/53461798 201767/160385394\n"
+        )
+
+    def test_random_exact_seed_7_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "invariants", "--random", "--seed", "7", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "invariant,value", "i1,-297/357604", "i2,355/41262", "i3,10079/89401",
+            "i4,-7081/222072084", "i5,238557/26730899", "i6,15881/53461798",
+            "i7,201767/160385394",
+        ]
+
+    def test_random_float_csv_matches_json(self, capsys):
+        args = ("invariants", "--random", "--seed", "7", "--scalar", "float")
+        code, out, _ = run_cli(capsys, *args, "--format", "csv")
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert header == ["invariant", "value"]
+        assert [name for name, _ in rows] == ["i1", "i2", "i3", "i4", "i5", "i6", "i7"]
+        _, out, _ = run_cli(capsys, *args, "--format", "json")
+        values = json.loads(out)["values"]
+        assert dict(rows) == {name: str(v) for name, v in values.items()}
+
+    def test_battery_csv_matches_json(self, capsys):
+        args = ("invariants", "--battery", "--trials", "5", "--seed", "21")
+        code, out, _ = run_cli(capsys, *args, "--format", "csv")
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert header == ["field", "value"]
+        assert [name for name, _ in rows] == [
+            "trials", "tolerance", "max_deviation", "worst_component", "worst_trial", "passed",
+        ]
+        _, out, _ = run_cli(capsys, *args, "--format", "json")
+        payload = json.loads(out)
+        assert dict(rows) == {name: str(payload[name]) for name, _ in rows}
+
+    def test_battery_with_exact_scalar_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["invariants", "--battery", "--seed", "1", "--scalar", "exact"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--battery" in captured.err and "--scalar exact" in captured.err
 
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
