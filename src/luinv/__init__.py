@@ -8,10 +8,10 @@ The package has two halves that cross-check each other:
   hermitian 6x6 matrices, degree by degree, and verifies them against
   the known closed form of the generating series;
 * evaluators for the seven independent quadratic and cubic invariants
-  on density matrices, in exact rational and floating arithmetic.
+  on density matrices, held as real 12x12 embeddings of int and
+  Fraction entries (exact) or float64, through one code path.
 """
 
-from luinv.exact import GaussianRational
 from luinv.molien import (
     MemoryBudgetError,
     SeriesReport,
@@ -36,7 +36,6 @@ from luinv.invariants import (
 )
 
 __all__ = [
-    "GaussianRational",
     "MemoryBudgetError",
     "SeriesReport",
     "MultigradedTable",

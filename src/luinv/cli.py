@@ -115,7 +115,7 @@ def _load_state(args) -> np.ndarray:
         rho = state_from_json(text)
         exact = rho.dtype == object
         if args.scalar == "float" and exact:
-            rho = rho.astype(complex)
+            rho = rho.astype(float)
         elif args.scalar == "exact" and not exact:
             raise ValueError("cannot promote float state data to the exact path")
         return rho

@@ -9,14 +9,21 @@ invariants of degree two and three are spanned by
 
 matching the series coefficients 3 and 4 at those degrees.  Each
 invariant is homogeneous in (X, Y, Z) separately; the multidegrees are
-recorded in MULTIDEGREES and checked by scaling the components.
+recorded in MULTIDEGREES and checked by scaling the components.  Since
+det X = -tr X^2 / 2 and det Y = tr Y^3 / 3 for traceless X and Y, all
+seven are traces of products.
 
 Two evaluation routes are provided.  The matrix form works directly on
 X, Y, Z.  The basis form rewrites everything through Pauli traces and
 the correlation parts Y_k of Z = sum_k E_k (x) Y_k, so agreement of the
-two routes cross-checks both the algebra and the decomposition.  All
-seven values are real; the exact route enforces a vanishing imaginary
-part and returns Fractions, the float route holds it to IMAG_TOLERANCE.
+two routes cross-checks both the algebra and the decomposition.  Both
+work on the real embeddings of the scaled pieces (see
+:mod:`luinv.states`), the same code for exact and float states: a
+complex trace is a pair (re, im), the traces of the top-left and
+bottom-left blocks, and each invariant is one such raw value divided
+once by its constant times scale^degree.  All seven values are real;
+the exact route enforces a vanishing imaginary part and returns
+Fractions, the float route holds it to IMAG_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -28,11 +35,12 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from luinv.exact import GaussianRational
 from luinv.states import (
     StateDecomposition,
     apply_local_unitary,
     decompose_state,
+    divide,
+    kron,
     pauli_basis,
     random_local_unitary,
     random_state,
@@ -84,60 +92,55 @@ class InvariantVector:
         return getattr(self, name)
 
 
-def det(m: np.ndarray):
-    """Determinant of a 2x2 or 3x3 array, exact or float.
+def _trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(re, im) of tr(AB) from the embeddings J(A), J(B) on the last two axes.
 
-    np.linalg.det cannot take object arrays, and the cofactor expansion
-    keeps Gaussian-rational entries exact.
+    Reads the top-left and bottom-left blocks of J(AB) = J(A) J(B)
+    without forming the product; leading axes broadcast.
     """
-    if m.shape == (2, 2):
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if m.shape == (3, 3):
-        return (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    raise ValueError(f"determinant implemented for 2x2 and 3x3 only, got shape {m.shape}")
+    n = a.shape[-1] // 2
+    return np.einsum("...cik,...ki->...c", a.reshape(*a.shape[:-2], 2, n, 2 * n), b[..., :n])
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray):
-    """tr(a @ b) without forming the product."""
-    return (a * b.T).sum()
+def _dot(u: np.ndarray, v: np.ndarray) -> Tuple:
+    """(re, im) of sum u * v over complex values held as (..., 2) pairs."""
+    # the real part needs Re*Re - Im*Im, not Re*Re alone
+    return (
+        (u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1]).sum(),
+        (u[..., 0] * v[..., 1] + u[..., 1] * v[..., 0]).sum(),
+    )
 
 
-def _realize(value) -> Value:
-    if isinstance(value, GaussianRational):
-        if not value.is_real:
-            raise ArithmeticError(
-                f"invariant value {value!r} has a nonzero imaginary part"
-            )
-        return value.re
-    v = complex(value)
+def _realize(raw, divisor: int, exact: bool) -> Value:
+    """The real invariant raw / divisor from its raw (re, im) pair."""
+    re, im = divide(raw[0], divisor, exact), divide(raw[1], divisor, exact)
+    if exact:
+        if im != 0:
+            raise ArithmeticError(f"invariant value has a nonzero imaginary part {im}")
+        return re
     # a finite state can overflow to inf or nan, which no output format can carry
-    if not (isfinite(v.real) and isfinite(v.imag)):
-        raise ArithmeticError(f"invariant value {v!r} is not finite")
-    if abs(v.imag) > IMAG_TOLERANCE:
-        raise ArithmeticError(
-            f"invariant value has imaginary part {v.imag:.3e} above tolerance"
-        )
-    return v.real
+    if not (isfinite(re) and isfinite(im)):
+        raise ArithmeticError(f"invariant value {complex(re, im)!r} is not finite")
+    if abs(im) > IMAG_TOLERANCE:
+        raise ArithmeticError(f"invariant value has imaginary part {im:.3e} above tolerance")
+    return float(re)
 
 
 def eval_matrix_form(dec: StateDecomposition) -> InvariantVector:
     """Evaluate the invariants directly on the pieces X, Y, Z."""
     x, y, z = dec.local_a, dec.local_b, dec.corr
     z2 = z @ z
+    s = dec.scale
     values = (
-        det(x),
-        _trace_product(y, y),
-        np.trace(z2),
-        det(y),
-        _trace_product(z2, z),
-        _trace_product(np.kron(x, y), z),
-        _trace_product(np.kron(np.eye(2, dtype=y.dtype), y), z2),
+        (_trace(x, x), -2 * s**2),
+        (_trace(y, y), s**2),
+        (_trace(z, z), s**2),
+        (_trace(y @ y, y), 3 * s**3),
+        (_trace(z2, z), s**3),
+        (_trace(kron(x, y), z), s**3),
+        (_trace(kron(np.eye(4, dtype=int), y), z2), s**3),
     )
-    return InvariantVector(*(_realize(v) for v in values))
+    return InvariantVector(*(_realize(raw, d, dec.exact) for raw, d in values))
 
 
 def eval_basis_form(dec: StateDecomposition) -> InvariantVector:
@@ -146,30 +149,30 @@ def eval_basis_form(dec: StateDecomposition) -> InvariantVector:
     Independent of eval_matrix_form wherever the correlation part
     enters: i3, i5, i6, i7 are contractions of Pauli trace tensors with
     traces of the Y_k, and i1 comes from the Bloch coefficients of X.
+    The parts are held as P_k = 2s Y_k.
     """
-    x, y = dec.local_a, dec.local_b
-    parts = dec.corr_parts
-    paulis = pauli_basis() if dec.exact else pauli_basis().astype(complex)
-    half = Fraction(1, 2) if dec.exact else 0.5
+    x, y, parts = dec.local_a, dec.local_b, dec.corr_parts
+    paulis = pauli_basis()
+    s = dec.scale
 
-    x_tr = np.einsum("ab,kba->k", x, paulis)  # tr(X E_k)
-    # det of a traceless hermitian 2x2 is minus its squared Bloch length
-    bloch = x_tr * half
-    i1 = -(bloch * bloch).sum()
-
+    x_tr = _trace(x, paulis)  # tr(X~ E_k)
     # traces of products of two and of three basis elements, k, l, m
-    pauli_tr2 = np.einsum("kab,lba->kl", paulis, paulis)
-    part_tr2 = np.einsum("kab,lba->kl", parts, parts)
-    pauli_tr3 = np.einsum("kab,lbc,mca->klm", paulis, paulis, paulis)
-    part_tr3 = np.einsum("klac,mca->klm", parts[:, None] @ parts[None, :], parts)
+    pauli_tr2 = _trace(paulis[:, None], paulis[None, :])
+    part_tr2 = _trace(parts[:, None], parts[None, :])
+    pauli_tr3 = _trace((paulis[:, None] @ paulis[None, :])[:, :, None], paulis[None, None, :])
+    part_tr3 = _trace((parts[:, None] @ parts[None, :])[:, :, None], parts[None, None, :])
 
-    i3 = (pauli_tr2 * part_tr2).sum()
-    i5 = (pauli_tr3 * part_tr3).sum()
-    i6 = (x_tr * np.einsum("ab,kba->k", y, parts)).sum()
-    i7 = (pauli_tr2 * np.einsum("ab,kbc,lca->kl", y, parts, parts)).sum()
-
-    values = (i1, _trace_product(y, y), i3, det(y), i5, i6, i7)
-    return InvariantVector(*(_realize(v) for v in values))
+    values = (
+        # det of a traceless hermitian 2x2 is minus its squared Bloch length
+        (_dot(x_tr, x_tr), -4 * s**2),
+        (_trace(y, y), s**2),
+        (_dot(pauli_tr2, part_tr2), 4 * s**2),
+        (_trace(y @ y, y), 3 * s**3),
+        (_dot(pauli_tr3, part_tr3), 8 * s**3),
+        (_dot(x_tr, _trace(y, parts)), 2 * s**3),
+        (_dot(pauli_tr2, _trace((y @ parts)[:, None], parts[None, :])), 4 * s**3),
+    )
+    return InvariantVector(*(_realize(raw, d, dec.exact) for raw, d in values))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,22 @@ hermitian 3x3 parts Y_k.  These pieces are exactly the coordinates on
 which the local-unitary invariants act, so the decomposition is the
 bridge between raw states and invariant evaluation.
 
-A state is a plain 6x6 numpy array, row index 3*i + j for qubit index i
-and qutrit index j.  Exact states are ``dtype=object`` arrays of
-GaussianRational entries (``rho.dtype == object`` is the exact test),
-float states are complex128; ``astype(complex)`` turns the first into
-the second.  Exact random states come from A A^dagger / tr(A A^dagger)
-with Gaussian-integer A, float ones from the Ginibre ensemble, and Haar
-special unitaries from QR with the standard phase fix.
+Every complex matrix M is held as its real embedding
+
+    J(M) = [[Re M, -Im M], [Im M, Re M]],
+
+which turns products into products and M^dagger into the transpose, so
+no complex scalar type is needed.  A state is the 12x12 array J(rho),
+index order (re/im, qubit, qutrit): row 6*c + 3*i + j for part c, qubit
+index i and qutrit index j.  Exact states are ``dtype=object`` arrays of
+ints and Fractions (``rho.dtype == object`` is the exact test), float
+states are float64; ``embed(m.real, m.imag)`` embeds a complex array and
+``astype(float)`` turns an exact state into a float one.  Exact and float
+states take the same code path: the decomposition scales by a common
+denominator, so exact pieces are integer arrays.  Exact random states
+come from A A^dagger / tr(A A^dagger) with Gaussian-integer A, float
+ones from the Ginibre ensemble, and Haar special unitaries from QR with
+the standard phase fix.
 """
 
 from __future__ import annotations
@@ -29,48 +38,59 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from luinv.exact import GaussianRational
-
 STATE_SCHEMA = "luinv.state.v1"
 
-Scalar = Union[int, Fraction, GaussianRational, float, complex]
+Scalar = Union[int, Fraction, float]
 
 
-def pauli_basis() -> np.ndarray:
-    """The three Pauli matrices as a (3, 2, 2) exact array, tr(E_k E_l) = 2 delta_kl."""
-    g = GaussianRational
-    return np.array(
-        [
-            [[g(0), g(1)], [g(1), g(0)]],
-            [[g(0), g(0, -1)], [g(0, 1), g(0)]],
-            [[g(1), g(0)], [g(0), g(-1)]],
-        ],
-        dtype=object,
+def embed(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """J(re + i im) = [[re, -im], [im, re]] on the last two axes."""
+    return np.concatenate(
+        [np.concatenate([re, -im], axis=-1), np.concatenate([im, re], axis=-1)], axis=-2
     )
 
 
+def pauli_basis() -> np.ndarray:
+    """The embedded Pauli matrices, a (3, 4, 4) int array; tr(E_k E_l) = 2 delta_kl."""
+    re = np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[1, 0], [0, -1]]])
+    im = np.array([[[0, 0], [0, 0]], [[0, -1], [1, 0]], [[0, 0], [0, 0]]])
+    return embed(re, im)
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """J(A (x) B) from the 4x4 J(A) and the 6x6 J(B)."""
+    return np.einsum(
+        "ciek,ejdl->cijdkl", a.reshape(2, 2, 2, 2), b.reshape(2, 3, 2, 3)
+    ).reshape(12, 12)
+
+
 def partial_trace_qutrit(m: np.ndarray) -> np.ndarray:
-    """Trace out the qutrit factor of a 6x6 array, leaving 2x2."""
-    return np.trace(m.reshape(2, 3, 2, 3), axis1=1, axis2=3)
+    """Trace out the qutrit factor of an embedded 6x6 array, leaving the 4x4 J(2x2)."""
+    return np.trace(m.reshape(2, 2, 3, 2, 2, 3), axis1=2, axis2=5).reshape(4, 4)
 
 
 def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
-    """Trace out the qubit factor of a 6x6 array, leaving 3x3."""
-    return np.trace(m.reshape(2, 3, 2, 3), axis1=0, axis2=2)
+    """Trace out the qubit factor of an embedded 6x6 array, leaving the 6x6 J(3x3)."""
+    return np.trace(m.reshape(2, 2, 3, 2, 2, 3), axis1=1, axis2=4).reshape(6, 6)
 
 
 @dataclass(frozen=True)
 class StateDecomposition:
-    """Bloch-style pieces of a state: rho = I/6 + X(x)I + I(x)Y + Z."""
+    """Embedded pieces of s*rho = s/6 + X~(x)I + I(x)Y~ + Z~ for the integer scale s.
 
-    local_a: np.ndarray  # X: 2x2 traceless hermitian, qubit side
-    local_b: np.ndarray  # Y: 3x3 traceless hermitian, qutrit side
-    corr: np.ndarray  # Z: 6x6, both partial traces vanish
-    corr_parts: np.ndarray  # (3, 3, 3): Y_k with Z = sum E_k (x) Y_k
+    The pieces are X~ = sX, Y~ = sY, Z~ = sZ and the parts P_k = 2s Y_k,
+    so that for an exact state every entry is an integer.
+    """
+
+    local_a: np.ndarray  # J(X~): 4x4, X traceless hermitian, qubit side
+    local_b: np.ndarray  # J(Y~): 6x6, Y traceless hermitian, qutrit side
+    corr: np.ndarray  # J(Z~): 12x12, both partial traces vanish
+    corr_parts: np.ndarray  # (3, 6, 6): J(P_k), Z~ = sum E_k (x) P_k / 2
+    scale: int  # s = 12 * the common denominator of the state's entries
 
     @property
     def exact(self) -> bool:
@@ -78,51 +98,61 @@ class StateDecomposition:
 
 
 def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> None:
-    """Raise ValueError unless rho is 6x6 hermitian with unit trace.
+    """Raise ValueError unless rho embeds a 6x6 hermitian matrix with unit trace.
 
-    Exact states must hold GaussianRational entries only; float states
-    are held to the tolerance, and a NaN anywhere fails the checks.
+    That is: rho is 12x12, symmetric (J(M)^T = J(M^dagger)), of the form
+    [[R, -I], [I, R]], and tr R = 1.  Exact states must hold int or
+    Fraction entries only and pass exactly; float states are held to the
+    tolerance, and a NaN anywhere fails the checks.
     """
-    if rho.shape != (6, 6):
-        raise ValueError(f"expected a 6x6 matrix, got shape {rho.shape}")
-    dagger = np.conjugate(rho).T
+    if rho.shape != (12, 12):
+        raise ValueError(f"expected the 12x12 embedding of a 6x6 matrix, got shape {rho.shape}")
     if rho.dtype == object:
-        if not all(isinstance(v, GaussianRational) for v in rho.flat):
-            raise ValueError("exact states must hold GaussianRational entries")
-        if not np.array_equal(rho, dagger):
-            raise ValueError("state is not hermitian")
-        if np.trace(rho) != 1:
-            raise ValueError(f"state trace is {np.trace(rho)}, not 1")
-    else:
-        if not np.abs(rho - dagger).max() <= tolerance:
-            raise ValueError("state is not hermitian within tolerance")
-        deviation = abs(np.trace(rho) - 1)
-        if not deviation <= tolerance:
-            raise ValueError(f"state trace deviates from 1 by {deviation:.3e}")
+        if not all(type(v) in (int, Fraction) for v in rho.flat):
+            raise ValueError("exact states must hold int or Fraction entries")
+        tolerance = 0
+    if not abs(rho - rho.T).max() <= tolerance:
+        raise ValueError("state is not hermitian")
+    re, im = rho[:6, :6], rho[6:, :6]
+    if not (abs(rho[6:, 6:] - re).max() <= tolerance and abs(rho[:6, 6:] + im).max() <= tolerance):
+        raise ValueError("state is not an embedding [[R, -I], [I, R]] of a complex matrix")
+    trace = np.trace(re)
+    if not abs(trace - 1) <= tolerance:
+        raise ValueError(f"state trace is {trace}, not 1")
 
 
-def _local_sum(local_a: np.ndarray, local_b: np.ndarray, sixth: Scalar) -> np.ndarray:
-    """I/6 + X (x) I + I (x) Y in the dtype of the pieces."""
-    dtype = local_a.dtype
-    return (
-        np.eye(6, dtype=dtype) * sixth
-        + np.kron(local_a, np.eye(3, dtype=dtype))
-        + np.kron(np.eye(2, dtype=dtype), local_b)
-    )
+def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
+    """(den, den * rho): integers over the lcm of the denominators if exact, den = 1 if float."""
+    if rho.dtype == object:
+        den = math.lcm(*(v.denominator for v in rho.flat))
+        ints = [v.numerator * (den // v.denominator) for v in rho.flat]
+        return den, np.array(ints, dtype=object).reshape(rho.shape)
+    return 1, rho.astype(float, copy=False)
+
+
+def _add_identity(m: np.ndarray, c) -> np.ndarray:
+    """m + c * identity, in place on the square, contiguous m."""
+    m.reshape(-1)[:: len(m) + 1] += c
+    return m
+
+
+def _local_sum(local_a: np.ndarray, local_b: np.ndarray) -> np.ndarray:
+    """J(X (x) I + I (x) Y) from J(X) and J(Y)."""
+    return kron(local_a, np.eye(6, dtype=int)) + kron(np.eye(4, dtype=int), local_b)
 
 
 def decompose_state(rho: np.ndarray) -> StateDecomposition:
     """Split a state, validated at the default tolerance, into its pieces."""
     validate_state(rho)
-    exact = rho.dtype == object
-    half, third = (Fraction(1, 2), Fraction(1, 3)) if exact else (0.5, 1.0 / 3.0)
-    local_a = (partial_trace_qutrit(rho) - np.eye(2, dtype=rho.dtype) * half) * third
-    local_b = (partial_trace_qubit(rho) - np.eye(3, dtype=rho.dtype) * third) * half
-    corr = rho - _local_sum(local_a, local_b, third * half)
-    paulis = pauli_basis() if exact else pauli_basis().astype(complex)
-    # Y_k = tr_qubit((E_k (x) I) Z) / 2
-    corr_parts = np.einsum("kab,bjal->kjl", paulis, corr.reshape(2, 3, 2, 3)) * half
-    return StateDecomposition(local_a, local_b, corr, corr_parts)
+    den, n = _integer_form(rho)
+    local_a = _add_identity(4 * partial_trace_qutrit(n), -2 * den)
+    local_b = _add_identity(6 * partial_trace_qubit(n), -2 * den)
+    corr = _add_identity(12 * n, -2 * den) - _local_sum(local_a, local_b)
+    # P_k = tr_qubit((E_k (x) I) Z~)
+    corr_parts = np.einsum(
+        "kcaeb,ebjdal->kcjdl", pauli_basis().reshape(3, 2, 2, 2, 2), corr.reshape(2, 2, 3, 2, 2, 3)
+    ).reshape(3, 6, 6)
+    return StateDecomposition(local_a, local_b, corr, corr_parts, 12 * den)
 
 
 def scale_components(dec: StateDecomposition, a: Scalar, b: Scalar, c: Scalar) -> StateDecomposition:
@@ -133,14 +163,19 @@ def scale_components(dec: StateDecomposition, a: Scalar, b: Scalar, c: Scalar) -
     are tested.
     """
     return StateDecomposition(
-        dec.local_a * a, dec.local_b * b, dec.corr * c, dec.corr_parts * c
+        dec.local_a * a, dec.local_b * b, dec.corr * c, dec.corr_parts * c, dec.scale
     )
 
 
+def divide(raw, divisor: int, exact: bool):
+    """raw / divisor as Fractions if exact, else as floats; raw may be an array."""
+    return raw * Fraction(1, divisor) if exact else raw / divisor
+
+
 def recompose(dec: StateDecomposition) -> np.ndarray:
-    """Rebuild the density matrix from its decomposition pieces."""
-    sixth = Fraction(1, 6) if dec.exact else 1.0 / 6.0
-    return _local_sum(dec.local_a, dec.local_b, sixth) + dec.corr
+    """Rebuild the embedded density matrix from its decomposition pieces."""
+    total = _local_sum(dec.local_a, dec.local_b) + dec.corr
+    return divide(_add_identity(total, dec.scale // 6), dec.scale, dec.exact)
 
 
 def random_state(seed: int, kind: str = "rational") -> np.ndarray:
@@ -153,25 +188,19 @@ def random_state(seed: int, kind: str = "rational") -> np.ndarray:
     if kind == "rational":
         rng = random.Random(seed)
         while True:
-            a = np.array(
-                [
-                    [
-                        GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                        for _ in range(6)
-                    ]
-                    for _ in range(6)
-                ],
-                dtype=object,
-            )
-            gram = a @ np.conjugate(a).T
-            tr = np.trace(gram)
+            draws = [rng.randint(-3, 3) for _ in range(72)]  # (re, im) of each entry in turn
+            pairs = np.array(draws, dtype=object).reshape(6, 6, 2)
+            a = embed(pairs[..., 0], pairs[..., 1])
+            gram = a @ a.T
+            tr = np.trace(gram[:6, :6])
             if tr != 0:
-                return gram * (1 / tr)
+                return gram * Fraction(1, tr)
     if kind == "psd_float":
         rng_np = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         g = rng_np.normal(size=(6, 6)) + 1j * rng_np.normal(size=(6, 6))
         gram_np = g @ g.conj().T
-        return gram_np / np.trace(gram_np).real
+        gram_np /= np.trace(gram_np).real
+        return embed(gram_np.real, gram_np.imag)
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -204,7 +233,8 @@ def random_local_unitary(seed) -> LocalUnitaryPair:
 def apply_local_unitary(rho: np.ndarray, pair: LocalUnitaryPair) -> np.ndarray:
     """Conjugate a state by u2 (x) u3, in float arithmetic."""
     u = np.kron(pair.u2, pair.u3)
-    return u @ rho.astype(complex) @ u.conj().T
+    ju = embed(u.real, u.imag)
+    return ju @ rho.astype(float, copy=False) @ ju.T
 
 
 def _fraction_str(q: Fraction) -> str:
@@ -212,20 +242,23 @@ def _fraction_str(q: Fraction) -> str:
 
 
 def state_to_json(rho: np.ndarray, indent: Optional[int] = None) -> str:
-    """Serialize a 6x6 state to the versioned JSON schema."""
-    if rho.shape != (6, 6):
-        raise ValueError("expected a 6x6 matrix")
+    """Serialize an embedded state to the versioned JSON schema of 6x6 [re, im] pairs."""
+    if rho.shape != (12, 12):
+        raise ValueError("expected the 12x12 embedding of a 6x6 matrix")
+    pairs = np.stack([rho[:6, :6], rho[6:, :6]], axis=-1).tolist()
     if rho.dtype == object:
-        matrix = [
-            [[_fraction_str(v.re), _fraction_str(v.im)] for v in row]
-            for row in rho.tolist()
-        ]
+        matrix = [[[_fraction_str(Fraction(v)) for v in pair] for pair in row] for row in pairs]
         scalar = "rational"
     else:
-        matrix = [[[v.real, v.imag] for v in row] for row in rho.astype(complex).tolist()]
+        matrix = pairs
         scalar = "float"
     payload = {"schema": STATE_SCHEMA, "scalar": scalar, "matrix": matrix}
     return json.dumps(payload, indent=indent)
+
+
+def _digit_limit() -> int:
+    """Python's int-string limit, or its default of 4300 where it is off or missing."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _rational(part) -> Fraction:
@@ -233,11 +266,10 @@ def _rational(part) -> Fraction:
 
     Fraction expands a decimal exponent into an integer with that many
     digits, so "1e10000000" alone takes seconds.  The digit count and the
-    exponent are both held to the int-string limit, or to its default of
-    4300 where the limit is off or the interpreter predates it.
+    exponent are both held to the int-string limit.
     """
     text = str(part)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = _digit_limit()
     try:
         exponent = abs(int(text.lower().partition("e")[2]))
     except ValueError:  # no exponent, or a malformed one that Fraction rejects
@@ -250,22 +282,41 @@ def _rational(part) -> Fraction:
     return Fraction(text)
 
 
-def _parse_entry(entry, scalar: str, where: str) -> Scalar:
+def _parse_entry(entry, scalar: str, where: str) -> Tuple[Scalar, Scalar]:
     if not isinstance(entry, list) or len(entry) != 2:
         raise ValueError(f"entry {where} must be an [re, im] pair, got {entry!r}")
-    re_part, im_part = entry
     if scalar == "rational":
         try:
-            return GaussianRational(_rational(re_part), _rational(im_part))
+            return _rational(entry[0]), _rational(entry[1])
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"bad rational entry {where} {entry!r}: {err}") from err
     try:
-        value = complex(float(re_part), float(im_part))
+        re_part, im_part = float(entry[0]), float(entry[1])
     except (TypeError, ValueError) as err:
         raise ValueError(f"bad float entry {where} {entry!r}: {err}") from err
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
         raise ValueError(f"non-finite float entry {where} {entry!r}")
-    return value
+    return re_part, im_part
+
+
+def _check_common_denominator(parts) -> None:
+    """Refuse exact parts whose common denominator has more than 2 * limit digits.
+
+    One part may have a denominator of up to about 2 * limit digits, its
+    digits and its decimal exponent each held to the limit, and the state
+    may have as large a one.  But parts with coprime denominators multiply
+    up: thirty of 3900 digits make a common denominator of about 117k
+    digits, and the decomposition works over it.  The lcm is built part
+    by part and stops as soon as it passes the cap.
+    """
+    limit = _digit_limit()
+    cap, den = 10 ** (2 * limit), 1
+    for part in parts:
+        den = math.lcm(den, part.denominator)
+        if den >= cap:
+            raise ValueError(
+                f"the common denominator of the entries has more than {2 * limit} digits"
+            )
 
 
 def state_from_json(text: str) -> np.ndarray:
@@ -286,8 +337,12 @@ def state_from_json(text: str) -> np.ndarray:
         or any(not isinstance(r, list) or len(r) != 6 for r in matrix)
     ):
         raise ValueError("matrix must be a 6x6 array of [re, im] pairs")
-    rows: List[List[Scalar]] = [
-        [_parse_entry(entry, scalar, f"({i}, {j})") for j, entry in enumerate(r)]
-        for i, r in enumerate(matrix)
+    pairs = [
+        _parse_entry(entry, scalar, f"({i}, {j})")
+        for i, row in enumerate(matrix)
+        for j, entry in enumerate(row)
     ]
-    return np.array(rows, dtype=object if scalar == "rational" else complex)
+    if scalar == "rational":
+        _check_common_denominator(part for pair in pairs for part in pair)
+    parts = np.array(pairs, dtype=object if scalar == "rational" else float).reshape(6, 6, 2)
+    return embed(parts[..., 0], parts[..., 1])

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from luinv import reference
-from luinv.exact import GaussianRational
 from luinv.invariants import (
     COMPONENTS,
     MULTIDEGREES,
@@ -33,7 +32,7 @@ from luinv.molien import (
     verify_theorem,
     weight_system,
 )
-from luinv.states import decompose_state, scale_components
+from luinv.states import decompose_state, embed, scale_components
 
 EXPECTED_14 = [
     1, 0, 3, 4, 15, 25, 90, 170, 489, 1059, 2600, 5641, 12872, 27099, 57990,
@@ -212,6 +211,130 @@ def _diagonal_oracle():
     return (i1, i2, i3, i4, i5, i6, i7)
 
 
+def _cadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _csub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _cmul(a, b):
+    # the real part of a product needs Re*Re - Im*Im
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _csum(values):
+    total = (Fraction(0), Fraction(0))
+    for v in values:
+        total = _cadd(total, v)
+    return total
+
+
+def _complex_oracle(rho):
+    """Seven invariant values of a 6x6 matrix of (re, im) Fraction pairs.
+
+    First principles on nested lists, like _diagonal_oracle, but with
+    complex entries held as (re, im) pairs and multiplied out by hand:
+    the partial traces, X, Y, Z, the two determinants by cofactors and
+    the traces of products.  Shares no code with the package beyond the
+    stdlib.  Returns (re, im) pairs.
+    """
+    zero = (Fraction(0), Fraction(0))
+
+    def real(q):
+        return (Fraction(q), Fraction(0))
+
+    def matmul(a, b):
+        n = len(a)
+        return [
+            [_csum(_cmul(a[r][m], b[m][c]) for m in range(n)) for c in range(n)]
+            for r in range(n)
+        ]
+
+    def trace(a):
+        return _csum(a[r][r] for r in range(len(a)))
+
+    ptr_b = [
+        [_csum(rho[3 * i + j][3 * k + j] for j in range(3)) for k in range(2)]
+        for i in range(2)
+    ]
+    ptr_a = [
+        [_csum(rho[3 * i + j][3 * i + l] for i in range(2)) for l in range(3)]
+        for j in range(3)
+    ]
+    x = [
+        [_cmul(_csub(ptr_b[i][k], real(Fraction(int(i == k), 2))), real(Fraction(1, 3)))
+         for k in range(2)]
+        for i in range(2)
+    ]
+    y = [
+        [_cmul(_csub(ptr_a[j][l], real(Fraction(int(j == l), 3))), real(Fraction(1, 2)))
+         for l in range(3)]
+        for j in range(3)
+    ]
+    xi = [[x[r // 3][c // 3] if r % 3 == c % 3 else zero for c in range(6)] for r in range(6)]
+    iy = [[y[r % 3][c % 3] if r // 3 == c // 3 else zero for c in range(6)] for r in range(6)]
+    z = [
+        [
+            _csub(_csub(_csub(rho[r][c], real(Fraction(int(r == c), 6))), xi[r][c]), iy[r][c])
+            for c in range(6)
+        ]
+        for r in range(6)
+    ]
+
+    def minor(a, b):  # rows 1 and 2 of Y, columns a and b
+        return _csub(_cmul(y[1][a], y[2][b]), _cmul(y[1][b], y[2][a]))
+
+    i1 = _csub(_cmul(x[0][0], x[1][1]), _cmul(x[0][1], x[1][0]))
+    i4 = _cadd(
+        _csub(_cmul(y[0][0], minor(1, 2)), _cmul(y[0][1], minor(0, 2))),
+        _cmul(y[0][2], minor(0, 1)),
+    )
+    xy = [[_cmul(x[r // 3][c // 3], y[r % 3][c % 3]) for c in range(6)] for r in range(6)]
+    z2 = matmul(z, z)
+    return (
+        i1,
+        trace(matmul(y, y)),
+        trace(z2),
+        i4,
+        trace(matmul(z2, z)),
+        trace(matmul(xy, z)),
+        trace(matmul(iy, z2)),
+    )
+
+
+def _non_real_fixture():
+    """A A^dagger / tr(A A^dagger) for a fixed Gaussian-integer A, as (re, im) pairs."""
+    a = [
+        [((r * 5 + c * 3) % 7 - 3, (r * 2 + c * 5 + 1) % 5 - 2) for c in range(6)]
+        for r in range(6)
+    ]
+    gram = [
+        [_csum(_cmul(a[r][m], (a[c][m][0], -a[c][m][1])) for m in range(6)) for c in range(6)]
+        for r in range(6)
+    ]
+    tr = sum(gram[r][r][0] for r in range(6))
+    return [[(v[0] / tr, v[1] / tr) for v in row] for row in gram]
+
+
+def test_non_real_state_matches_first_principles_oracle():
+    rho = _non_real_fixture()
+    oracle = _complex_oracle(rho)
+    re = np.array([[v[0] for v in row] for row in rho], dtype=object)
+    im = np.array([[v[1] for v in row] for row in rho], dtype=object)
+    dec = decompose_state(embed(re, im))
+    matrix, basis = eval_matrix_form(dec).as_tuple(), eval_basis_form(dec).as_tuple()
+    ok = any(v[1] != 0 for row in rho for v in row)
+    ok = ok and all(v[1] == 0 for v in oracle)
+    ok = ok and matrix == basis == tuple(v[0] for v in oracle)
+    # tr(E_k E_l E_m) is imaginary, so a product of real parts alone makes the
+    # basis form's i5 zero; the fixture's is not
+    ok = ok and oracle[4][0] != 0
+    print(f"[{'PASS' if ok else 'FAIL'}] non-real fixture: both forms equal the (re, im) oracle")
+    assert ok
+
+
 def test_criterion_5_invariant_identities(rational_states):
     oracle = _diagonal_oracle()
     expected = (
@@ -223,10 +346,10 @@ def test_criterion_5_invariant_identities(rational_states):
         Fraction(1, 18),
         Fraction(1, 18),
     )
-    pure = np.array(
-        [[GaussianRational(int(r == 0 and c == 0)) for c in range(6)] for r in range(6)],
-        dtype=object,
+    pure_re = np.array(
+        [[int(r == 0 and c == 0) for c in range(6)] for r in range(6)], dtype=object
     )
+    pure = embed(pure_re, np.zeros_like(pure_re))
     ok = oracle == expected
     ok = ok and eval_matrix_form(decompose_state(pure)).as_tuple() == oracle
     agree = 0

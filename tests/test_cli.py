@@ -323,6 +323,27 @@ class TestInvariants:
         assert code == 2 and out == ""
         assert "bad rational entry (2, 5)" in err and "Traceback" not in err
 
+    def test_huge_common_denominator_exit_2_quickly(self, capsys, tmp_path):
+        # 30 off-diagonal parts, each within the digit limit, with coprime
+        # denominators of 3900 digits: about 117k digits in common
+        matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
+        dens = iter(10**3899 + k for k in range(1, 31))
+        for i in range(6):
+            for j in range(i + 1, 6):
+                re_den, im_den = next(dens), next(dens)
+                matrix[i][j] = [f"1/{re_den}", f"1/{im_den}"]
+                matrix[j][i] = [f"1/{re_den}", f"-1/{im_den}"]
+        path = tmp_path / "coprime.json"
+        path.write_text(
+            json.dumps({"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix})
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "common denominator" in err and "8600 digits" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--state", "/nonexistent.json")
         assert code == 2 and "state file" in err

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from luinv.exact import GaussianRational
 from luinv.invariants import (
     COMPONENTS,
     DEGREE_THREE,
@@ -23,6 +22,8 @@ from luinv.states import (
     StateDecomposition,
     apply_local_unitary,
     decompose_state,
+    embed,
+    kron,
     random_local_unitary,
     random_state,
     scale_components,
@@ -39,9 +40,11 @@ PURE_PRODUCT_VALUES = (
 )
 
 
-def exact(rows) -> np.ndarray:
-    """Object array of GaussianRational from nested ints and Fractions."""
-    return np.array([[GaussianRational(v) for v in row] for row in rows], dtype=object)
+def exact(re_rows, im_rows=None) -> np.ndarray:
+    """Embedded object array from nested ints and Fractions (real, imaginary part)."""
+    re = np.array(re_rows, dtype=object)
+    im = np.zeros_like(re) if im_rows is None else np.array(im_rows, dtype=object)
+    return embed(re, im)
 
 
 def exact_identity(n: int) -> np.ndarray:
@@ -101,18 +104,18 @@ class TestEvaluation:
     def test_float_tracks_exact_evaluation(self, seed):
         rho = random_state(seed, "rational")
         exact = eval_matrix_form(decompose_state(rho))
-        approx = eval_matrix_form(decompose_state(rho.astype(complex)))
+        approx = eval_matrix_form(decompose_state(rho.astype(float)))
         for name in COMPONENTS:
             assert abs(float(exact.component(name)) - approx.component(name)) < 1e-12
 
     def test_non_hermitian_correlation_is_caught(self):
         # a doctored corr part with a genuinely non-real cubic trace
         dec = decompose_state(pure_product_state())
-        corr = exact([[0] * 6 for _ in range(6)])
-        corr[0, 1] = GaussianRational(1)
-        corr[1, 2] = GaussianRational(1)
-        corr[2, 0] = GaussianRational(0, 1)
-        bad = StateDecomposition(dec.local_a, dec.local_b, corr, dec.corr_parts)
+        re = [[0] * 6 for _ in range(6)]
+        im = [[0] * 6 for _ in range(6)]
+        re[0][1] = re[1][2] = im[2][0] = 1
+        corr = exact(re, im)
+        bad = StateDecomposition(dec.local_a, dec.local_b, corr, dec.corr_parts, dec.scale)
         with pytest.raises(ArithmeticError, match="imaginary"):
             eval_matrix_form(bad)
 
@@ -196,7 +199,7 @@ class TestIndependence:
         # states with only a qubit part: every Y- or Z-dependent
         # invariant vanishes identically
         x = exact([[Fraction(1, 12), 0], [0, Fraction(-1, 12)]])
-        rho = exact_identity(6) * Fraction(1, 6) + np.kron(x, exact_identity(3))
+        rho = exact_identity(6) * Fraction(1, 6) + kron(x, exact_identity(3))
         states = [rho]
         assert independence_rank(states, 2) == 1
         assert independence_rank(states, 3) == 0

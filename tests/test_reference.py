@@ -1,9 +1,17 @@
-"""Internal consistency of the tabulated closed-form data."""
+"""Internal consistency of the tabulated closed-form data, and the
+closed form's integer-array helpers (factored expansion, Taylor
+recurrence, palindromy)."""
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from luinv import reference
-from luinv.molien import _taylor_head
+from luinv.molien import _palindromic, _taylor_head
+from luinv.reference import _expand_factors
+
+small_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
 
 def degree(coeffs) -> int:
@@ -82,3 +90,81 @@ def test_hsop_degrees_multiset():
     assert counts == reference.HSOP_DEGREE_COUNTS
     # the hsop degrees are exactly the nonneg denominator factors
     assert counts == {e: m for e, m in reference.NONNEG_DENOMINATOR_FACTORS}
+
+
+class TestPolyFromFactored:
+    def test_single_factor(self):
+        assert _expand_factors([(3, 1)]) == (1, 0, 0, -1)
+
+    def test_multiplicity_against_repeated_mul(self):
+        base = (1, 0, -1)
+        cubed = np.convolve(np.convolve(base, base), base)
+        assert _expand_factors([(2, 3)]) == tuple(cubed)
+
+    def test_one_plus_t_flag(self):
+        assert _expand_factors([]) == (1,)
+        assert _expand_factors([], times_one_plus_t=True) == (1, 1)
+        # (1 + t)(1 - t) = 1 - t^2
+        assert _expand_factors([(1, 1)], times_one_plus_t=True) == (1, 0, -1)
+        # (1 + t)(1 - t^2)^2 = 1 + t - 2t^2 - 2t^3 + t^4 + t^5
+        assert _expand_factors([(2, 2)], times_one_plus_t=True) == (1, 1, -2, -2, 1, 1)
+
+    def test_degree_is_weighted_sum(self):
+        factors = [(2, 3), (5, 2), (7, 1)]
+        coeffs = _expand_factors(factors)
+        assert len(coeffs) - 1 == 2 * 3 + 5 * 2 + 7 * 1
+        assert coeffs[-1] != 0
+
+    def test_rejects_bad_factors(self):
+        with pytest.raises(ValueError):
+            _expand_factors([(0, 1)])
+        with pytest.raises(ValueError):
+            _expand_factors([(2, 0)])
+
+
+class TestSeriesFromRational:
+    def test_geometric(self):
+        assert _taylor_head((1,), (1, -1), 6) == [1] * 7
+
+    def test_odd_numbers(self):
+        # (1 + t)/(1 - t)^2 = sum (2k + 1) t^k
+        assert _taylor_head((1, 1), _expand_factors([(1, 2)]), 5) == [1, 3, 5, 7, 9, 11]
+
+    def test_integer_coefficients_stay_int(self):
+        coeffs = _taylor_head((1,), (1, -2), 4)
+        assert coeffs == [1, 2, 4, 8, 16]
+        assert all(type(c) is int for c in coeffs)
+
+    def test_zero_constant_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            _taylor_head((1,), (0, 1), 3)
+
+    @given(small_polys, st.integers(min_value=0, max_value=6))
+    def test_series_times_denominator_recovers_numerator(self, num, order):
+        den = (1, -1, 0, 2)
+        s = _taylor_head(num, den, order)
+        assert len(s) == order + 1
+        # multiply back and compare through the truncation order
+        back = [
+            sum(s[j] * den[k - j] for j in range(max(0, k - 3), k + 1))
+            for k in range(order + 1)
+        ]
+        padded = list(num) + [0] * (order + 1)
+        assert back == padded[: order + 1]
+
+
+class TestPalindromeCheck:
+    def test_positive(self):
+        assert _palindromic((1, 2, 1), 2)
+        assert _palindromic((1, 0, 0, 1), 3)
+        # trailing zeros against a higher claimed degree
+        assert _palindromic((0, 1, 1), 3)
+        # zeros past the claimed degree
+        assert _palindromic((1, 2, 1, 0, 0), 2)
+
+    def test_negative(self):
+        assert not _palindromic((1, 2, 3), 2)
+        assert not _palindromic((1, 1), 2)
+
+    def test_degree_overflow_rejected(self):
+        assert not _palindromic((1, 1, 1, 1), 2)

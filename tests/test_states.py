@@ -1,5 +1,6 @@
 """Array algebra, state decomposition, sampling, and JSON round-trips."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from luinv.exact import GaussianRational
-from luinv.invariants import det
 from luinv.states import (
     apply_local_unitary,
     decompose_state,
+    embed,
+    kron,
     partial_trace_qubit,
     partial_trace_qutrit,
     pauli_basis,
@@ -25,9 +26,11 @@ from luinv.states import (
 )
 
 
-def exact(rows) -> np.ndarray:
-    """Object array of GaussianRational from nested ints and Fractions."""
-    return np.array([[GaussianRational(v) for v in row] for row in rows], dtype=object)
+def exact(re_rows, im_rows=None) -> np.ndarray:
+    """Embedded object array from nested ints and Fractions (real, imaginary part)."""
+    re = np.array(re_rows, dtype=object)
+    im = np.zeros_like(re) if im_rows is None else np.array(im_rows, dtype=object)
+    return embed(re, im)
 
 
 def exact_identity(n: int) -> np.ndarray:
@@ -38,99 +41,103 @@ def exact_zeros(n: int) -> np.ndarray:
     return exact([[0] * n for _ in range(n)])
 
 
+def as_complex(m: np.ndarray) -> np.ndarray:
+    """The complex128 matrix an embedding stands for."""
+    n = m.shape[-1] // 2
+    return m[:n, :n].astype(float) + 1j * m[n:, :n].astype(float)
+
+
+def complex_trace(m: np.ndarray):
+    """(re, im) of the trace of the matrix an embedding stands for."""
+    n = m.shape[-1] // 2
+    return np.trace(m[:n, :n]), np.trace(m[n:, :n])
+
+
+def times(m: np.ndarray, re, im) -> np.ndarray:
+    """The embedding of (re + i im) times the matrix m stands for."""
+    n = m.shape[-1] // 2
+    eye = np.eye(n, dtype=int).astype(object)
+    return m @ embed(eye * re, eye * im)
+
+
 def random_exact_matrix(seed: int, n: int, m: int = None) -> np.ndarray:
     rng = random.Random(seed)
     m = n if m is None else m
-    return np.array(
-        [
-            [
-                GaussianRational(
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                )
-                for _ in range(m)
-            ]
-            for _ in range(n)
-        ],
-        dtype=object,
-    )
+    parts = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2 * n * m)]
+    re = np.array(parts[0::2], dtype=object).reshape(n, m)
+    im = np.array(parts[1::2], dtype=object).reshape(n, m)
+    return embed(re, im)
 
 
 def random_exact_hermitian(seed: int, n: int) -> np.ndarray:
     a = random_exact_matrix(seed, n)
-    return a + np.conjugate(a).T
+    return a + a.T
 
 
 class TestMatrix:
-    """Exact object arrays of GaussianRational against complex128 numpy."""
+    """Exact embedded object arrays against complex128 numpy."""
 
     def test_mode_inference(self):
         rho = random_state(3, "rational")
-        assert rho.dtype == object
-        assert all(isinstance(v, GaussianRational) for v in rho.flat)
-        assert random_state(3, "psd_float").dtype == np.complex128
-        assert rho.astype(complex).dtype == np.complex128
+        assert rho.dtype == object and rho.shape == (12, 12)
+        assert all(type(v) in (int, Fraction) for v in rho.flat)
+        assert random_state(3, "psd_float").dtype == np.float64
+        assert rho.astype(float).dtype == np.float64
         assert state_from_json(state_to_json(rho)).dtype == object
-        assert state_from_json(state_to_json(rho.astype(complex))).dtype == np.complex128
+        assert state_from_json(state_to_json(rho.astype(float))).dtype == np.float64
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="6x6"):
-            validate_state(exact_identity(6).reshape(36))
-        with pytest.raises(ValueError, match="6x6"):
+        with pytest.raises(ValueError, match="12x12"):
+            validate_state(exact_identity(6).reshape(144))
+        with pytest.raises(ValueError, match="12x12"):
             state_to_json(exact_identity(5))
 
     def test_exact_matmul_known(self):
         a = exact([[1, 2], [3, 4]])
         b = exact([[0, 1], [1, 0]])
         assert np.array_equal(a @ b, exact([[2, 1], [4, 3]]))
-        assert all(isinstance(v, GaussianRational) for v in (a @ b).flat)
+        assert all(type(v) is int for v in (a @ b).flat)
+        i = exact([[0, 0], [0, 0]], [[1, 0], [0, 1]])
+        assert np.array_equal(i @ i, exact([[-1, 0], [0, -1]]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_float_ops_match_numpy(self, seed):
         a = random_exact_matrix(seed, 3)
         b = random_exact_matrix(seed + 50, 3)
-        af, bf = a.astype(complex), b.astype(complex)
-        assert np.allclose((a @ b).astype(complex), af @ bf)
-        assert np.allclose((a + b).astype(complex), af + bf)
-        assert np.allclose(np.conjugate(a).T.astype(complex), af.conj().T)
-        assert np.isclose(complex(np.trace(a)), np.trace(af))
-        assert np.isclose(complex(det(a)), np.linalg.det(af))
-        assert np.isclose(det(af), np.linalg.det(af))
-        assert np.isclose(complex(det(a[:2, :2])), np.linalg.det(af[:2, :2]))
+        af, bf = as_complex(a), as_complex(b)
+        assert np.allclose(as_complex(a @ b), af @ bf)
+        assert np.allclose(as_complex(a + b), af + bf)
+        assert np.allclose(as_complex(a.T), af.conj().T)
+        assert np.isclose(complex(*map(float, complex_trace(a))), np.trace(af))
+        assert np.array_equal(embed(af.real, af.imag), a.astype(float))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kron_matches_numpy(self, seed):
         a = random_exact_matrix(seed, 2)
         b = random_exact_matrix(seed + 9, 3)
-        full = np.kron(a, b)
-        assert np.allclose(full.astype(complex), np.kron(a.astype(complex), b.astype(complex)))
-        # qubit factor major: row 3*i + j, column 3*k + l
+        full = kron(a, b)
+        assert np.allclose(as_complex(full), np.kron(as_complex(a), as_complex(b)))
+        # (re/im, qubit, qutrit) order: row 6*c + 3*i + j, column 6*d + 3*k + l
         for i, j, k, l in np.ndindex(2, 3, 2, 3):
-            assert full[3 * i + j, 3 * k + l] == a[i, k] * b[j, l]
-
-    def test_exact_det_3x3(self):
-        m = exact([[2, 0, 1], [1, 1, 0], [0, 3, 1]])
-        assert det(m) == GaussianRational(2 * 1 - 0 + 1 * 3)
-
-    def test_det_size_limit(self):
-        with pytest.raises(ValueError):
-            det(exact_identity(4))
-        with pytest.raises(ValueError):
-            det(exact([[1, 2, 3], [4, 5, 6]]))
+            re = a[i, k] * b[j, l] - a[2 + i, k] * b[3 + j, l]
+            im = a[2 + i, k] * b[j, l] + a[i, k] * b[3 + j, l]
+            assert full[3 * i + j, 3 * k + l] == full[6 + 3 * i + j, 6 + 3 * k + l] == re
+            assert full[6 + 3 * i + j, 3 * k + l] == -full[3 * i + j, 6 + 3 * k + l] == im
 
     def test_scalar_multiplication_and_promotion(self):
         m = exact_identity(2)
         half = m * Fraction(1, 2)
         assert half.dtype == object
-        assert all(isinstance(v, GaussianRational) for v in half.flat)
-        assert np.array_equal(half.astype(complex), m.astype(complex) * 0.5)
+        assert all(type(v) in (int, Fraction) for v in half.flat)
+        assert np.array_equal(half.astype(float), m.astype(float) * 0.5)
 
     def test_hermitian_checks(self):
         h = random_exact_hermitian(3, 6)
-        rho = h + exact_identity(6) * ((1 - np.trace(h)) / 6)
+        rho = h + exact_identity(6) * ((1 - complex_trace(h)[0]) / 6)
         validate_state(rho)
         bent = rho.copy()
-        bent[0, 1] = bent[0, 1] + 1
+        bent[0, 1] += 1  # R[0, 1] in both diagonal blocks: still an embedding
+        bent[6, 7] += 1
         with pytest.raises(ValueError, match="hermitian"):
             validate_state(bent)
 
@@ -138,13 +145,12 @@ class TestMatrix:
 class TestBases:
     def test_pauli_orthogonality(self):
         paulis = pauli_basis()
-        assert paulis.shape == (3, 2, 2) and paulis.dtype == object
+        assert paulis.shape == (3, 4, 4)
         for k, ek in enumerate(paulis):
-            assert np.array_equal(ek, np.conjugate(ek).T)
-            assert np.trace(ek) == GaussianRational(0)
+            assert np.array_equal(ek, ek.T)
+            assert complex_trace(ek) == (0, 0)
             for l, el in enumerate(paulis):
-                expected = GaussianRational(2 if k == l else 0)
-                assert np.trace(ek @ el) == expected
+                assert complex_trace(ek @ el) == (2 if k == l else 0, 0)
 
     def test_pauli_squares_are_identity(self):
         for e in pauli_basis():
@@ -152,7 +158,7 @@ class TestBases:
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    return np.array_equal(m, np.conjugate(m).T)
+    return np.array_equal(m, m.T)
 
 
 class TestPartialTraces:
@@ -160,9 +166,9 @@ class TestPartialTraces:
     def test_kron_identities(self, seed):
         a = random_exact_matrix(seed, 2)
         b = random_exact_matrix(seed + 77, 3)
-        full = np.kron(a, b)
-        assert np.array_equal(partial_trace_qutrit(full), a * np.trace(b))
-        assert np.array_equal(partial_trace_qubit(full), b * np.trace(a))
+        full = kron(a, b)
+        assert np.array_equal(partial_trace_qutrit(full), times(a, *complex_trace(b)))
+        assert np.array_equal(partial_trace_qubit(full), times(b, *complex_trace(a)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_linearity_and_full_trace(self, seed):
@@ -171,19 +177,21 @@ class TestPartialTraces:
         assert np.array_equal(
             partial_trace_qubit(m + n), partial_trace_qubit(m) + partial_trace_qubit(n)
         )
-        assert np.trace(partial_trace_qutrit(m)) == np.trace(m)
-        assert np.trace(partial_trace_qubit(m)) == np.trace(m)
+        assert complex_trace(partial_trace_qutrit(m)) == complex_trace(m)
+        assert complex_trace(partial_trace_qubit(m)) == complex_trace(m)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_explicit_loop(self, seed):
         m = random_exact_matrix(seed + 31, 6)
         qutrit_out = [
-            [sum(m[3 * i + j, 3 * k + j] for j in range(3)) for k in range(2)]
-            for i in range(2)
+            [sum(m[6 * c + 3 * i + j, 6 * d + 3 * k + j] for j in range(3))
+             for d in range(2) for k in range(2)]
+            for c in range(2) for i in range(2)
         ]
         qubit_out = [
-            [sum(m[3 * i + j, 3 * i + l] for i in range(2)) for l in range(3)]
-            for j in range(3)
+            [sum(m[6 * c + 3 * i + j, 6 * d + 3 * i + l] for i in range(2))
+             for d in range(2) for l in range(3)]
+            for c in range(2) for j in range(3)
         ]
         assert partial_trace_qutrit(m).tolist() == qutrit_out
         assert partial_trace_qubit(m).tolist() == qubit_out
@@ -200,7 +208,7 @@ class TestValidation:
         validate_state(exact_identity(6) * Fraction(1, 6))
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="6x6"):
+        with pytest.raises(ValueError, match="12x12"):
             validate_state(exact_identity(5) * Fraction(1, 5))
 
     def test_rejects_wrong_trace(self):
@@ -208,24 +216,43 @@ class TestValidation:
             validate_state(exact_identity(6))
 
     def test_rejects_non_hermitian(self):
-        rho = exact_identity(6) * Fraction(1, 6)
-        rho[0, 1] = GaussianRational(0, 1)  # i, breaks hermiticity
+        im = [[int(i == 0 and j == 1) for j in range(6)] for i in range(6)]
+        rho = exact_identity(6) * Fraction(1, 6) + exact([[0] * 6] * 6, im)
         with pytest.raises(ValueError, match="hermitian"):
             validate_state(rho)
 
     def test_rejects_non_gaussian_rational_entries(self):
-        rows = [[Fraction(int(i == j), 6) for j in range(6)] for i in range(6)]
-        rho = np.array(rows, dtype=object)
-        with pytest.raises(ValueError, match="GaussianRational"):
+        rho = exact_identity(6) * Fraction(1, 6)
+        rho[0, 0] = rho[6, 6] = 1 / 6  # a float entry in an exact state
+        with pytest.raises(ValueError, match="int or Fraction"):
             validate_state(rho)
 
+    def test_rejects_bool_entry(self):
+        rho = exact_identity(6) * Fraction(1, 6)
+        rho[0, 1] = rho[1, 0] = rho[6, 7] = rho[7, 6] = False
+        with pytest.raises(ValueError, match="int or Fraction"):
+            validate_state(rho)
+
+    def test_rejects_non_embedding(self):
+        # symmetric with unit trace, but the diagonal blocks differ
+        rho = np.zeros((12, 12), dtype=object)
+        rho[:6, :6] = exact_identity(6)[:6, :6] * Fraction(1, 6)
+        with pytest.raises(ValueError, match=r"\[\[R, -I\], \[I, R\]\]"):
+            validate_state(rho)
+        bent = exact_identity(6) * Fraction(1, 6)
+        bent[0, 7] = bent[7, 0] = 1  # -I above, but no I below
+        with pytest.raises(ValueError, match="embedding"):
+            validate_state(bent)
+        with pytest.raises(ValueError, match="embedding"):
+            validate_state(bent.astype(float))
+
     def test_float_tolerance(self):
-        rho = (exact_identity(6) * Fraction(1, 6)).astype(complex)
+        rho = (exact_identity(6) * Fraction(1, 6)).astype(float)
         validate_state(rho, tolerance=1e-12)
 
     def test_float_nan_rejected(self):
-        rho = np.eye(6, dtype=complex) / 6
-        rho[2, 3] = rho[3, 2] = complex("nan")
+        rho = embed(np.eye(6) / 6, np.zeros((6, 6)))
+        rho[2, 3] = rho[3, 2] = float("nan")
         with pytest.raises(ValueError, match="hermitian"):
             validate_state(rho)
 
@@ -234,13 +261,14 @@ class TestDecomposition:
     def test_pure_product_diagonal_pieces(self):
         rho = exact([[int(i == 0 and j == 0) for j in range(6)] for i in range(6)])
         dec = decompose_state(rho)
+        assert dec.scale == 12
         s = Fraction(1, 6)
-        assert np.array_equal(dec.local_a, exact([[s, 0], [0, -s]]))
+        assert np.array_equal(dec.local_a * Fraction(1, 12), exact([[s, 0], [0, -s]]))
         assert np.array_equal(
-            dec.local_b, exact([[Fraction(1, 3), 0, 0], [0, -s, 0], [0, 0, -s]])
+            dec.local_b * Fraction(1, 12), exact([[Fraction(1, 3), 0, 0], [0, -s, 0], [0, 0, -s]])
         )
         sz = exact([[1, 0], [0, -1]])
-        assert np.array_equal(dec.corr, np.kron(sz, dec.local_b))
+        assert np.array_equal(dec.corr, kron(sz, dec.local_b))
 
     def test_maximally_mixed_has_no_structure(self):
         dec = decompose_state(exact_identity(6) * Fraction(1, 6))
@@ -254,22 +282,24 @@ class TestDecomposition:
         dec = decompose_state(rho)
         assert dec.exact
         pieces = (dec.local_a, dec.local_b, dec.corr, dec.corr_parts)
-        assert all(isinstance(v, GaussianRational) for p in pieces for v in p.flat)
+        # scaled by 12 times the common denominator, every piece is integral
+        assert all(type(v) is int for p in pieces for v in p.flat)
+        assert all(dec.scale % (12 * v.denominator) == 0 for v in rho.flat)
         # local parts: traceless hermitian of the right sizes
-        assert dec.local_a.shape == (2, 2) and is_hermitian(dec.local_a)
-        assert dec.local_b.shape == (3, 3) and is_hermitian(dec.local_b)
-        assert np.trace(dec.local_a) == GaussianRational(0)
-        assert np.trace(dec.local_b) == GaussianRational(0)
+        assert dec.local_a.shape == (4, 4) and is_hermitian(dec.local_a)
+        assert dec.local_b.shape == (6, 6) and is_hermitian(dec.local_b)
+        assert complex_trace(dec.local_a) == (0, 0)
+        assert complex_trace(dec.local_b) == (0, 0)
         # correlation part: hermitian with both partial traces zero
         assert is_hermitian(dec.corr)
         assert np.array_equal(partial_trace_qubit(dec.corr), exact_zeros(3))
         assert np.array_equal(partial_trace_qutrit(dec.corr), exact_zeros(2))
-        # the Pauli expansion of the correlation part is exact
+        # the Pauli expansion of the correlation part is exact: P_k = 2 Y_k
         rebuilt = exact_zeros(6)
         for e, y in zip(pauli_basis(), dec.corr_parts):
             assert is_hermitian(y)
-            rebuilt = rebuilt + np.kron(e, y)
-        assert np.array_equal(rebuilt, dec.corr)
+            rebuilt = rebuilt + kron(e, y)
+        assert np.array_equal(rebuilt, 2 * dec.corr)
         # and the whole thing reassembles to the input
         assert np.array_equal(recompose(dec), rho)
 
@@ -287,6 +317,7 @@ class TestDecomposition:
         assert np.array_equal(scaled.local_b, dec.local_b * Fraction(1, 3))
         assert np.array_equal(scaled.corr, -dec.corr)
         assert np.array_equal(scaled.corr_parts[1], -dec.corr_parts[1])
+        assert scaled.scale == dec.scale
 
 
 class TestRandomStates:
@@ -298,12 +329,13 @@ class TestRandomStates:
 
     def test_rational_states_are_psd(self):
         for seed in range(5):
-            evs = np.linalg.eigvalsh(random_state(seed, "rational").astype(complex))
+            # J(rho) has the spectrum of rho, each eigenvalue twice
+            evs = np.linalg.eigvalsh(random_state(seed, "rational").astype(float))
             assert evs.min() > -1e-12
 
     def test_float_states_are_valid_and_psd(self):
         rho = random_state(9, "psd_float")
-        assert rho.dtype == np.complex128
+        assert rho.dtype == np.float64
         validate_state(rho, tolerance=1e-9)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
@@ -336,8 +368,11 @@ class TestLocalUnitaries:
         rho = random_state(17, "rational")
         pair = random_local_unitary(18)
         moved = apply_local_unitary(rho, pair)
-        assert moved.dtype == np.complex128
-        assert np.array_equal(moved, apply_local_unitary(rho.astype(complex), pair))
+        assert moved.dtype == np.float64
+        assert np.array_equal(moved, apply_local_unitary(rho.astype(float), pair))
+        u = np.kron(pair.u2, pair.u3)
+        expected = u @ as_complex(rho) @ u.conj().T
+        assert np.allclose(as_complex(moved), expected, atol=1e-14)
 
 
 class TestJsonIO:
@@ -355,7 +390,7 @@ class TestJsonIO:
     def test_float_roundtrip(self):
         rho = random_state(4, "psd_float")
         back = state_from_json(state_to_json(rho))
-        assert back.dtype == np.complex128
+        assert back.dtype == np.float64
         assert np.array_equal(back, rho)
 
     def test_rejects_wrong_schema(self):
@@ -408,4 +443,31 @@ class TestJsonIO:
         matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
         matrix[3][4] = matrix[4][3] = [part, "0"]
         payload = {"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix}
-        assert state_from_json(json.dumps(payload))[3, 4] == GaussianRational(Fraction(part))
+        assert state_from_json(json.dumps(payload))[3, 4] == Fraction(part)
+
+
+def coprime_denominators_payload(digits: int, count: int) -> dict:
+    """The maximally mixed state with count off-diagonal parts 1/(10^(digits-1) + k).
+
+    Consecutive integers are coprime, so the common denominator has about
+    count * digits digits while every part stays within the digit limit.
+    """
+    matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
+    dens = iter(10 ** (digits - 1) + k for k in range(1, count + 1))
+    for i, j in itertools.islice(itertools.combinations(range(6), 2), count // 2):
+        re_den, im_den = next(dens), next(dens)
+        matrix[i][j] = [f"1/{re_den}", f"1/{im_den}"]
+        matrix[j][i] = [f"1/{re_den}", f"-1/{im_den}"]
+    return {"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix}
+
+
+class TestCommonDenominator:
+    def test_rejects_common_denominator_beyond_twice_the_digit_limit(self):
+        payload = coprime_denominators_payload(3900, 30)
+        with pytest.raises(ValueError, match="common denominator .* more than 8600 digits"):
+            state_from_json(json.dumps(payload))
+
+    def test_accepts_common_denominator_within_twice_the_digit_limit(self):
+        rho = state_from_json(json.dumps(coprime_denominators_payload(2140, 4)))
+        assert rho[0, 1] == rho[1, 0] and rho[6, 1] == -rho[7, 0]
+        assert 10**8500 < decompose_state(rho).scale // 12 < 10**8600
