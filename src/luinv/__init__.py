@@ -20,7 +20,6 @@ from luinv.molien import (
     poincare_multigraded,
     quadrature_coefficients,
     verify_theorem,
-    weight_system,
 )
 from luinv.states import (
     StateDecomposition,
@@ -43,7 +42,6 @@ __all__ = [
     "poincare_multigraded",
     "quadrature_coefficients",
     "verify_theorem",
-    "weight_system",
     "StateDecomposition",
     "decompose_state",
     "recompose",

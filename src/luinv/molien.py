@@ -4,9 +4,12 @@ The 35-dimensional space of traceless hermitian 6x6 matrices splits
 under SU(2)xSU(3) into a qubit part (dim 3), a qutrit part (dim 8) and a
 correlation part (dim 24).  On the maximal torus, with coordinates x for
 SU(2) and (y, z) for SU(3), the action diagonalizes into 35 weights, all
-with exponents in {-1, 0, 1} per variable.  Weyl integration turns the
-group average of 1/det(1 - t g) into a constant-term extraction: the
-dimension of the degree-d invariant space is
+with exponents in {-1, 0, 1} per variable.  GRADES tabulates them once,
+by subspace and repeated by multiplicity, and WEIGHTS joins the three
+grades; the engine, the multigraded table and the quadrature all read
+them from there.  Weyl integration turns the group average of
+1/det(1 - t g) into a constant-term extraction: the dimension of the
+degree-d invariant space is
 
     CT( weyl_factor * h_d )
 
@@ -31,6 +34,7 @@ whole series against the tabulated closed form in luinv.reference.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -43,32 +47,21 @@ from luinv import reference
 
 Weight = Tuple[int, int, int]
 
-#: Tags for the three irreducible pieces of the 35-dim space.
-TAGS = ("qubit", "qutrit", "corr")
-
-#: The six nonzero weights of the qutrit adjoint (y-z exponent pairs).
-_QUTRIT_ROOTS = (
-    (0, 1, 0), (0, 0, 1), (0, 1, 1),
-    (0, -1, 0), (0, 0, -1), (0, -1, -1),
-)
-
-#: (1 - 1/x)(1 - 1/y)(1 - 1/z)(1 - 1/(yz)) expanded, as (exponents,
-#: coefficient) pairs.  Multiplying by this factor reduces the Weyl
-#: integral over the group to a plain constant-term extraction.
-WEYL_TERMS = (
-    ((0, 0, 0), 1),
-    ((0, -1, 0), -1),
-    ((0, 0, -1), -1),
-    ((0, -2, -1), 1),
-    ((0, -1, -2), 1),
-    ((0, -2, -2), -1),
-    ((-1, 0, 0), -1),
-    ((-1, -1, 0), 1),
-    ((-1, 0, -1), 1),
-    ((-1, -2, -1), -1),
-    ((-1, -1, -2), -1),
-    ((-1, -2, -2), 1),
-)
+#: The 35 torus weights, (x, y, z) exponents, by subspace, each repeated by
+#: its multiplicity: the qubit part x^{+-1}, 1 (dim 3); the qutrit part,
+#: the six roots and two zero weights (dim 8); the correlation part,
+#: {x, 1, 1/x} times the qutrit part (dim 24).  The order of the grades
+#: is the order of the multidegree (d1, d2, d3).
+GRADES: Dict[str, Tuple[Weight, ...]] = {
+    "qubit": ((1, 0, 0), (-1, 0, 0), (0, 0, 0)),
+    "qutrit": (
+        (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, -1, 0), (0, 0, -1), (0, -1, -1),
+        (0, 0, 0), (0, 0, 0),
+    ),
+}
+GRADES["corr"] = tuple((s, y, z) for s in (1, 0, -1) for _, y, z in GRADES["qutrit"])
+#: All 35 weights in one multiset.
+WEIGHTS: Tuple[Weight, ...] = sum(GRADES.values(), ())
 
 #: Default cap on the engine's estimated bytes held (1 GiB).
 DEFAULT_MEMORY_BUDGET = 1 << 30
@@ -83,58 +76,6 @@ MULTIGRADED_NOTE = (
 
 class MemoryBudgetError(MemoryError):
     """A run's estimated memory would exceed the memory budget."""
-
-
-@dataclass(frozen=True)
-class WeightEntry:
-    weight: Weight
-    multiplicity: int
-    tag: str
-
-
-@dataclass(frozen=True)
-class WeightSystem:
-    """Multiset of torus weights with multiplicities and subspace tags."""
-
-    entries: Tuple[WeightEntry, ...]
-
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
-    def subsystem(self, tag: str) -> "WeightSystem":
-        if tag not in TAGS:
-            raise ValueError(f"unknown tag {tag!r}; expected one of {TAGS}")
-        return WeightSystem(tuple(e for e in self.entries if e.tag == tag))
-
-    def weights(self) -> List[Weight]:
-        """Every weight, repeated by its multiplicity."""
-        return [e.weight for e in self.entries for _ in range(e.multiplicity)]
-
-
-def weight_system() -> WeightSystem:
-    """The 35 torus weights of traceless hermitian 6x6 matrices.
-
-    qubit part:  x^{+-1} and one zero weight (dim 3)
-    qutrit part: the six roots and two zero weights (dim 8)
-    corr part:   {x^{+-1}, 1} times {roots, two zeros} (dim 24)
-    """
-    entries: List[WeightEntry] = [
-        WeightEntry((1, 0, 0), 1, "qubit"),
-        WeightEntry((-1, 0, 0), 1, "qubit"),
-        WeightEntry((0, 0, 0), 1, "qubit"),
-    ]
-    entries += [WeightEntry(r, 1, "qutrit") for r in _QUTRIT_ROOTS]
-    entries.append(WeightEntry((0, 0, 0), 2, "qutrit"))
-    for s in (1, 0, -1):
-        entries += [
-            WeightEntry((s, r[1], r[2]), 1, "corr") for r in _QUTRIT_ROOTS
-        ]
-    entries += [
-        WeightEntry((1, 0, 0), 2, "corr"),
-        WeightEntry((-1, 0, 0), 2, "corr"),
-        WeightEntry((0, 0, 0), 2, "corr"),
-    ]
-    return WeightSystem(tuple(entries))
 
 
 def _estimated_bytes(k: int, d: int) -> int:
@@ -255,7 +196,8 @@ def _dimensions(
                 sign = 1 if sum(order[b]) == sum(alpha) else -1
                 e[t] = (e[t] + sign * (pq[0, a] * pq[1, b] % p)) % p
         _divide(e, ((g, at(w)) for g, w in split[2]), sources, p)
-        weyl = sum(c * at(w) for w, c in WEYL_TERMS if w[0] == 0) % p
+        # the x-free part of the Weyl factor, (1 - 1/y)(1 - 1/z)(1 - 1/(yz))
+        weyl = (1 - at((0, -1, 0))) * (1 - at((0, 0, -1))) % p * (1 - at((0, -1, -1))) % p
         # a row sums fewer than 2^32 values below 2^31, which int64 holds
         residues = [int((r * weyl % p).sum()) * pow(m * m, -1, p) % p for r in e]
         inverse = pow(modulus, -1, p)
@@ -268,7 +210,7 @@ def poincare_coefficients(
     max_degree: int, *, memory_budget: Optional[int] = None
 ) -> List[int]:
     """Exact dimensions of the invariant spaces at degrees 0..max_degree."""
-    dims = _dimensions([weight_system().weights()], max_degree, memory_budget)
+    dims = _dimensions([WEIGHTS], max_degree, memory_budget)
     return [dims[(d,)] for d in range(max_degree + 1)]
 
 
@@ -297,23 +239,14 @@ def poincare_multigraded(
 ) -> MultigradedTable:
     """Multigraded refinement of the series, up to a total degree.
 
-    Runs the series engine with one grade per subspace: the coefficient
-    at (d1, d2, d3) is CT(weyl * h_{d1}(qubit) * h_{d2}(qutrit) *
-    h_{d3}(corr)).
+    Runs the series engine with one grade per subspace of GRADES: the
+    coefficient at (d1, d2, d3) is CT(weyl * h_{d1}(qubit) *
+    h_{d2}(qutrit) * h_{d3}(corr)).
     """
-    ws = weight_system()
-    grades = [ws.subsystem(tag).weights() for tag in TAGS]
-    dims = _dimensions(grades, max_total_degree, memory_budget)
+    dims = _dimensions(list(GRADES.values()), max_total_degree, memory_budget)
     return MultigradedTable(
         max_total_degree, {delta: v for delta, v in dims.items() if v}
     )
-
-
-def _distinct_weight_factors(ws: WeightSystem) -> List[Tuple[Tuple[int, int, int], int]]:
-    terms: Dict[Tuple[int, int, int], int] = {}
-    for e in ws.entries:
-        terms[e.weight] = terms.get(e.weight, 0) + e.multiplicity
-    return sorted(terms.items())
 
 
 def _quadrature_bytes(max_degree: int, grid_size: int) -> int:
@@ -359,7 +292,7 @@ def _torus_series(
     """
     order = max_degree + 1
     power = np.zeros((order, x.size), dtype=np.complex128)  # row k holds p_k
-    for (ex, ey, ez), mult in _distinct_weight_factors(weight_system()):
+    for (ex, ey, ez), mult in sorted(collections.Counter(WEIGHTS).items()):
         wval = (x ** ex) * (y ** ey) * (z ** ez)
         wpow = np.ones_like(wval)
         for k in range(1, order):
@@ -512,11 +445,6 @@ def verify_theorem(computed: Sequence[int]) -> SeriesReport:
 
     gap = len(den) - len(num)
     gap_star = len(den_star) - len(num_star)
-    hsop = tuple(
-        e
-        for e, mult in sorted(reference.NONNEG_DENOMINATOR_FACTORS)
-        for _ in range(mult)
-    )
     return SeriesReport(
         max_degree=len(computed) - 1,
         coefficients=tuple(computed),
@@ -530,6 +458,6 @@ def verify_theorem(computed: Sequence[int]) -> SeriesReport:
         transform_identity=np.array_equal(np.convolve(den, transform), den_star)
         and np.array_equal(np.convolve(num, transform), num_star),
         degree_gap=gap if gap == gap_star else -1,
-        hsop_degrees=hsop,
+        hsop_degrees=reference.hsop_degrees(),
         series_head=computed[0] == 1 and all(c == 0 for c in computed[1:2]),
     )

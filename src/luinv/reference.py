@@ -43,7 +43,6 @@ NUMERATOR_TAIL_CHECK = {36: 2286037, 66: 2, 67: -2, 69: 1, 70: 1}
 
 # D = (1 + t) * prod (1 - t^e)^m over the pairs below; degree 105.
 DENOMINATOR_FACTORS = ((2, 3), (3, 6), (4, 5), (5, 4), (6, 3), (7, 2), (8, 1))
-DENOMINATOR_TIMES_ONE_PLUS_T = True
 
 # --- nonnegative form: N* / D* (both sides times (1-t+t^2)(1+t^3)) ------
 
@@ -60,7 +59,8 @@ NONNEG_NUMERATOR_LOW_COEFFS = (
 
 NONNEG_NUMERATOR_TAIL_CHECK = {38: 4398377, 69: 38, 70: 9, 71: 4, 75: 1}
 
-# D* = prod (1 - t^e)^m; degree 110.
+# D* = prod (1 - t^e)^m; degree 110.  The exponents, with multiplicity,
+# are the expected degrees of a homogeneous system of parameters.
 NONNEG_DENOMINATOR_FACTORS = ((2, 3), (3, 4), (4, 5), (5, 4), (6, 5), (7, 2), (8, 1))
 
 # --- series prefix used for direct spot checks --------------------------
@@ -71,10 +71,6 @@ TAYLOR_COEFFS = (
     2600, 5641, 12872, 27099, 57990, 118254, 240187, 472273, 919432,
     1745295,
 )
-
-# Expected degrees of a homogeneous system of parameters, read off the
-# exponents of D*'s factors: 24 values in total.
-HSOP_DEGREE_COUNTS = {2: 3, 3: 4, 4: 5, 5: 4, 6: 5, 7: 2, 8: 1}
 
 
 class ReferenceDataError(ValueError):
@@ -128,9 +124,7 @@ def numerator_poly() -> Tuple[int, ...]:
 
 def denominator_poly() -> Tuple[int, ...]:
     """D(t), expanded from its factored form (degree 105)."""
-    return _expand_factors(
-        DENOMINATOR_FACTORS, times_one_plus_t=DENOMINATOR_TIMES_ONE_PLUS_T
-    )
+    return _expand_factors(DENOMINATOR_FACTORS, times_one_plus_t=True)
 
 
 def nonneg_numerator_poly() -> Tuple[int, ...]:
@@ -147,8 +141,7 @@ def nonneg_denominator_poly() -> Tuple[int, ...]:
     return _expand_factors(NONNEG_DENOMINATOR_FACTORS)
 
 
-def hsop_degrees() -> tuple[int, ...]:
-    """Sorted degree multiset of a homogeneous system of parameters."""
-    return tuple(
-        e for e, count in sorted(HSOP_DEGREE_COUNTS.items()) for _ in range(count)
-    )
+def hsop_degrees() -> Tuple[int, ...]:
+    """Sorted degree multiset of a homogeneous system of parameters, read off
+    the exponents of D*'s factors with multiplicity: 24 values in total."""
+    return tuple(e for e, m in sorted(NONNEG_DENOMINATOR_FACTORS) for _ in range(m))

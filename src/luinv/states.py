@@ -282,20 +282,26 @@ def _rational(part) -> Fraction:
     return Fraction(text)
 
 
+def _cut(text: str) -> str:
+    """text cut to 80 characters and "...", for an error that echoes input."""
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _parse_entry(entry, scalar: str, where: str) -> Tuple[Scalar, Scalar]:
+    shown = _cut(repr(entry))
     if not isinstance(entry, list) or len(entry) != 2:
-        raise ValueError(f"entry {where} must be an [re, im] pair, got {entry!r}")
+        raise ValueError(f"entry {where} must be an [re, im] pair, got {shown}")
     if scalar == "rational":
         try:
             return _rational(entry[0]), _rational(entry[1])
         except (ValueError, ZeroDivisionError) as err:
-            raise ValueError(f"bad rational entry {where} {entry!r}: {err}") from err
+            raise ValueError(f"bad rational entry {where} {shown}: {_cut(str(err))}") from err
     try:
         re_part, im_part = float(entry[0]), float(entry[1])
     except (TypeError, ValueError) as err:
-        raise ValueError(f"bad float entry {where} {entry!r}: {err}") from err
+        raise ValueError(f"bad float entry {where} {shown}: {_cut(str(err))}") from err
     if not (math.isfinite(re_part) and math.isfinite(im_part)):
-        raise ValueError(f"non-finite float entry {where} {entry!r}")
+        raise ValueError(f"non-finite float entry {where} {shown}")
     return re_part, im_part
 
 

@@ -22,6 +22,7 @@ from luinv.invariants import (
     invariance_battery,
 )
 from luinv.molien import (
+    WEIGHTS,
     _divide,
     _grid_primes,
     _palindromic,
@@ -30,7 +31,6 @@ from luinv.molien import (
     poincare_multigraded,
     quadrature_coefficients,
     verify_theorem,
-    weight_system,
 )
 from luinv.states import decompose_state, embed, scale_components
 
@@ -107,9 +107,7 @@ def test_criterion_3_quadrature_oracle(coeffs19):
 
 
 def test_criterion_4_brute_force_character_oracle():
-    weights = []
-    for entry in weight_system().entries:
-        weights.extend([entry.weight] * entry.multiplicity)
+    weights = WEIGHTS
     ok = len(weights) == 35
     # the engine's series at every point of the m^3 grid of m-th roots of
     # unity in F_p; m = 7 is prime and at least 2d + 1 for every d <= 3, so
@@ -420,11 +418,10 @@ def test_criterion_8_dimension_cross_checks(rational_states, coeffs19):
 
 
 def test_criterion_9_structural_constants():
-    ws = weight_system()
     expected_hsop = {2: 3, 3: 4, 4: 5, 5: 4, 6: 5, 7: 2, 8: 1}
     degrees = reference.hsop_degrees()
     counts = {d: degrees.count(d) for d in set(degrees)}
-    ok = ws.total_multiplicity() == 35
+    ok = len(WEIGHTS) == 35
     ok = ok and len(degrees) == 24 and counts == expected_hsop
     _criterion(
         9,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luinv import cli, reference
+from luinv import cli, molien, reference
 from luinv.states import random_state, state_to_json
 
 
@@ -192,6 +192,21 @@ class TestVerify:
         assert "first mismatch at degree 5" in out
         assert "verification FAILED" in out
 
+    def test_quadrature_mismatch_exit_1(self, capsys, monkeypatch):
+        def shifted(max_degree, grid_size, **kw):
+            exact = molien.quadrature_coefficients(max_degree, grid_size, **kw)
+            return [a + 0.5 for a in exact]
+
+        monkeypatch.setattr(cli, "quadrature_coefficients", shifted)
+        argv = ("verify", "--max-degree", "6", "--with-quadrature")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert "quadrature_match: FAIL" in out and "verification FAILED" in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == 1 and payload["passed"] is False
+        assert payload["quadrature"]["passed"] is False
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-degree", "4", "--format", "csv")
         assert code == 0
@@ -344,6 +359,27 @@ class TestInvariants:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "common denominator" in err and "8600 digits" in err
 
+    @pytest.mark.parametrize(
+        "scalar, entry, message",
+        [
+            ("rational", ["1" * 4301, "1" * 4301], "bad rational entry (2, 5)"),
+            ("rational", ["1" * 5000], "entry (2, 5) must be an [re, im] pair"),
+            ("float", ["x" * 5000, 0], "bad float entry (2, 5)"),
+        ],
+    )
+    def test_long_entry_echo_is_cut(self, capsys, tmp_path, scalar, entry, message):
+        sixth, zero = ("1/6", "0") if scalar == "rational" else (1 / 6, 0)
+        matrix = [[[sixth if i == j else zero, zero] for j in range(6)] for i in range(6)]
+        matrix[2][5] = entry
+        path = tmp_path / "long.json"
+        path.write_text(
+            json.dumps({"schema": "luinv.state.v1", "scalar": scalar, "matrix": matrix})
+        )
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.encode()) < 300 and message in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--state", "/nonexistent.json")
         assert code == 2 and "state file" in err
@@ -479,6 +515,19 @@ class TestMultigraded:
 
     def test_memory_budget_exit_2_with_advisory(self, capsys):
         assert_advised_degree_runs(capsys, "multigraded", 12, 20000)
+
+    def test_row_sum_mismatch_exit_1(self, capsys, monkeypatch):
+        def bumped(max_total_degree, **kw):
+            table = molien.poincare_multigraded(max_total_degree, **kw)
+            table.entries[(0, 2, 0)] += 1
+            return table
+
+        monkeypatch.setattr(cli, "poincare_multigraded", bumped)
+        code, out, _ = run_cli(capsys, "multigraded", "--max-degree", "3")
+        assert code == 1
+        assert "row sums consistent with series: NO" in out
+        code, out, _ = run_cli(capsys, "multigraded", "--max-degree", "3", "--format", "json")
+        assert code == 1 and json.loads(out)["row_sums_match"] is False
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Constant-term engine: weights, characters, series, quadrature."""
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -12,13 +13,10 @@ from hypothesis import strategies as st
 from luinv import molien, reference
 from luinv.molien import (
     DEFAULT_MEMORY_BUDGET,
-    TAGS,
-    WEYL_TERMS,
+    GRADES,
+    WEIGHTS,
     MemoryBudgetError,
-    WeightEntry,
-    WeightSystem,
     _dimensions,
-    _distinct_weight_factors,
     _divide,
     _estimated_bytes,
     _grid_primes,
@@ -28,7 +26,6 @@ from luinv.molien import (
     poincare_multigraded,
     quadrature_coefficients,
     verify_theorem,
-    weight_system,
 )
 
 # Independent transcription of the 21 distinct weights with their
@@ -61,50 +58,24 @@ EXPECTED_MULTIPLICITIES = {
 
 class TestWeightSystem:
     def test_total_multiplicity_is_35(self):
-        assert weight_system().total_multiplicity() == 35
+        assert len(WEIGHTS) == 35
 
     def test_distinct_weight_multiset(self):
-        ws = weight_system()
-        combined = {}
-        for entry in ws.entries:
-            combined[entry.weight] = combined.get(entry.weight, 0) + entry.multiplicity
-        assert combined == EXPECTED_MULTIPLICITIES
+        assert dict(collections.Counter(WEIGHTS)) == EXPECTED_MULTIPLICITIES
 
     def test_subsystem_dimensions(self):
-        ws = weight_system()
-        dims = {tag: ws.subsystem(tag).total_multiplicity() for tag in TAGS}
+        dims = {tag: len(weights) for tag, weights in GRADES.items()}
         assert dims == {"qubit": 3, "qutrit": 8, "corr": 24}
-
-    def test_subsystem_rejects_unknown_tag(self):
-        with pytest.raises(ValueError):
-            weight_system().subsystem("nope")
+        assert WEIGHTS == GRADES["qubit"] + GRADES["qutrit"] + GRADES["corr"]
 
     def test_character_at_ones_is_dimension(self):
-        assert engine_character(weight_system().weights(), 1).sum() == 35
+        assert engine_character(WEIGHTS, 1).sum() == 35
 
     def test_weights_are_closed_under_negation(self):
         # conjugation-invariance of the representation
         for weight, mult in EXPECTED_MULTIPLICITIES.items():
             negated = (-weight[0], -weight[1], -weight[2])
             assert EXPECTED_MULTIPLICITIES[negated] == mult
-
-
-class TestWeylFactor:
-    def test_constant_term_is_one(self):
-        assert dict(WEYL_TERMS)[(0, 0, 0)] == 1
-
-    def test_vanishes_at_ones(self):
-        assert sum(c for _, c in WEYL_TERMS) == 0
-
-    def test_known_coefficients(self):
-        w = dict(WEYL_TERMS)
-        assert w[(-1, 0, 0)] == -1
-        assert w[(0, -1, 0)] == -1
-        # the product of all four negative factors
-        assert w[(-1, -2, -2)] == 1
-        assert w[(0, -2, -2)] == -1
-        assert len(WEYL_TERMS) == len(w) == 12
-        assert w == weyl_by_expansion()
 
 
 def dict_mul(a: dict, b: dict) -> dict:
@@ -197,7 +168,7 @@ def ct_of_product(a: dict, b: dict) -> int:
 
 class TestCharacters:
     def test_h0_and_h1(self):
-        weights = weight_system().weights()
+        weights = WEIGHTS
         assert (engine_character(weights, 0) == dense({(0, 0, 0): 1}, 0)).all()
         h1 = engine_character(weights, 1)
         assert (h1 == dense(EXPECTED_MULTIPLICITIES, 1)).all()
@@ -206,7 +177,7 @@ class TestCharacters:
     def test_newton_matches_brute_force(self, d):
         # the engine's h_d equals enumeration, and satisfies Newton's
         # identity d*h_d = sum_k p_k*h_{d-k} that it no longer relies on
-        weights = weight_system().weights()
+        weights = WEIGHTS
         assert len(weights) == 35
         h_d = engine_character(weights, d)
         assert (h_d == dense(brute_force_character(weights, d), d)).all()
@@ -220,12 +191,12 @@ class TestCharacters:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_dimension_via_stars_and_bars(self, d):
         # dim Sym^d of a 35-dim space, independently of any weights
-        h = engine_character(weight_system().weights(), d)
+        h = engine_character(WEIGHTS, d)
         assert h.sum() == math.comb(34 + d, d)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            _dimensions([weight_system().weights()], -1, None)
+            _dimensions([WEIGHTS], -1, None)
 
     def test_small_system_by_hand(self):
         # {x, 1/x}: size-3 multisets give x^3 + x + 1/x + 1/x^3
@@ -234,17 +205,14 @@ class TestCharacters:
         assert (h3 == dense(expected, 3)).all()
 
     def test_split_multiplicity_entries_are_equivalent(self):
-        merged = WeightSystem((WeightEntry((1, 0, 0), 3, "qubit"),))
-        split = WeightSystem(
-            (
-                WeightEntry((1, 0, 0), 2, "qubit"),
-                WeightEntry((1, 0, 0), 1, "qubit"),
-            )
-        )
-        h2 = engine_character(merged.weights(), 2)
-        assert (h2 == engine_character(split.weights(), 2)).all()
-        # six size-2 multisets of three copies of x
-        assert (h2 == dense({(2, 0, 0): 6}, 2)).all()
+        # a multiplicity held as adjacent copies, or as copies spread
+        # between other weights, gives the same character
+        merged = [(1, 0, 0)] * 3 + [(0, 1, 0)]
+        split = [(1, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 0)]
+        h2 = engine_character(merged, 2)
+        assert (h2 == engine_character(split, 2)).all()
+        # six size-2 multisets of three copies of x, three with one y, one y^2
+        assert (h2 == dense({(2, 0, 0): 6, (1, 1, 0): 3, (0, 2, 0): 1}, 2)).all()
 
     @given(
         st.lists(
@@ -308,7 +276,7 @@ class TestSeries:
     def test_ct_shortcut_matches_full_product(self, d):
         # the engine's dot against the weyl factor on a pruned window ==
         # literal CT of the full product
-        h = engine_character(weight_system().weights(), d)
+        h = engine_character(WEIGHTS, d)
         terms = {
             (a - d, b - d, c - d): int(v) for (a, b, c), v in np.ndenumerate(h) if v
         }
@@ -319,10 +287,9 @@ class TestSeries:
         with pytest.raises(MemoryBudgetError, match="feasible max degree"):
             poincare_coefficients(19, memory_budget=30_000)
 
-    @pytest.mark.parametrize("tags, degrees", [(None, (0, 3, 12, 35)), (TAGS, (0, 3, 8))])
+    @pytest.mark.parametrize("tags, degrees", [(None, (0, 3, 12, 35)), (tuple(GRADES), (0, 3, 8))])
     def test_estimate_bounds_the_traced_peak(self, tags, degrees):
-        ws = weight_system()
-        grades = [ws.weights()] if tags is None else [ws.subsystem(t).weights() for t in tags]
+        grades = [WEIGHTS] if tags is None else [GRADES[t] for t in tags]
         for d in degrees:
             tracemalloc.start()
             try:
@@ -367,7 +334,7 @@ class TestQuadrature:
         order = max_degree + 1
         product = np.zeros((x.size, order), dtype=np.complex128)
         product[:, 0] = 1.0
-        for (ex, ey, ez), mult in _distinct_weight_factors(weight_system()):
+        for (ex, ey, ez), mult in sorted(collections.Counter(WEIGHTS).items()):
             wval = (x ** ex) * (y ** ey) * (z ** ez)
             factor = np.array(
                 [math.comb(k + mult - 1, mult - 1) * wval ** k for k in range(order)]
