@@ -187,15 +187,17 @@ def cmd_multigraded(args) -> int:
     return 0 if consistent else 1
 
 
-def _memory_budget(text: str) -> int:
-    """argparse type for --memory-budget: a positive byte count."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _integer(minimum: int):
+    """argparse type for --seed and --memory-budget: an integer of at least minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _engine_options(max_degree: int) -> argparse.ArgumentParser:
@@ -203,7 +205,7 @@ def _engine_options(max_degree: int) -> argparse.ArgumentParser:
     # one per subcommand: set_defaults on a shared parent's action moves them all
     options = argparse.ArgumentParser(add_help=False)
     options.add_argument("--max-degree", type=int, default=max_degree)
-    options.add_argument("--memory-budget", type=_memory_budget, default=None, metavar="BYTES")
+    options.add_argument("--memory-budget", type=_integer(1), default=None, metavar="BYTES")
     return options
 
 
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--random", action="store_true", help="random state (needs --seed)")
     source.add_argument("--battery", action="store_true", help="invariance trials (needs --seed)")
     p.add_argument("--scalar", choices=("exact", "float"), default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer(0), default=None)
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_invariants)
 

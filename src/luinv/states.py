@@ -28,6 +28,9 @@ denominator, so exact pieces are integer arrays.  Exact random states
 come from A A^dagger / tr(A A^dagger) with Gaussian-integer A, float
 ones from the Ginibre ensemble, and Haar special unitaries from QR with
 the standard phase fix.
+
+The array functions act on the last two axes, so a stack (N, 12, 12) of
+float states takes the same code as one state, checked state by state.
 """
 
 from __future__ import annotations
@@ -62,20 +65,28 @@ def pauli_basis() -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """J(A (x) B) from the 4x4 J(A) and the 6x6 J(B)."""
-    return np.einsum(
-        "ciek,ejdl->cijdkl", a.reshape(2, 2, 2, 2), b.reshape(2, 3, 2, 3)
-    ).reshape(12, 12)
+    """J(A (x) B) from the 4x4 J(A) and the 6x6 J(B); leading axes broadcast."""
+    out = np.einsum(
+        "...ciek,...ejdl->...cijdkl",
+        a.reshape(*a.shape[:-2], 2, 2, 2, 2),
+        b.reshape(*b.shape[:-2], 2, 3, 2, 3),
+    )
+    return out.reshape(*out.shape[:-6], 12, 12)
+
+
+def _split(m: np.ndarray) -> np.ndarray:
+    """An embedded 6x6 array, or a stack of them, indexed (..., c, i, j, d, k, l)."""
+    return m.reshape(*m.shape[:-2], 2, 2, 3, 2, 2, 3)
 
 
 def partial_trace_qutrit(m: np.ndarray) -> np.ndarray:
     """Trace out the qutrit factor of an embedded 6x6 array, leaving the 4x4 J(2x2)."""
-    return np.trace(m.reshape(2, 2, 3, 2, 2, 3), axis1=2, axis2=5).reshape(4, 4)
+    return np.trace(_split(m), axis1=-4, axis2=-1).reshape(*m.shape[:-2], 4, 4)
 
 
 def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
     """Trace out the qubit factor of an embedded 6x6 array, leaving the 6x6 J(3x3)."""
-    return np.trace(m.reshape(2, 2, 3, 2, 2, 3), axis1=1, axis2=4).reshape(6, 6)
+    return np.trace(_split(m), axis1=-5, axis2=-2).reshape(*m.shape[:-2], 6, 6)
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,8 @@ class StateDecomposition:
     """Embedded pieces of s*rho = s/6 + X~(x)I + I(x)Y~ + Z~ for the integer scale s.
 
     The pieces are X~ = sX, Y~ = sY, Z~ = sZ and the parts P_k = 2s Y_k,
-    so that for an exact state every entry is an integer.
+    so that for an exact state every entry is an integer; a stack's axes
+    come before each piece's shape given below.
     """
 
     local_a: np.ndarray  # J(X~): 4x4, X traceless hermitian, qubit side
@@ -101,24 +113,26 @@ def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> None:
     """Raise ValueError unless rho embeds a 6x6 hermitian matrix with unit trace.
 
     That is: rho is 12x12, symmetric (J(M)^T = J(M^dagger)), of the form
-    [[R, -I], [I, R]], and tr R = 1.  Exact states must hold int or
-    Fraction entries only and pass exactly; float states are held to the
-    tolerance, and a NaN anywhere fails the checks.
+    [[R, -I], [I, R]], and tr R = 1; a stack (..., 12, 12) passes if each
+    state does.  Exact states must hold int or Fraction entries only and
+    pass exactly; float states are held to the tolerance, and a NaN
+    anywhere fails the checks.
     """
-    if rho.shape != (12, 12):
+    if rho.shape[-2:] != (12, 12):
         raise ValueError(f"expected the 12x12 embedding of a 6x6 matrix, got shape {rho.shape}")
     if rho.dtype == object:
         if not all(type(v) in (int, Fraction) for v in rho.flat):
             raise ValueError("exact states must hold int or Fraction entries")
         tolerance = 0
-    if not abs(rho - rho.T).max() <= tolerance:
+    if not abs(rho - rho.swapaxes(-1, -2)).max() <= tolerance:
         raise ValueError("state is not hermitian")
-    re, im = rho[:6, :6], rho[6:, :6]
-    if not (abs(rho[6:, 6:] - re).max() <= tolerance and abs(rho[:6, 6:] + im).max() <= tolerance):
+    re, im = rho[..., :6, :6], rho[..., 6:, :6]
+    blocks = abs(rho[..., 6:, 6:] - re).max(), abs(rho[..., :6, 6:] + im).max()
+    if not all(b <= tolerance for b in blocks):
         raise ValueError("state is not an embedding [[R, -I], [I, R]] of a complex matrix")
-    trace = np.trace(re)
-    if not abs(trace - 1) <= tolerance:
-        raise ValueError(f"state trace is {trace}, not 1")
+    trace = np.trace(re, axis1=-2, axis2=-1)
+    if not np.all(abs(trace - 1) <= tolerance):
+        raise ValueError(f"state trace is {np.ravel(trace)[np.argmax(abs(trace - 1))]}, not 1")
 
 
 def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -131,8 +145,8 @@ def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
 
 
 def _add_identity(m: np.ndarray, c) -> np.ndarray:
-    """m + c * identity, in place on the square, contiguous m."""
-    m.reshape(-1)[:: len(m) + 1] += c
+    """m + c * identity on the last two axes, in place on the contiguous m."""
+    m.reshape(*m.shape[:-2], -1)[..., :: m.shape[-1] + 1] += c
     return m
 
 
@@ -142,16 +156,16 @@ def _local_sum(local_a: np.ndarray, local_b: np.ndarray) -> np.ndarray:
 
 
 def decompose_state(rho: np.ndarray) -> StateDecomposition:
-    """Split a state, validated at the default tolerance, into its pieces."""
+    """Split a state or a stack of them, validated at the default tolerance, into its pieces."""
     validate_state(rho)
     den, n = _integer_form(rho)
     local_a = _add_identity(4 * partial_trace_qutrit(n), -2 * den)
     local_b = _add_identity(6 * partial_trace_qubit(n), -2 * den)
     corr = _add_identity(12 * n, -2 * den) - _local_sum(local_a, local_b)
-    # P_k = tr_qubit((E_k (x) I) Z~)
-    corr_parts = np.einsum(
-        "kcaeb,ebjdal->kcjdl", pauli_basis().reshape(3, 2, 2, 2, 2), corr.reshape(2, 2, 3, 2, 2, 3)
-    ).reshape(3, 6, 6)
+    # P_k = tr_qubit((E_k (x) I) Z~): E_k is indexed (k, c, a, e, b), Z~ (..., e, b, j, d, a, l)
+    paulis = pauli_basis().reshape(3, 2, 2, 2, 2)
+    corr_parts = np.tensordot(_split(corr), paulis, axes=([-6, -5, -2], [3, 4, 2]))
+    corr_parts = np.moveaxis(corr_parts, (-2, -1), (-5, -4)).reshape(*corr.shape[:-2], 3, 6, 6)
     return StateDecomposition(local_a, local_b, corr, corr_parts, 12 * den)
 
 
@@ -178,6 +192,18 @@ def recompose(dec: StateDecomposition) -> np.ndarray:
     return divide(_add_identity(total, dec.scale // 6), dec.scale, dec.exact)
 
 
+def _ginibre(normals: np.ndarray, n: int) -> np.ndarray:
+    """Complex n x n Gaussian matrices from 2n^2 normals on the last axis, real parts first."""
+    return (normals[..., : n * n] + 1j * normals[..., n * n :]).reshape(*normals.shape[:-1], n, n)
+
+
+def _gram_state(g: np.ndarray) -> np.ndarray:
+    """The embedded state G G^dagger / tr(G G^dagger); leading axes stack."""
+    gram = g @ g.conj().swapaxes(-1, -2)
+    gram /= np.trace(gram, axis1=-2, axis2=-1).real[..., None, None]
+    return embed(gram.real, gram.imag)
+
+
 def random_state(seed: int, kind: str = "rational") -> np.ndarray:
     """Deterministic random density matrix.
 
@@ -197,44 +223,42 @@ def random_state(seed: int, kind: str = "rational") -> np.ndarray:
                 return gram * Fraction(1, tr)
     if kind == "psd_float":
         rng_np = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        g = rng_np.normal(size=(6, 6)) + 1j * rng_np.normal(size=(6, 6))
-        gram_np = g @ g.conj().T
-        gram_np /= np.trace(gram_np).real
-        return embed(gram_np.real, gram_np.imag)
+        return _gram_state(_ginibre(rng_np.normal(size=72), 6))
     raise ValueError(f"unknown state kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class LocalUnitaryPair:
-    """An element (u2, u3) of SU(2) x SU(3), complex128 arrays."""
+    """An element (u2, u3) of SU(2) x SU(3), complex128 arrays; leading axes stack."""
 
     u2: np.ndarray
     u3: np.ndarray
 
 
-def _haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    # divide out an n-th root of the determinant to land in SU(n)
-    det = np.linalg.det(q)
-    return q / det ** (1.0 / n)
+def _haar_special_unitary(g: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(g)  # g: Ginibre draws, one n x n matrix or a stack
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    # into SU(n) by an n-th root of det q; np.power, as ** rounds arrays differently
+    return q / np.power(np.linalg.det(q), 1.0 / g.shape[-1])[..., None, None]
+
+
+def _local_unitary(normals: np.ndarray) -> LocalUnitaryPair:
+    """The pair made of 26 normals on the last axis: u2's 8, then u3's 18."""
+    u2 = _haar_special_unitary(_ginibre(normals[..., :8], 2))
+    return LocalUnitaryPair(u2, _haar_special_unitary(_ginibre(normals[..., 8:], 3)))
 
 
 def random_local_unitary(seed) -> LocalUnitaryPair:
     """Haar-distributed SU(2) x SU(3) pair from a seed or Generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u2 = _haar_special_unitary(2, rng)
-    u3 = _haar_special_unitary(3, rng)
-    return LocalUnitaryPair(u2, u3)
+    return _local_unitary(rng.normal(size=26))
 
 
 def apply_local_unitary(rho: np.ndarray, pair: LocalUnitaryPair) -> np.ndarray:
-    """Conjugate a state by u2 (x) u3, in float arithmetic."""
-    u = np.kron(pair.u2, pair.u3)
-    ju = embed(u.real, u.imag)
-    return ju @ rho.astype(float, copy=False) @ ju.T
+    """Conjugate a state by u2 (x) u3, in float arithmetic; leading axes broadcast."""
+    ju = kron(embed(pair.u2.real, pair.u2.imag), embed(pair.u3.real, pair.u3.imag))
+    return ju @ rho.astype(float, copy=False) @ ju.swapaxes(-1, -2)
 
 
 def _fraction_str(q: Fraction) -> str:

@@ -479,6 +479,28 @@ class TestInvariants:
             cli.main(["invariants", "--battery"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["--battery"],
+            ["--random", "--scalar", "float"],
+            ["--random", "--scalar", "exact"],
+            ["--random"],
+        ],
+    )
+    def test_bad_seed_is_a_usage_error_naming_the_option(self, capsys, mode, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["invariants", *mode, "--seed", seed])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --seed: must be an integer >= 0" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_seed_zero_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "invariants", "--random", "--seed", "0")
+        assert code == 0 and len(out.split()) == 7
+
 
 class TestMultigraded:
     def test_degree_zero(self, capsys):

@@ -1,10 +1,12 @@
-"""Invariant evaluation: dual routes, invariance, homogeneity, ranks."""
+"""Invariant evaluation: dual routes, stacks, invariance, homogeneity, ranks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from luinv import invariants
 from luinv.invariants import (
     COMPONENTS,
     DEGREE_THREE,
@@ -19,6 +21,7 @@ from luinv.invariants import (
     invariance_battery,
 )
 from luinv.states import (
+    LocalUnitaryPair,
     StateDecomposition,
     apply_local_unitary,
     decompose_state,
@@ -156,7 +159,7 @@ class TestInvarianceBattery:
         with pytest.raises(ValueError):
             invariance_battery(trials=0, seed=1)
 
-    @pytest.mark.parametrize("trials, seed", [(1, 0), (3, 5), (12, 2**40 + 3)])
+    @pytest.mark.parametrize("trials, seed", [(1, 0), (3, 5), (12, 2**40 + 3), (130, 9)])
     def test_matches_spawned_children(self, trials, seed):
         # reference: every child spawned up front, trial t drawing from child t
         children = np.random.SeedSequence(seed).spawn(trials)
@@ -181,6 +184,98 @@ class TestInvarianceBattery:
             passed=max_dev <= 1e-9,
         )
         assert invariance_battery(trials, seed) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, 130, 1000])
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        # 130 trials straddle two chunk boundaries at the default size of 64
+        expected = invariance_battery(130, 4)
+        monkeypatch.setattr(invariants, "BATTERY_CHUNK", chunk)
+        assert invariance_battery(130, 4) == expected
+
+    def test_decomposes_chunks_not_trials(self, monkeypatch):
+        # a return to one decomposition per state fails here
+        calls = []
+
+        def counted(rho):
+            calls.append(rho.shape)
+            return decompose_state(rho)
+
+        monkeypatch.setattr(invariants, "decompose_state", counted)
+        assert invariance_battery(300, 8).passed
+        assert len(calls) <= 2 * math.ceil(300 / invariants.BATTERY_CHUNK)
+        assert sum(shape[0] for shape in calls) == 600
+
+
+def float_stack(n: int, seed: int = 11) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.stack([random_state(rng, "psd_float") for _ in range(n)])
+
+
+def non_hermitian(rho):
+    off = np.zeros((6, 6))
+    off[0, 1] = 1e-3
+    return rho + embed(off, np.zeros((6, 6)))
+
+
+def with_nan(rho):
+    rho = rho.copy()
+    rho[2, 3] = rho[3, 2] = np.nan
+    return rho
+
+
+def overflowing(rho):
+    # hermitian with unit trace, but its invariants overflow to inf and nan
+    re = np.eye(6) / 6
+    re[0, 1] = re[1, 0] = 1e200
+    return embed(re, np.zeros((6, 6)))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", [1, 7, 64, 65])
+    def test_stack_values_equal_each_state_alone_bit_for_bit(self, n):
+        stack = float_stack(n)
+        values = eval_matrix_form(decompose_state(stack))
+        for name in COMPONENTS:
+            assert values.component(name).shape == (n,)
+        for i, rho in enumerate(stack):
+            alone = eval_matrix_form(decompose_state(rho))
+            for name in COMPONENTS:
+                assert values.component(name)[i] == alone.component(name)
+
+    def test_conjugated_stack_equals_each_state_alone(self):
+        stack = float_stack(5, seed=2)
+        pairs = [random_local_unitary(seed) for seed in range(5)]
+        stacked_pair = LocalUnitaryPair(
+            np.stack([p.u2 for p in pairs]), np.stack([p.u3 for p in pairs])
+        )
+        conjugated = apply_local_unitary(stack, stacked_pair)
+        for i, pair in enumerate(pairs):
+            assert np.array_equal(conjugated[i], apply_local_unitary(stack[i], pair))
+
+    @pytest.mark.parametrize(
+        "spoil, error, message",
+        [
+            (non_hermitian, ValueError, "not hermitian"),
+            (lambda rho: rho * 1.5, ValueError, "trace is 1.5"),
+            (with_nan, ValueError, "not hermitian"),
+            (overflowing, ArithmeticError, "not finite"),
+        ],
+        ids=["non_hermitian", "trace", "nan", "overflow"],
+    )
+    def test_one_bad_state_fails_the_stack_as_it_fails_alone(self, spoil, error, message):
+        stack = float_stack(6)
+        stack[3] = spoil(stack[3])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error, match=message) as alone:
+                eval_matrix_form(decompose_state(stack[3]))
+            with pytest.raises(error) as stacked:
+                eval_matrix_form(decompose_state(stack))
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_basis_form_refuses_a_stack(self):
+        with pytest.raises(ValueError, match="one state"):
+            eval_basis_form(decompose_state(float_stack(3)))
 
 
 class TestIndependence:
