@@ -17,11 +17,15 @@ where h_d, the character of the d-th symmetric power of the weight
 system, is the t^d coefficient of prod_w (1 - t w)^(-1) over the 35
 weights.  The Weyl factor is (1 - 1/x) times an x-free part, so the
 engine takes the x constant term in closed form and is left with a 2-D
-problem, which it evaluates mod p at every point of a square grid of
-roots of unity in F_p: dividing by (1 - t w) is the update G[d] += w *
-G[d-1] on int64 rows, and the grid average against the Weyl factor is
-each dimension mod p.  A few primes joined by the Chinese remainder
-theorem give the integers.  Giving each subspace its own t yields the
+problem, whose grid average over a square grid of roots of unity in F_p,
+against the rest of the Weyl factor, is each dimension mod p.  Apart from
+that factor the integrand is invariant under the 12 automorphisms of the
+SU(3) roots, A2_MAPS, which permute the grid, so the engine evaluates it
+at one point per orbit, about a twelfth of the grid, and weights each
+orbit by its sum of the Weyl factor.  There dividing by (1 - t w) is the
+update G[d] += w * G[d-1] on int64 rows, one array operation for all the
+rows of a level.  A few primes joined by the Chinese remainder theorem
+give the integers.  Giving each subspace its own t yields the
 multigraded table from the same update.
 
 A floating-point quadrature over the 3-D torus grid, which does not use
@@ -37,7 +41,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -78,18 +81,139 @@ class MemoryBudgetError(MemoryError):
     """A run's estimated memory would exceed the memory budget."""
 
 
-def _estimated_bytes(k: int, d: int) -> int:
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5 and 7, exact for n < 3215031751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _apply(a: Tuple[Tuple[int, int], Tuple[int, int]], w: Tuple[int, int]) -> Tuple[int, int]:
+    """The image a w of the (y, z)-exponents w under the map a."""
+    return a[0][0] * w[0] + a[0][1] * w[1], a[1][0] * w[0] + a[1][1] * w[1]
+
+
+#: The roots of SU(3) as (y, z)-exponents.
+_A2_ROOTS = frozenset({(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)})
+#: The 12 lattice maps ((a, b), (c, d)): (y, z) -> (a y + b z, c y + d z) of
+#: the (y, z)-exponents that permute the roots, the Weyl group S3 and its
+#: negatives; their columns, the images of (1, 0) and (0, 1), are roots.
+A2_MAPS = tuple(
+    ((u[0], v[0]), (u[1], v[1]))
+    for u in sorted(_A2_ROOTS)
+    for v in sorted(_A2_ROOTS)
+    if {_apply(((u[0], v[0]), (u[1], v[1])), r) for r in _A2_ROOTS} == _A2_ROOTS
+)
+
+
+def _symmetries(grades: Sequence[Sequence[Weight]]) -> Tuple:
+    """The maps of A2_MAPS that fix, as a multiset of (y, z)-exponents, the
+    weights of each grade with each x-exponent.  They form a group, and the
+    engine's series are invariant under it; for GRADES it is all of A2_MAPS.
+    """
+    parts = [
+        collections.Counter(w[1:] for w in weights if w[0] == s)
+        for weights in grades
+        for s in (1, -1, 0)
+    ]
+    return tuple(
+        a
+        for a in A2_MAPS
+        if all(collections.Counter(_apply(a, w) for w in c.elements()) == c for c in parts)
+    )
+
+
+def _orbit_count(m: int, maps: Sequence) -> int:
+    """The number of orbits of the group maps on the M x M grid, by Burnside's lemma.
+
+    A map a sends a weight w to a w, so it moves the grid exponents (i, j)
+    of a point by its transpose, and the points it fixes solve
+    (a^T - 1) v = 0 mod m: there are gcd(s1, m) gcd(s2, m) of them, for
+    s1, s2 the Smith invariants of a - 1.
+    """
+    fixed = 0
+    for (a, b), (c, d) in maps:
+        s1 = math.gcd(a - 1, b, c, d - 1)
+        s2 = abs((a - 1) * (d - 1) - b * c) // s1 if s1 else 0
+        fixed += math.gcd(s1, m) * math.gcd(s2, m)
+    return fixed // len(maps)
+
+
+def _orbits(m: int, maps: Sequence) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(reps, perm, starts) for the orbits of maps on the M x M grid.
+
+    Point i*m + j has y = omega^i, z = omega^j.  Its orbit's representative
+    is the least linear index over its images; reps lists them ascending,
+    perm sorts the points by orbit, and the orbit of reps[r] is the run of
+    perm that begins at starts[r].
+    """
+    i, j = np.divmod(np.arange(m * m), m)
+    label = np.arange(m * m)
+    for (a, b), (c, d) in maps:
+        np.minimum(label, (a * i + c * j) % m * m + (b * i + d * j) % m, out=label)
+    perm = np.argsort(label, kind="stable")
+    reps, starts = np.unique(label[perm], return_index=True)
+    return reps, perm, starts
+
+
+def _weyl_sums(
+    powers: np.ndarray, perm: np.ndarray, starts: np.ndarray, p: int
+) -> np.ndarray:
+    """(1 - 1/y)(1 - 1/z)(1 - 1/(yz)), the x-free part of the Weyl factor,
+    summed over each orbit of _orbits mod p, in int64.
+
+    powers[a] is omega^a for the grid's m-th root of unity omega.
+    """
+    m = len(powers)
+    grid = np.arange(m)
+    inverse = 1 - powers[-grid % m]
+    weyl = np.outer(inverse, inverse) % p
+    weyl *= 1 - powers[-(grid[:, None] + grid) % m]
+    weyl %= p
+    # an orbit sums at most 12 values below 2^31
+    return np.add.reduceat(weyl.ravel()[perm], starts) % p
+
+
+def _estimated_bytes(k: int, d: int, maps: Sequence = A2_MAPS) -> int:
     """Bytes the engine holds at its peak for k grades to degree d.
 
-    A row is an int64 per point of the M^2 grid, M = d + 3.  E has a row
-    per multidegree, P and Q one per multidegree of at most half the total
-    degree, and eight more rows hold grid values and the temporaries of
-    one update.  The multidegree tables and the residues take a few
-    hundred bytes per multidegree.
+    A row is an int64 per orbit of maps on the M^2 grid, M = d + 3.  E has
+    a row per multidegree, P and Q one per multidegree of at most half the
+    total degree, and the slab temporaries of one division level or one
+    pairing, with the grid values, take at most four times the rows of
+    total degree d and eight more.  Enumerating the orbits and summing the
+    Weyl factor over them hold at most twelve int64 per grid point.  The
+    pairing stores a row of E per (P row, Q row) pair, at most twice the P
+    rows times the rows of total degree (d + 1) // 2; the multidegrees are
+    looked up in an int64 per point of the cube [0, d]^k; the multidegree
+    tables and the residues take a few hundred bytes per multidegree.
     """
-    cells = math.comb(d + k, k)
-    rows = cells + 2 * math.comb((d + 1) // 2 + k, k) + 8
-    return 8 * (d + 3) ** 2 * rows + 500 * cells + 8192
+    m, cells, half = d + 3, math.comb(d + k, k), math.comb((d + 1) // 2 + k, k)
+    rows = cells + 2 * half + 4 * math.comb(d + k - 1, k - 1) + 8
+    pairs = 2 * half * math.comb((d + 1) // 2 + k - 1, k - 1)
+    return (
+        8 * _orbit_count(m, maps) * rows
+        + 96 * m * m
+        + 8 * (pairs + (d + 1) ** k)
+        + 500 * cells
+        + 16384
+    )
 
 
 def _degree_advice(fits: Callable[[int], bool]) -> str:
@@ -110,26 +234,65 @@ def _degree_advice(fits: Callable[[int], bool]) -> str:
 
 
 def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
-    """Primes p = k*m + 1 < 2^31, largest first, each with an element of order m."""
+    """Primes p = k*m + 1 < 2^31, largest first, each with an element of order m.
+
+    The element is the first c^((p - 1)/m), c = 2, 3, ..., whose (m/q)-th
+    power is not 1 for any prime q dividing m.
+    """
+    factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
     for p in range((2**31 - 2) // m * m + 1, m, -m):
-        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+        if _is_prime(p):
             roots = (pow(c, (p - 1) // m, p) for c in range(2, p))
-            yield p, next(w for w in roots if len({pow(w, j, p) for j in range(m)}) == m)
+            yield p, next(w for w in roots if all(pow(w, m // q, p) != 1 for q in factors))
+
+
+def _levels(source: Sequence[int]) -> List[tuple]:
+    """The rows at each depth >= 1 along a source chain, with their sources.
+
+    A row's depth is one more than its source's, 0 without one.  A level
+    of one row is a pair of ints, a larger one a pair of index arrays.
+    """
+    depth: List[int] = []
+    for j in source:
+        depth.append(depth[j] + 1 if j >= 0 else 0)
+    by_depth: Dict[int, List[int]] = collections.defaultdict(list)
+    for i, level in enumerate(depth):
+        if level:
+            by_depth[level].append(i)
+    levels = []
+    for level in sorted(by_depth):
+        rows = by_depth[level]
+        sources = [source[i] for i in rows]
+        levels.append(
+            (rows[0], sources[0]) if len(rows) == 1 else (np.array(rows), np.array(sources))
+        )
+    return levels
 
 
 def _divide(series: np.ndarray, weights: Iterable, sources: Sequence, p: int) -> None:
     """Divide series by prod (1 - t_g w) in place, mod p.
 
     Row i of series holds a multidegree's values at the grid points, and
-    sources[g][i] is the row of that multidegree less one in grade g, or
-    -1.  weights yields (g, values of w at the points).  The update
-    series[i] += w * series[sources[g][i]], for increasing i, only adds.
+    sources[g][i] < i is the row of that multidegree less one in grade g,
+    or -1.  weights yields (g, values of w at the points).  The update
+    series[i] += w * series[sources[g][i]], for increasing i, only adds;
+    a row at depth L along grade g's chain reads only a row at depth
+    L - 1, so each depth is one update of all its rows.
     """
+    levels: Dict[int, List[tuple]] = {}
     for g, w in weights:
-        for i, j in enumerate(sources[g][: len(series)]):
-            if j >= 0:
-                series[i] += w * series[j]
-                series[i] %= p
+        if g not in levels:
+            levels[g] = _levels(sources[g][: len(series)])
+        for rows, src in levels[g]:
+            if isinstance(rows, int):
+                series[rows] += w * series[src]
+                series[rows] %= p
+            else:
+                block = series[src]
+                block *= w
+                block += series[rows]
+                block %= p
+                series[rows] = block
 
 
 def _dimensions(
@@ -145,61 +308,79 @@ def _dimensions(
     The rest has (y, z)-exponents in [-max_degree - 2, max_degree], so its
     average over the grid of M-th roots of unity in F_p, M = max_degree +
     3, is its constant term mod p, and enough primes fix it by the Chinese
-    remainder theorem.  Weight exponents must lie in {-1, 0, 1}.  Raises
-    MemoryBudgetError, before allocating, if the estimated bytes held
-    exceed the budget.
+    remainder theorem.  Apart from the Weyl factor, that rest is invariant
+    under _symmetries(grades), so it is evaluated at one point per orbit
+    and weighted by the orbit's sum of the Weyl factor.  Weight exponents
+    must lie in {-1, 0, 1}.  Raises MemoryBudgetError, before allocating,
+    if the estimated bytes held exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     k, m = len(grades), max_degree + 3
+    maps = _symmetries(grades)
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    need = _estimated_bytes(k, max_degree)
+    need = _estimated_bytes(k, max_degree, maps)
     if need > budget:
         raise MemoryBudgetError(
             f"max degree {max_degree} needs an estimated {need} bytes, over the "
             f"budget of {budget}; "
-            + _degree_advice(lambda d: _estimated_bytes(k, d) <= budget)
+            + _degree_advice(lambda d: _estimated_bytes(k, d, maps) <= budget)
         )
-    e = np.zeros((math.comb(max_degree + k, k), m * m), dtype=np.int64)
-    pq = np.zeros((2, math.comb((max_degree + 1) // 2 + k, k), m * m), dtype=np.int64)
+    reps, perm, starts = _orbits(m, maps)
+    rep_y, rep_z = np.divmod(reps, m)
+    e = np.zeros((math.comb(max_degree + k, k), len(reps)), dtype=np.int64)
+    pq = np.zeros((2, math.comb((max_degree + 1) // 2 + k, k), len(reps)), dtype=np.int64)
     # multidegrees by total degree; those of total t start at row comb(t + k - 1, k)
     cube = itertools.product(range(max_degree + 1), repeat=k)
     order = sorted((d for d in cube if sum(d) <= max_degree), key=sum)
-    row = {delta: i for i, delta in enumerate(order)}
-    sources = [
-        [row.get(d[:g] + (d[g] - 1,) + d[g + 1:], -1) for d in order] for g in range(k)
+    degrees = np.array(order).reshape(len(order), k)
+    strides = (max_degree + 1) ** np.arange(k - 1, -1, -1)
+    row = np.zeros((max_degree + 1) ** k, dtype=np.int64)  # by index in the cube
+    row[degrees @ strides] = np.arange(len(order))
+    sources = [  # where d_g = 0 the lookup wraps around and is discarded
+        np.where(degrees[:, g] > 0, row[degrees @ strides - strides[g]], -1).tolist()
+        for g in range(k)
     ]
     split = [  # (grade, weight) by x-exponent +1, -1 and 0
         [(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, -1, 0)
     ]
+    pairs = []  # (P row, its Q rows, how many of them pair with sign -1, their rows of E)
+    for a, alpha in enumerate(order[: len(pq[0])]):
+        # the Q rows of total sum(alpha) - 1, sign -1, and sum(alpha), sign +1, in range
+        first = math.comb(max(sum(alpha) - 2, -1) + k, k)
+        middle = math.comb(sum(alpha) - 1 + k, k)
+        last = math.comb(min(sum(alpha), max_degree - sum(alpha)) + k, k)
+        if first < last:
+            targets = row[(degrees[first:last] + degrees[a]) @ strides]
+            pairs.append((a, slice(first, last), min(middle, last) - first, targets))
     # |CT| <= the sum of the cells of G[delta] <= comb(weights + max_degree, max_degree)
     bound = 2 * math.comb(sum(map(len, grades)) + max_degree, max_degree)
-    values, modulus, primes, grid = [0] * len(order), 1, _grid_primes(m), np.arange(m)
+    values, modulus, primes = [0] * len(order), 1, _grid_primes(m)
     while modulus <= bound:
         p, omega = next(primes)
         powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
 
-        def at(w):  # y^w[1] z^w[2] at the grid points
-            return np.outer(powers[w[1] * grid % m], powers[w[2] * grid % m]).ravel() % p
+        def at(w):  # y^w[1] z^w[2] at the orbit representatives
+            return powers[(w[1] * rep_y + w[2] * rep_z) % m]
 
         for series, weights in zip(pq, split):
             series.fill(0)
             series[0] = 1
             _divide(series, ((g, at(w)) for g, w in weights), sources, p)
         e.fill(0)
-        for a, alpha in enumerate(order[: len(pq[0])]):
-            # pair with the Q rows of total sum(alpha) - 1 and sum(alpha) in range
-            first = math.comb(max(sum(alpha) - 2, -1) + k, k)
-            last = math.comb(min(sum(alpha), max_degree - sum(alpha)) + k, k)
-            for b in range(first, last):
-                t = row[tuple(map(operator.add, alpha, order[b]))]
-                sign = 1 if sum(order[b]) == sum(alpha) else -1
-                e[t] = (e[t] + sign * (pq[0, a] * pq[1, b] % p)) % p
+        # within one P row the targets are distinct, so each pairing is one update
+        for a, betas, negative, targets in pairs:
+            block = pq[1, betas] * pq[0, a]
+            block[:negative] *= -1
+            block %= p
+            block += e[targets]
+            block %= p
+            e[targets] = block
         _divide(e, ((g, at(w)) for g, w in split[2]), sources, p)
-        # the x-free part of the Weyl factor, (1 - 1/y)(1 - 1/z)(1 - 1/(yz))
-        weyl = (1 - at((0, -1, 0))) * (1 - at((0, 0, -1))) % p * (1 - at((0, -1, -1))) % p
+        e *= _weyl_sums(powers, perm, starts, p)
+        e %= p
         # a row sums fewer than 2^32 values below 2^31, which int64 holds
-        residues = [int((r * weyl % p).sum()) * pow(m * m, -1, p) % p for r in e]
+        residues = (e.sum(axis=1) % p * pow(m * m, -1, p) % p).tolist()
         inverse = pow(modulus, -1, p)
         values = [v + (r - v) * inverse % p * modulus for v, r in zip(values, residues)]
         modulus *= p

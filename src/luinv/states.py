@@ -118,21 +118,34 @@ def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> None:
     pass exactly; float states are held to the tolerance, and a NaN
     anywhere fails the checks.
     """
+    _validated_integer_form(rho, tolerance)
+
+
+def _validated_integer_form(rho: np.ndarray, tolerance: float = 1e-12) -> Tuple[int, np.ndarray]:
+    """validate_state(rho, tolerance), then _integer_form(rho).
+
+    An exact state is checked on its integer form den * rho, its trace
+    against den.
+    """
     if rho.shape[-2:] != (12, 12):
         raise ValueError(f"expected the 12x12 embedding of a 6x6 matrix, got shape {rho.shape}")
     if rho.dtype == object:
         if not all(type(v) in (int, Fraction) for v in rho.flat):
             raise ValueError("exact states must hold int or Fraction entries")
         tolerance = 0
-    if not abs(rho - rho.swapaxes(-1, -2)).max() <= tolerance:
+    den, n = _integer_form(rho)
+    checked = n if rho.dtype == object else rho
+    if not abs(checked - checked.swapaxes(-1, -2)).max() <= tolerance:
         raise ValueError("state is not hermitian")
-    re, im = rho[..., :6, :6], rho[..., 6:, :6]
-    blocks = abs(rho[..., 6:, 6:] - re).max(), abs(rho[..., :6, 6:] + im).max()
+    re, im = checked[..., :6, :6], checked[..., 6:, :6]
+    blocks = abs(checked[..., 6:, 6:] - re).max(), abs(checked[..., :6, 6:] + im).max()
     if not all(b <= tolerance for b in blocks):
         raise ValueError("state is not an embedding [[R, -I], [I, R]] of a complex matrix")
     trace = np.trace(re, axis1=-2, axis2=-1)
-    if not np.all(abs(trace - 1) <= tolerance):
-        raise ValueError(f"state trace is {np.ravel(trace)[np.argmax(abs(trace - 1))]}, not 1")
+    if not np.all(abs(trace - den) <= tolerance):
+        worst = np.ravel(trace)[np.argmax(abs(trace - den))]
+        raise ValueError(f"state trace is {Fraction(worst, den) if den > 1 else worst}, not 1")
+    return den, n
 
 
 def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -157,8 +170,7 @@ def _local_sum(local_a: np.ndarray, local_b: np.ndarray) -> np.ndarray:
 
 def decompose_state(rho: np.ndarray) -> StateDecomposition:
     """Split a state or a stack of them, validated at the default tolerance, into its pieces."""
-    validate_state(rho)
-    den, n = _integer_form(rho)
+    den, n = _validated_integer_form(rho)
     local_a = _add_identity(4 * partial_trace_qutrit(n), -2 * den)
     local_b = _add_identity(6 * partial_trace_qubit(n), -2 * den)
     corr = _add_identity(12 * n, -2 * den) - _local_sum(local_a, local_b)

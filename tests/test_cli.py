@@ -89,7 +89,7 @@ class TestSeries:
         code, out, err = run_cli(capsys, "series", "--max-degree", "10000000")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "feasible max degree is 402" in err
+        assert "feasible max degree is 900" in err
 
     def test_huge_degree_and_budget_exit_2_quickly(self, capsys):
         start = time.perf_counter()

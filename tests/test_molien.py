@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from luinv import molien, reference
 from luinv.molien import (
+    A2_MAPS,
     DEFAULT_MEMORY_BUDGET,
     GRADES,
     WEIGHTS,
@@ -20,6 +21,12 @@ from luinv.molien import (
     _divide,
     _estimated_bytes,
     _grid_primes,
+    _is_prime,
+    _orbit_count,
+    _orbits,
+    _symmetries,
+    _taylor_head,
+    _weyl_sums,
     _quadrature_bytes,
     _torus_series,
     poincare_coefficients,
@@ -166,6 +173,20 @@ def ct_of_product(a: dict, b: dict) -> int:
     return sum(c * b.get((-e[0], -e[1], -e[2]), 0) for e, c in a.items())
 
 
+def brute_force_dimensions(grades, max_degree: int) -> dict:
+    """CT(weyl * prod_g h_{delta_g}) of the grades' characters, for each
+    multidegree delta of total degree at most max_degree (oracle)."""
+    chars = [[brute_force_character(ws, d) for d in range(max_degree + 1)] for ws in grades]
+    expected = {}
+    for delta in itertools.product(range(max_degree + 1), repeat=len(grades)):
+        if sum(delta) <= max_degree:
+            product = weyl_by_expansion()
+            for g, d in enumerate(delta[:-1]):
+                product = dict_mul(product, chars[g][d])
+            expected[delta] = ct_of_product(product, chars[-1][delta[-1]])
+    return expected
+
+
 class TestCharacters:
     def test_h0_and_h1(self):
         weights = WEIGHTS
@@ -243,16 +264,163 @@ class TestCharacters:
     def test_x_elimination_at_depth(self, grades):
         # x-exponents +1, -1 and 0 in every system, far past the hypothesis depth
         max_degree = 20
-        chars = [[brute_force_character(ws, d) for d in range(max_degree + 1)] for ws in grades]
-        expected = {}
-        for delta in itertools.product(range(max_degree + 1), repeat=len(grades)):
-            if sum(delta) <= max_degree:
-                product = weyl_by_expansion()
-                for g, d in enumerate(delta[:-1]):
-                    product = dict_mul(product, chars[g][d])
-                expected[delta] = ct_of_product(product, chars[-1][delta[-1]])
+        expected = brute_force_dimensions(grades, max_degree)
         assert len(set(expected.values())) >= 5  # not a trivial answer
         assert _dimensions(grades, max_degree, None) == expected
+
+    @pytest.mark.parametrize(
+        "grades, symmetries",
+        [
+            ([[(0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, 0), (-1, 0, -1), (0, -1, -1)]], 2),
+            (
+                [
+                    [(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, -1, 0), (1, 0, -1), (1, -1, -1)]
+                    + [(-1, 0, 0)],
+                    [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, -1, 0), (0, 0, -1), (0, -1, -1)],
+                ],
+                12,
+            ),
+        ],
+    )
+    def test_orbit_reduction_matches_brute_force(self, grades, symmetries):
+        # systems fixed by two and by all twelve maps, so the engine evaluates
+        # one point per orbit of the swap of y and z, or of the whole group
+        assert len(_symmetries(grades)) == symmetries
+        max_degree = 10
+        expected = brute_force_dimensions(grades, max_degree)
+        assert len(set(expected.values())) >= 5  # not a trivial answer
+        assert _dimensions(grades, max_degree, None) == expected
+
+
+#: The primes up to the square root of 2^31, for trial division.
+SMALL_PRIMES = np.array([q for q in range(2, math.isqrt(2**31) + 1) if is_prime(q)])
+
+
+def trial_division_grid_primes(m: int):
+    """Primes p = k*m + 1 < 2^31, largest first, each with the first
+    c^((p - 1)/m), c = 2, 3, ..., whose m powers are distinct (oracle)."""
+    for p in range((2**31 - 2) // m * m + 1, m, -m):
+        if (p % SMALL_PRIMES[SMALL_PRIMES <= math.isqrt(p)]).all():
+            roots = (pow(c, (p - 1) // m, p) for c in range(2, p))
+            yield p, next(w for w in roots if len({pow(w, j, p) for j in range(m)}) == m)
+
+
+class TestGridPrimes:
+    def test_is_prime_matches_trial_division(self):
+        assert [n for n in range(200_000) if _is_prime(n)] == [
+            n for n in range(200_000) if is_prime(n)
+        ]
+        near_top = range(2**31 - 400, 2**31)
+        assert [n for n in near_top if _is_prime(n)] == [n for n in near_top if is_prime(n)]
+
+    @pytest.mark.parametrize("n", [2047, 1_373_653, 25_326_001])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # the least strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5
+        assert not is_prime(n) and not _is_prime(n)
+
+    def test_grid_primes_match_trial_division(self):
+        for m in range(2, 121):
+            got = list(itertools.islice(_grid_primes(m), 3))
+            assert got == list(itertools.islice(trial_division_grid_primes(m), 3)), m
+
+
+def compose(a, b):
+    """The matrix product a b of two maps ((a, b), (c, d))."""
+    return tuple(
+        tuple(sum(a[r][s] * b[s][c] for s in range(2)) for c in range(2)) for r in range(2)
+    )
+
+
+def generated_group(generators):
+    """Closure of a set of 2x2 integer matrices under products (oracle)."""
+    group = {((1, 0), (0, 1))}
+    while True:
+        grown = group | {compose(a, g) for a in group for g in generators}
+        if grown == group:
+            return group
+        group = grown
+
+
+#: The automorphisms of the A2 roots, from the swap of y and z, the map
+#: y -> 1/(yz), z -> y of order 3, and negation.
+A2_GROUP = generated_group([((0, 1), (1, 0)), ((-1, 1), (-1, 0)), ((-1, 0), (0, -1))])
+ROOTS = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
+
+
+def apply_map(a, w):
+    return tuple(a[r][0] * w[0] + a[r][1] * w[1] for r in range(2))
+
+
+def orbits_by_enumeration(m: int):
+    """The orbits of A2_GROUP on the grid exponents (i, j) mod m; a map
+    moves a point by its transpose (oracle)."""
+    orbits = set()
+    for i in range(m):
+        for j in range(m):
+            orbits.add(frozenset(
+                ((a[0][0] * i + a[1][0] * j) % m, (a[0][1] * i + a[1][1] * j) % m)
+                for a in A2_GROUP
+            ))
+    return orbits
+
+
+class TestOrbits:
+    def test_maps_are_the_root_automorphisms(self):
+        assert len(A2_GROUP) == 12 and len(A2_MAPS) == 12
+        assert set(A2_MAPS) == A2_GROUP
+        for a in A2_MAPS:
+            assert {apply_map(a, r) for r in ROOTS} == ROOTS
+
+    def test_maps_fix_every_grade_and_x_split(self):
+        for weights in [WEIGHTS, *GRADES.values()]:
+            for s in (1, -1, 0):
+                part = collections.Counter(w[1:] for w in weights if w[0] == s)
+                for a in A2_MAPS:
+                    image = collections.Counter(apply_map(a, w) for w in part.elements())
+                    assert image == part, (a, s)
+        assert _symmetries([WEIGHTS]) == A2_MAPS
+        assert _symmetries(list(GRADES.values())) == A2_MAPS
+
+    def test_symmetries_of_an_asymmetric_system(self):
+        # only the swap of y and z, and the identity, fix {y, z, x yz}
+        grades = [[(0, 1, 0), (0, 0, 1), (1, 1, 1)]]
+        assert set(_symmetries(grades)) == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
+        assert _symmetries([[(0, 1, 0), (1, 1, 1)]]) == (((1, 0), (0, 1)),)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 7, 12, 25])
+    def test_orbits_match_enumeration(self, m):
+        reps, perm, starts = _orbits(m, A2_MAPS)
+        found = {
+            frozenset(divmod(int(v), m) for v in run)
+            for run in np.split(perm, starts[1:])
+        }
+        expected = orbits_by_enumeration(m)
+        assert found == expected
+        assert reps.tolist() == sorted(min(i * m + j for i, j in o) for o in expected)
+        assert _orbit_count(m, A2_MAPS) == len(expected)
+
+    def test_orbit_count_is_about_a_twelfth_of_the_grid(self):
+        for m in range(1, 300):
+            count = _orbit_count(m, A2_MAPS)
+            assert m * m / 12 < count <= m * m / 12 + m, m
+        assert len(_orbits(113, A2_MAPS)[0]) == _orbit_count(113, A2_MAPS) == 1121
+        assert _orbit_count(113, (((1, 0), (0, 1)),)) == 113**2
+
+    @pytest.mark.parametrize("m", [3, 8, 25, 60])
+    def test_orbit_weyl_sums_add_up_to_the_grid_sum(self, m):
+        p, omega = next(_grid_primes(m))
+        powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
+        reps, perm, starts = _orbits(m, A2_MAPS)
+        sums = _weyl_sums(powers, perm, starts, p)
+
+        def weyl(i, j):
+            return (1 - pow(omega, -i, p)) * (1 - pow(omega, -j, p)) * (1 - pow(omega, -i - j, p))
+
+        full = sum(weyl(i, j) for i in range(m) for j in range(m))
+        assert int(sums.sum()) % p == full % p
+        by_rep = {min(i * m + j for i, j in o): o for o in orbits_by_enumeration(m)}
+        for r, s in zip(reps.tolist(), sums.tolist()):
+            assert s == sum(weyl(i, j) for i, j in by_rep[r]) % p
 
 
 class TestSeries:
@@ -287,7 +455,9 @@ class TestSeries:
         with pytest.raises(MemoryBudgetError, match="feasible max degree"):
             poincare_coefficients(19, memory_budget=30_000)
 
-    @pytest.mark.parametrize("tags, degrees", [(None, (0, 3, 12, 35)), (tuple(GRADES), (0, 3, 8))])
+    @pytest.mark.parametrize(
+        "tags, degrees", [(None, (0, 3, 12, 35, 110)), (tuple(GRADES), (0, 3, 8, 20))]
+    )
     def test_estimate_bounds_the_traced_peak(self, tags, degrees):
         grades = [WEIGHTS] if tags is None else [GRADES[t] for t in tags]
         for d in degrees:
@@ -443,6 +613,10 @@ class TestMultigraded:
     def test_row_sums_match_series(self):
         table = poincare_multigraded(5)
         assert table.row_sums() == poincare_coefficients(5)
+
+    def test_row_sums_match_closed_form_through_20(self):
+        expansion = _taylor_head(reference.numerator_poly(), reference.denominator_poly(), 20)
+        assert poincare_multigraded(20).row_sums() == expansion
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
