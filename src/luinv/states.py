@@ -109,23 +109,15 @@ class StateDecomposition:
         return self.corr.dtype == object
 
 
-def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> None:
+def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> Tuple[int, np.ndarray]:
     """Raise ValueError unless rho embeds a 6x6 hermitian matrix with unit trace.
 
     That is: rho is 12x12, symmetric (J(M)^T = J(M^dagger)), of the form
     [[R, -I], [I, R]], and tr R = 1; a stack (..., 12, 12) passes if each
     state does.  Exact states must hold int or Fraction entries only and
-    pass exactly; float states are held to the tolerance, and a NaN
-    anywhere fails the checks.
-    """
-    _validated_integer_form(rho, tolerance)
-
-
-def _validated_integer_form(rho: np.ndarray, tolerance: float = 1e-12) -> Tuple[int, np.ndarray]:
-    """validate_state(rho, tolerance), then _integer_form(rho).
-
-    An exact state is checked on its integer form den * rho, its trace
-    against den.
+    pass exactly, checked on their integer form den * rho; float states
+    are held to the tolerance, and a NaN anywhere fails the checks.
+    Returns _integer_form(rho).
     """
     if rho.shape[-2:] != (12, 12):
         raise ValueError(f"expected the 12x12 embedding of a 6x6 matrix, got shape {rho.shape}")
@@ -170,7 +162,7 @@ def _local_sum(local_a: np.ndarray, local_b: np.ndarray) -> np.ndarray:
 
 def decompose_state(rho: np.ndarray) -> StateDecomposition:
     """Split a state or a stack of them, validated at the default tolerance, into its pieces."""
-    den, n = _validated_integer_form(rho)
+    den, n = validate_state(rho)
     local_a = _add_identity(4 * partial_trace_qutrit(n), -2 * den)
     local_b = _add_identity(6 * partial_trace_qubit(n), -2 * den)
     corr = _add_identity(12 * n, -2 * den) - _local_sum(local_a, local_b)
