@@ -19,6 +19,7 @@ from luinv.molien import (
     poincare_coefficients,
     poincare_multigraded,
     quadrature_coefficients,
+    quadrature_grid,
     verify_theorem,
 )
 from luinv.states import (
@@ -41,6 +42,7 @@ __all__ = [
     "poincare_coefficients",
     "poincare_multigraded",
     "quadrature_coefficients",
+    "quadrature_grid",
     "verify_theorem",
     "StateDecomposition",
     "decompose_state",

@@ -28,12 +28,12 @@ rows of a level.  A few primes joined by the Chinese remainder theorem
 give the integers.  Giving each subspace its own t yields the
 multigraded table from the same update.
 
-A floating-point quadrature over the 3-D torus grid, which does not use
-the x constant-term identity, cross-checks the exact coefficients: at
-every grid point it sums the power sums p_k = sum_w w^k of the weights,
-recovers h_d from Newton's identity d h_d = sum_k p_k h_{d-k}, and
-averages weyl_factor * h_d over the grid.  verify_theorem compares the
-whole series against the tabulated closed form in luinv.reference.
+An exact quadrature, with no x constant-term identity, orbits or Chinese
+remainder theorem, cross-checks the engine mod one prime: it builds h_d
+at every point of the 3-D torus grid in F_p by the same additive update,
+a block of x values at a time, and sums weyl_factor * h_d over the grid.
+verify_theorem compares the whole series against the tabulated closed
+form in luinv.reference.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ WEIGHTS: Tuple[Weight, ...] = sum(GRADES.values(), ())
 
 #: Default cap on the engine's estimated bytes held (1 GiB).
 DEFAULT_MEMORY_BUDGET = 1 << 30
-#: Largest relative imaginary residue the quadrature's averages may carry.
-IMAG_TOLERANCE = 1e-9
 
 MULTIGRADED_NOTE = (
     "multigraded dimensions are engine output only; unlike the single-graded "
@@ -216,21 +214,29 @@ def _estimated_bytes(k: int, d: int, maps: Sequence = A2_MAPS) -> int:
     )
 
 
-def _degree_advice(fits: Callable[[int], bool]) -> str:
-    """Name the largest max degree that fits, for fits true up to some degree
-    and false beyond it: double the degree until it fails, then bisect."""
+def _check_budget(
+    what: str, need: int, memory_budget: Optional[int], estimate: Callable[[int], int]
+) -> None:
+    """Raise MemoryBudgetError if need bytes exceed the budget, naming the largest max degree
+    whose estimate fits (they fit up to some degree): double it until it fails, then bisect."""
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    if need <= budget:
+        return
     lo, hi = -1, 1
-    while fits(hi):
+    while estimate(hi) <= budget:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fits(mid):
+        if estimate(mid) <= budget:
             lo = mid
         else:
             hi = mid
+    advice = f"with this budget the feasible max degree is {lo}"
     if lo < 0:
-        return "no degree fits this budget"
-    return f"with this budget the feasible max degree is {lo}"
+        advice = "no degree fits this budget"
+    raise MemoryBudgetError(
+        f"{what} needs an estimated {need} bytes, over the budget of {budget}; {advice}"
+    )
 
 
 def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
@@ -239,7 +245,8 @@ def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
     The element is the first c^((p - 1)/m), c = 2, 3, ..., whose (m/q)-th
     power is not 1 for any prime q dividing m.
     """
-    factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    root = math.isqrt(m)  # a divisor of m above its root is the cofactor of one below
+    factors = {q for d in range(1, root + 1) if m % d == 0 for q in (d, m // d) if _is_prime(q)}
     for p in range((2**31 - 2) // m * m + 1, m, -m):
         if _is_prime(p):
             roots = (pow(c, (p - 1) // m, p) for c in range(2, p))
@@ -269,20 +276,17 @@ def _levels(source: Sequence[int]) -> List[tuple]:
     return levels
 
 
-def _divide(series: np.ndarray, weights: Iterable, sources: Sequence, p: int) -> None:
+def _divide(series: np.ndarray, weights: Iterable, levels: Sequence, p: int) -> None:
     """Divide series by prod (1 - t_g w) in place, mod p.
 
     Row i of series holds a multidegree's values at the grid points, and
-    sources[g][i] < i is the row of that multidegree less one in grade g,
-    or -1.  weights yields (g, values of w at the points).  The update
-    series[i] += w * series[sources[g][i]], for increasing i, only adds;
-    a row at depth L along grade g's chain reads only a row at depth
-    L - 1, so each depth is one update of all its rows.
+    levels[g] is _levels of grade g's sources: the row of each multidegree
+    less one in grade g, or -1.  weights yields (g, values of w at the
+    points).  The update series[i] += w * series[source], for increasing
+    i, only adds; a row at depth L along grade g's chain reads only a row
+    at depth L - 1, so each depth is one update of all its rows.
     """
-    levels: Dict[int, List[tuple]] = {}
     for g, w in weights:
-        if g not in levels:
-            levels[g] = _levels(sources[g][: len(series)])
         for rows, src in levels[g]:
             if isinstance(rows, int):
                 series[rows] += w * series[src]
@@ -318,14 +322,12 @@ def _dimensions(
         raise ValueError("max_degree must be nonnegative")
     k, m = len(grades), max_degree + 3
     maps = _symmetries(grades)
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    need = _estimated_bytes(k, max_degree, maps)
-    if need > budget:
-        raise MemoryBudgetError(
-            f"max degree {max_degree} needs an estimated {need} bytes, over the "
-            f"budget of {budget}; "
-            + _degree_advice(lambda d: _estimated_bytes(k, d, maps) <= budget)
-        )
+    _check_budget(
+        f"max degree {max_degree}",
+        _estimated_bytes(k, max_degree, maps),
+        memory_budget,
+        lambda d: _estimated_bytes(k, d, maps),
+    )
     reps, perm, starts = _orbits(m, maps)
     rep_y, rep_z = np.divmod(reps, m)
     e = np.zeros((math.comb(max_degree + k, k), len(reps)), dtype=np.int64)
@@ -341,6 +343,8 @@ def _dimensions(
         np.where(degrees[:, g] > 0, row[degrees @ strides - strides[g]], -1).tolist()
         for g in range(k)
     ]
+    levels = [_levels(chain) for chain in sources]
+    half_levels = [_levels(chain[: len(pq[0])]) for chain in sources]
     split = [  # (grade, weight) by x-exponent +1, -1 and 0
         [(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, -1, 0)
     ]
@@ -366,7 +370,7 @@ def _dimensions(
         for series, weights in zip(pq, split):
             series.fill(0)
             series[0] = 1
-            _divide(series, ((g, at(w)) for g, w in weights), sources, p)
+            _divide(series, ((g, at(w)) for g, w in weights), half_levels, p)
         e.fill(0)
         # within one P row the targets are distinct, so each pairing is one update
         for a, betas, negative, targets in pairs:
@@ -376,7 +380,7 @@ def _dimensions(
             block += e[targets]
             block %= p
             e[targets] = block
-        _divide(e, ((g, at(w)) for g, w in split[2]), sources, p)
+        _divide(e, ((g, at(w)) for g, w in split[2]), levels, p)
         e *= _weyl_sums(powers, perm, starts, p)
         e %= p
         # a row sums fewer than 2^32 values below 2^31, which int64 holds
@@ -430,60 +434,73 @@ def poincare_multigraded(
     )
 
 
+def _quadrature_block(max_degree: int, m: int) -> int:
+    """x values per block: as many as hold h_0..h_max_degree in 4 MiB, at least one."""
+    return max(1, min(m // 2, (1 << 22) // (8 * (max_degree + 1) * m * m)))
+
+
 def _quadrature_bytes(max_degree: int, grid_size: int) -> int:
     """Bytes the quadrature holds at its peak, estimated before allocating.
 
-    The power sums and the series are (max_degree + 1, M^3) complex128
-    arrays; the grid coordinates, the Weyl factor, the running weight
-    power and the temporaries of one row operation hold at most eight
-    more M^3 complex values per point.
+    A block of b x values holds h_0..h_max_degree, a weight and a product,
+    an int64 per point of b M^2 each, and two int64 per row sum over z.
+    The grid coordinates, the seven (y, z) parts of the weights, the Weyl
+    factor and their temporaries hold at most sixteen int64 per point of
+    the M^2 grid; numpy's buffers for the broadcast products, 8192 int64
+    each, and the small tables take under 128 KiB.
     """
-    return grid_size ** 3 * 16 * (2 * (max_degree + 1) + 8)
+    m, d, b = grid_size, max_degree, _quadrature_block(max_degree, grid_size)
+    return 8 * (d + 3) * b * m * m + 16 * (d + 1) * b * m + 128 * m * m + (1 << 17)
 
 
-def _check_quadrature_budget(max_degree: int, grid_size: int, budget: int) -> None:
-    """Raise MemoryBudgetError, naming what would fit, if the grid is too big."""
-    need = _quadrature_bytes(max_degree, grid_size)
-    if need <= budget:
-        return
-    # the cube root lands within a step of the largest grid that fits
-    m = min(grid_size, int((budget / _quadrature_bytes(max_degree, 1)) ** (1 / 3)) + 1)
-    while m > 0 and _quadrature_bytes(max_degree, m) > budget:
-        m -= 1
-    if m >= 2 * max_degree + 5:
-        advice = f"the largest grid within it at this degree is {m}"
-    else:  # at the default grid, 2 * degree + 7
-        advice = _degree_advice(lambda d: _quadrature_bytes(d, 2 * d + 7) <= budget)
-    raise MemoryBudgetError(
-        f"quadrature at max degree {max_degree} on a {grid_size}^3 grid needs an "
-        f"estimated {need} bytes, over the budget of {budget}; {advice}"
-    )
-
-
-def _torus_series(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, max_degree: int
-) -> np.ndarray:
-    """h_0..h_max_degree of the 35 weights at the torus points (x, y, z).
-
-    Returns an (max_degree + 1, points) complex array whose row d is the
-    t^d coefficient of prod_w (1 - t w)^(-mult).  The power sums
-    p_k = sum_w mult * w^k give it by Newton's identity
-    d * h_d = sum_{k=1..d} p_k * h_{d-k}, so each step is a contiguous
-    row operation.
+def quadrature_grid(max_degree: int, grid_size: Optional[int] = None) -> Tuple[int, int, int]:
+    """(M, p, omega) of quadrature_coefficients: the grid size, max_degree + 3
+    by default, the prime p = 1 mod M its residues are taken mod, and an
+    element of order M mod p.  Raises ValueError for a negative degree, a
+    grid below the exactness bound max_degree + 3 or one with no such p < 2^31.
     """
-    order = max_degree + 1
-    power = np.zeros((order, x.size), dtype=np.complex128)  # row k holds p_k
-    for (ex, ey, ez), mult in sorted(collections.Counter(WEIGHTS).items()):
-        wval = (x ** ex) * (y ** ey) * (z ** ez)
-        wpow = np.ones_like(wval)
-        for k in range(1, order):
-            wpow *= wval
-            power[k] += mult * wpow
-    series = np.empty_like(power)
-    series[0] = 1.0
-    for d in range(1, order):
-        series[d] = np.einsum("kp,kp->p", power[1 : d + 1], series[d - 1 :: -1]) / d
-    return series
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    m = max_degree + 3 if grid_size is None else grid_size
+    if m < max_degree + 3:
+        raise ValueError(f"grid_size {m} is below the exactness bound {max_degree + 3}")
+    found = next(_grid_primes(m), None)
+    if found is None:
+        raise ValueError(f"no prime below 2^31 is 1 mod the grid size {m}")
+    return (m, *found)
+
+
+def _slice_sums(max_degree: int, m: int, p: int, omega: int, exponents: np.ndarray) -> np.ndarray:
+    """For each a in exponents, a row of the sums over the M x M grid of (y, z) of
+    (1 - 1/y)(1 - 1/z)(1 - 1/(yz)) h_d(omega^a, y, z) mod p, d = 0..max_degree.  A block
+    of x values at a time, dividing 1 by (1 - t w) for each of the 35 weights, h_d += w
+    h_(d-1) for increasing d, builds h_0..h_max_degree at the block's points."""
+    # the grid first, so that a grid too large to hold fails before the rest
+    i, j = np.divmod(np.arange(m * m), m)  # point i*m + j is (omega^i, omega^j)
+    powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
+    yz = {u[1:]: powers[(u[1] * i + u[2] * j) % m] for u in WEIGHTS}
+    weyl = (1 - yz[-1, 0]) * (1 - yz[0, -1]) % p * (1 - yz[-1, -1]) % p
+    size = _quadrature_block(max_degree, m)
+    out = np.empty((len(exponents), max_degree + 1), dtype=np.int64)
+    for start in range(0, len(exponents), size):
+        block = exponents[start : start + size]
+        h = np.zeros((max_degree + 1, len(block), m * m), dtype=np.int64)
+        h[0] = 1
+        w, product = np.empty((2, len(block), m * m), dtype=np.int64)
+        for ex, ey, ez in WEIGHTS:
+            np.multiply(powers[ex * block % m, None], yz[ey, ez], out=w)
+            w %= p
+            for d in range(1, max_degree + 1):
+                np.multiply(w, h[d - 1], out=product)
+                product += h[d]
+                np.remainder(product, p, out=h[d])
+        h *= weyl
+        h %= p
+        # a sum of M values below p < 2^31 stays below 2^62
+        sums = h.reshape(max_degree + 1, len(block), m, m).sum(axis=3) % p
+        out[start : start + len(block)] = (sums.sum(axis=2) % p).T
+        del h, w, product  # before the next block allocates its own
+    return out
 
 
 def quadrature_coefficients(
@@ -491,48 +508,27 @@ def quadrature_coefficients(
     grid_size: Optional[int] = None,
     *,
     memory_budget: Optional[int] = None,
-) -> List[float]:
-    """Series coefficients by trapezoid quadrature over the torus grid.
-
-    Independent of the exact path: at every grid point (x, y, z) on the
-    M^3 lattice of M-th roots of unity, the power sums of the 35 weights
-    give the truncated t-series of prod (1 - t w)^(-mult) by Newton's
-    identity; each coefficient is multiplied by the t-free weyl factor
-    and averaged.  The integrand's exponents are bounded, so for
-    M >= 2*max_degree + 5 the grid average is exact up to rounding and
-    the result's imaginary part, relative to max(1, |real part|) degree
-    by degree, must stay within IMAG_TOLERANCE.  Raises
-    MemoryBudgetError, before allocating, if the estimated bytes held
-    exceed the budget.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    min_grid = 2 * max_degree + 5
-    if grid_size is None:
-        grid_size = 2 * max_degree + 7
-    if grid_size < min_grid:
-        raise ValueError(
-            f"grid_size {grid_size} is below the exactness bound {min_grid}"
-        )
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    _check_quadrature_budget(max_degree, grid_size, budget)
-    m = grid_size
-    omega = np.exp(2j * np.pi * np.arange(m) / m)
-    x, y, z = (g.ravel() for g in np.meshgrid(omega, omega, omega, indexing="ij"))
-    weyl = (1 - 1 / x) * (1 - 1 / y) * (1 - 1 / z) * (1 - 1 / (y * z))
-
-    series = _torus_series(x, y, z, max_degree)
-    series *= weyl
-    averages = series.mean(axis=1)
-    # rounding error grows with the coefficients, so compare relative to them
-    relative_imag = np.abs(averages.imag) / np.maximum(1.0, np.abs(averages.real))
-    worst_imag = float(relative_imag.max())
-    if not worst_imag <= IMAG_TOLERANCE:
-        raise ArithmeticError(
-            f"quadrature result has relative imaginary residue {worst_imag:.3e} "
-            f"above tolerance {IMAG_TOLERANCE:.3e}"
-        )
-    return [float(v) for v in averages.real]
+) -> List[int]:
+    """The series coefficients mod p, p from quadrature_grid, independent of
+    the engine.  weyl_factor * h_d has exponents in [-max_degree - 2,
+    max_degree], so for M >= max_degree + 3 its sum over the M^3 points of
+    M-th roots of unity in F_p is M^3 times its constant term.  The weights
+    are invariant under x -> 1/x, so slice x = omega^(M - a) equals slice
+    omega^a: only a = 1..M // 2 are summed, weighted by (1 - omega^-a) +
+    (1 - omega^a), or by 1 - omega^-a = 2 when 2a = M (slice 0 weighs 0).
+    Raises MemoryBudgetError, before allocating, over the budget."""
+    m, p, omega = quadrature_grid(max_degree, grid_size)
+    _check_budget(
+        f"quadrature at max degree {max_degree} on a grid of size {m}",
+        _quadrature_bytes(max_degree, m),
+        memory_budget,
+        lambda d: _quadrature_bytes(d, d + 3),
+    )
+    half = np.arange(1, m // 2 + 1)
+    sums = _slice_sums(max_degree, m, p, omega, half)
+    weights = [2 - pow(omega, a, p) - pow(omega, -a, p) if 2 * a != m else 2 for a in half.tolist()]
+    residues = (np.array(weights)[:, None] % p * sums % p).sum(axis=0) % p
+    return (residues * pow(m**3, -1, p) % p).tolist()
 
 
 @dataclass(frozen=True)

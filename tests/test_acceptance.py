@@ -25,11 +25,13 @@ from luinv.molien import (
     WEIGHTS,
     _divide,
     _grid_primes,
+    _levels,
     _palindromic,
     _taylor_head,
     poincare_coefficients,
     poincare_multigraded,
     quadrature_coefficients,
+    quadrature_grid,
     verify_theorem,
 )
 from luinv.states import decompose_state, embed, scale_components
@@ -91,17 +93,14 @@ def test_criterion_2_closed_form_verification(coeffs19):
 
 
 def test_criterion_3_quadrature_oracle(coeffs19):
-    exact = coeffs19[:7]
+    p = quadrature_grid(19)[1]
     start = time.perf_counter()
-    approx = quadrature_coefficients(6)
+    residues = quadrature_coefficients(19)
     elapsed = time.perf_counter() - start
-    residual = max(abs(a - e) for a, e in zip(approx, exact))
-    ok = [round(a) for a in approx] == exact
-    ok = ok and residual < 1e-6 and elapsed <= 60.0
+    ok = residues == [c % p for c in coeffs19] and elapsed <= 60.0
     _criterion(
         3,
-        f"torus quadrature matches exact degrees 0..6 (residual {residual:.2e}, "
-        f"{elapsed:.2f}s)",
+        f"exact torus quadrature mod {p} matches the exact degrees 0..19 ({elapsed:.2f}s)",
         ok,
     )
 
@@ -120,7 +119,8 @@ def test_criterion_4_brute_force_character_oracle():
     points = np.indices((m, m, m)).reshape(3, -1)
     series = np.zeros((4, m**3), dtype=np.int64)
     series[0] = 1
-    _divide(series, ((0, powers[np.dot(w, points) % m]) for w in weights), [[-1, 0, 1, 2]], p)
+    levels = [_levels([-1, 0, 1, 2])]
+    _divide(series, ((0, powers[np.dot(w, points) % m]) for w in weights), levels, p)
     for d in range(4):
         expected = np.zeros((2 * d + 1,) * 3, dtype=object)
         for combo in itertools.combinations_with_replacement(range(35), d):

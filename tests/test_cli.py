@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luinv import cli, molien, reference
+from luinv.molien import quadrature_grid
 from luinv.states import random_state, state_to_json
 
 
@@ -136,31 +137,44 @@ class TestVerify:
         payload = json.loads(out)
         assert code == 0 and payload["passed"]
         quad = payload["quadrature"]
-        assert quad["passed"] and quad["max_residual"] < quad["tolerance"]
+        assert quad["passed"] and quad["max_residual"] == quad["tolerance"] == 0
+        assert quad["prime"] == quadrature_grid(16)[1]
+
+    @pytest.mark.long
+    def test_quadrature_at_degree_110_within_a_minute(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "verify", "--max-degree", "110", "--with-quadrature", "--format", "json"
+        )
+        elapsed = time.perf_counter() - start
+        payload = json.loads(out)
+        assert code == 0 and payload["checks"]["quadrature_match"]
+        assert payload["quadrature"]["max_residual"] == 0
+        assert elapsed < 60, elapsed
 
     def test_quadrature_over_memory_budget_exit_2(self, capsys):
         code, out, err = run_cli(
-            capsys, "verify", "--max-degree", "3", "--with-quadrature", "--grid-size", "400"
+            capsys, "verify", "--max-degree", "3", "--with-quadrature", "--grid-size", "20000"
         )
         assert code == 2 and out == ""
-        assert "largest grid within it at this degree is 161" in err
+        assert "grid of size 20000" in err and "feasible max degree is 503" in err
         assert "Traceback" not in err
 
     def test_refused_allocation_exit_2(self, capsys):
-        # within the budget, but numpy refuses the 14.2 PiB grid at once
+        # within the budget, but numpy refuses the 32 PiB grid at once; p = 30 * 2^26 + 1
         code, out, err = run_cli(
             capsys, "verify", "--max-degree", "3", "--with-quadrature",
-            "--grid-size", "100000", "--memory-budget", str(10**30),
+            "--grid-size", str(2**26), "--memory-budget", str(10**30),
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_quadrature_memory_budget_advisory_degree_runs(self, capsys):
-        args = ("--with-quadrature", "--memory-budget", "10000000", "--format", "json")
-        code, _, err = run_cli(capsys, "verify", "--max-degree", "20", *args)
+        args = ("--with-quadrature", "--memory-budget", "2000000", "--format", "json")
+        code, _, err = run_cli(capsys, "verify", "--max-degree", "30", *args)
         assert code == 2 and "quadrature" in err
-        assert "feasible max degree is 10" in err
-        code, out, _ = run_cli(capsys, "verify", "--max-degree", "10", *args)
+        assert "feasible max degree is 22" in err
+        code, out, _ = run_cli(capsys, "verify", "--max-degree", "22", *args)
         assert code == 0 and json.loads(out)["checks"]["quadrature_match"]
 
     @pytest.mark.parametrize("grid", ["3", "100"])

@@ -22,16 +22,18 @@ from luinv.molien import (
     _estimated_bytes,
     _grid_primes,
     _is_prime,
+    _levels,
     _orbit_count,
     _orbits,
     _symmetries,
     _taylor_head,
     _weyl_sums,
     _quadrature_bytes,
-    _torus_series,
+    _slice_sums,
     poincare_coefficients,
     poincare_multigraded,
     quadrature_coefficients,
+    quadrature_grid,
     verify_theorem,
 )
 
@@ -157,7 +159,8 @@ def engine_character(weights, d: int) -> np.ndarray:
     points = np.indices((m, m, m)).reshape(3, -1)
     series = np.zeros((d + 1, m**3), dtype=np.int64)
     series[0] = 1
-    _divide(series, ((0, powers[np.dot(w, points) % m]) for w in weights), [[-1, *range(d)]], p)
+    levels = [_levels([-1, *range(d)])]
+    _divide(series, ((0, powers[np.dot(w, points) % m]) for w in weights), levels, p)
     inverse = np.array(
         [[pow(omega, -e * a, p) for a in range(m)] for e in range(-d, d + 1)], dtype=object
     )
@@ -471,77 +474,82 @@ class TestSeries:
 
 
 class TestQuadrature:
-    def test_matches_exact_through_6(self):
-        exact = poincare_coefficients(6)
-        approx = quadrature_coefficients(6)
-        assert [round(a) for a in approx] == exact
-        assert max(abs(a - e) for a, e in zip(approx, exact)) < 1e-6
+    def test_residues_match_the_engine_through_35(self):
+        exact = poincare_coefficients(35)
+        for d in range(36):
+            p = quadrature_grid(d)[1]
+            assert quadrature_coefficients(d) == [c % p for c in exact[: d + 1]], d
+
+    @pytest.mark.parametrize("max_degree", [4, 5])  # grids 7 and 8: odd and even
+    def test_folded_slices_equal_the_full_x_grid(self, max_degree):
+        m, p, omega = quadrature_grid(max_degree)
+        sums = _slice_sums(max_degree, m, p, omega, np.arange(m))
+        assert (sums[1:] == sums[:0:-1]).all()  # slice M - a equals slice a
+        full = sum((1 - pow(omega, -a, p)) * sums[a].astype(object) for a in range(m))
+        expected = [v * pow(m**3, -1, p) % p for v in full]
+        assert quadrature_coefficients(max_degree) == expected
+        exact = poincare_coefficients(max_degree)
+        assert expected == [c % p for c in exact]
 
     def test_explicit_grid_size(self):
-        approx = quadrature_coefficients(3, grid_size=2 * 3 + 5)
-        assert [round(a) for a in approx] == [1, 0, 3, 4]
+        assert quadrature_coefficients(3, grid_size=6) == [1, 0, 3, 4]
+        exact = poincare_coefficients(6)
+        for grid in (9, 10, 16):
+            p = quadrature_grid(6, grid)[1]
+            assert p % grid == 1
+            assert quadrature_coefficients(6, grid) == [c % p for c in exact]
 
     def test_rejects_grid_below_exactness_bound(self):
+        with pytest.raises(ValueError, match="exactness bound 9"):
+            quadrature_coefficients(6, grid_size=8)
         with pytest.raises(ValueError, match="exactness bound"):
-            quadrature_coefficients(6, grid_size=16)
+            quadrature_grid(6, 8)
+
+    def test_rejects_a_grid_without_a_prime(self):
+        with pytest.raises(ValueError, match="no prime"):
+            quadrature_coefficients(3, grid_size=2**31)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             quadrature_coefficients(-2)
-
-    def test_matches_exact_through_22(self):
-        exact = poincare_coefficients(22)
-        approx = quadrature_coefficients(22)
-        assert [round(a) for a in approx] == exact
-        assert max(abs(a - e) / max(1, e) for a, e in zip(approx, exact)) < 1e-9
-
-    def test_newton_matches_binomial_product(self):
-        """Newton's identity on power sums against the product of the
-        21 truncated binomial series, at random torus points."""
-        max_degree = 10
-        rng = np.random.default_rng(20)
-        x, y, z = np.exp(2j * np.pi * rng.random((3, 7)))
-        order = max_degree + 1
-        product = np.zeros((x.size, order), dtype=np.complex128)
-        product[:, 0] = 1.0
-        for (ex, ey, ez), mult in sorted(collections.Counter(WEIGHTS).items()):
-            wval = (x ** ex) * (y ** ey) * (z ** ez)
-            factor = np.array(
-                [math.comb(k + mult - 1, mult - 1) * wval ** k for k in range(order)]
-            ).T
-            out = np.zeros_like(product)
-            for j in range(order):
-                out[:, j:] += product[:, [j]] * factor[:, : order - j]
-            product = out
-        newton = _torus_series(x, y, z, max_degree)
-        assert newton.shape == (order, x.size)
-        # |h_d| is at most comb(34 + d, d) on the torus; rounding is relative to that
-        scale = np.array([math.comb(34 + d, d) for d in range(order)])[:, None]
-        assert np.all(np.abs(newton - product.T) <= 1e-12 * scale)
 
     def test_independent_of_the_engine(self, monkeypatch):
         def engine(*args, **kwargs):
             raise AssertionError("the quadrature must not call the exact engine")
 
         exact = poincare_coefficients(6)
-        monkeypatch.setattr(molien, "_dimensions", engine)
-        monkeypatch.setattr(molien, "_divide", engine)
+        for name in ("_dimensions", "_divide", "_orbits", "_weyl_sums", "_levels"):
+            monkeypatch.setattr(molien, name, engine)
         with pytest.raises(AssertionError, match="exact engine"):
             poincare_coefficients(6)
-        assert [round(a) for a in quadrature_coefficients(6)] == exact
+        p = quadrature_grid(6)[1]
+        assert quadrature_coefficients(6) == [c % p for c in exact]
 
-    def test_memory_budget_names_the_largest_grid(self):
-        with pytest.raises(MemoryBudgetError, match="largest grid within it .* is 161"):
-            quadrature_coefficients(3, grid_size=400)
-        assert _quadrature_bytes(3, 161) <= DEFAULT_MEMORY_BUDGET < _quadrature_bytes(3, 162)
+    def test_memory_budget_refuses_a_large_grid(self):
+        with pytest.raises(MemoryBudgetError, match="feasible max degree is 503"):
+            quadrature_coefficients(3, grid_size=20000)
+        assert _quadrature_bytes(503, 506) <= DEFAULT_MEMORY_BUDGET < _quadrature_bytes(504, 507)
 
     def test_memory_budget_advisory_degree_runs(self):
-        budget = 10_000_000
-        with pytest.raises(MemoryBudgetError, match="feasible max degree is 10"):
-            quadrature_coefficients(20, memory_budget=budget)
-        assert len(quadrature_coefficients(10, memory_budget=budget)) == 11
+        budget = 2_000_000
+        with pytest.raises(MemoryBudgetError, match="feasible max degree is 22"):
+            quadrature_coefficients(30, memory_budget=budget)
+        assert len(quadrature_coefficients(22, memory_budget=budget)) == 23
         with pytest.raises(MemoryBudgetError):
-            quadrature_coefficients(11, memory_budget=budget)
+            quadrature_coefficients(23, memory_budget=budget)
+
+    @pytest.mark.parametrize(
+        "max_degree, grid", [(0, None), (9, None), (15, None), (36, None), (10, 100)]
+    )
+    def test_estimate_bounds_the_traced_peak(self, max_degree, grid):
+        tracemalloc.start()
+        try:
+            quadrature_coefficients(max_degree, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = max_degree + 3 if grid is None else grid
+        assert peak <= _quadrature_bytes(max_degree, m), peak
 
 
 class TestVerifyTheorem:
