@@ -480,6 +480,17 @@ class TestQuadrature:
             p = quadrature_grid(d)[1]
             assert quadrature_coefficients(d) == [c % p for c in exact[: d + 1]], d
 
+    def test_matches_exact_through_6(self):
+        exact = poincare_coefficients(6)
+        p = quadrature_grid(6)[1]
+        assert max(exact) < p  # the residues are the coefficients themselves
+        assert quadrature_coefficients(6) == exact
+
+    def test_matches_exact_through_22(self):
+        exact = poincare_coefficients(22)
+        p = quadrature_grid(22)[1]
+        assert quadrature_coefficients(22) == [c % p for c in exact]
+
     @pytest.mark.parametrize("max_degree", [4, 5])  # grids 7 and 8: odd and even
     def test_folded_slices_equal_the_full_x_grid(self, max_degree):
         m, p, omega = quadrature_grid(max_degree)
