@@ -25,7 +25,6 @@ from luinv.molien import (
 from luinv.states import (
     StateDecomposition,
     decompose_state,
-    recompose,
 )
 from luinv.invariants import (
     InvariantVector,
@@ -46,7 +45,6 @@ __all__ = [
     "verify_theorem",
     "StateDecomposition",
     "decompose_state",
-    "recompose",
     "InvariantVector",
     "eval_basis_form",
     "eval_matrix_form",

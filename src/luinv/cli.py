@@ -22,6 +22,7 @@ import numpy as np
 
 from luinv.invariants import eval_matrix_form, invariance_battery
 from luinv.molien import (
+    MULTIGRADED_NOTE,
     poincare_coefficients,
     poincare_multigraded,
     quadrature_coefficients,
@@ -75,7 +76,7 @@ def _quadrature_check(
 def cmd_verify(args) -> int:
     coeffs = poincare_coefficients(args.max_degree, memory_budget=args.memory_budget)
     report = verify_theorem(coeffs)
-    checks = report.checks()
+    checks = dict(report.checks)
     quad = None
     if args.with_quadrature:
         quad = _quadrature_check(coeffs, args.grid_size, args.memory_budget)
@@ -91,8 +92,8 @@ def cmd_verify(args) -> int:
         args.format,
         {
             "schema": "luinv.report.v1",
-            "max_degree": report.max_degree,
-            "coefficients": list(report.coefficients),
+            "max_degree": args.max_degree,
+            "coefficients": coeffs,
             "checks": checks,
             "first_mismatch": report.first_mismatch,
             "degree_gap": report.degree_gap,
@@ -164,9 +165,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_multigraded(args) -> int:
     table = poincare_multigraded(args.max_degree, memory_budget=args.memory_budget)
-    single = poincare_coefficients(args.max_degree, memory_budget=args.memory_budget)
     row_sums = table.row_sums()
-    consistent = row_sums == single
+    consistent = verify_theorem(row_sums).checks["theorem_match"]
     entries = sorted(table.entries.items())
     _emit(
         args.format,
@@ -176,13 +176,13 @@ def cmd_multigraded(args) -> int:
             "entries": [{"degrees": list(k), "dimension": v} for k, v in entries],
             "row_sums": row_sums,
             "row_sums_match": consistent,
-            "note": table.note,
+            "note": MULTIGRADED_NOTE,
         },
         [("d1", "d2", "d3", "dimension"), *((*k, v) for k, v in entries)],
         [
             *(f"{d1} {d2} {d3} {value}" for (d1, d2, d3), value in entries),
             f"row sums consistent with series: {'yes' if consistent else 'NO'}",
-            f"note: {table.note}",
+            f"note: {MULTIGRADED_NOTE}",
         ],
     )
     return 0 if consistent else 1

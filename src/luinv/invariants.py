@@ -45,7 +45,6 @@ from luinv.states import (
     _local_unitary,
     apply_local_unitary,
     decompose_state,
-    divide,
     kron,
     pauli_basis,
 )
@@ -93,11 +92,6 @@ class InvariantVector:
     def as_dict(self) -> Dict[str, Value]:
         return {name: getattr(self, name) for name in COMPONENTS}
 
-    def component(self, name: str) -> Value:
-        if name not in COMPONENTS:
-            raise KeyError(f"unknown invariant {name!r}")
-        return getattr(self, name)
-
 
 def _trace(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(re, im) of tr(AB) from the embeddings J(A), J(B) on the last two axes.
@@ -118,7 +112,10 @@ def _dot(u: Tuple, v: Tuple) -> Tuple:
 
 def _realize(values, exact: bool) -> InvariantVector:
     """The seven real invariants raw / divisor from (raw (re, im), divisor), checked per state."""
-    re, im = (np.array([divide(raw[k], d, exact) for raw, d in values]) for k in (0, 1))
+    re, im = (
+        np.array([raw[k] * Fraction(1, d) if exact else raw[k] / d for raw, d in values])
+        for k in (0, 1)
+    )
     if exact:
         if np.any(im != 0):
             raise ArithmeticError(f"invariant value has a nonzero imaginary part {im[im != 0][0]}")
@@ -278,7 +275,7 @@ def independence_rank(states: Sequence[np.ndarray], degree: int) -> int:
         if rho.dtype != object:
             raise ValueError("independence_rank needs exact states")
         vec = eval_matrix_form(decompose_state(rho))
-        values = [vec.component(name) for name in names]
+        values = [getattr(vec, name) for name in names]
         scale = lcm(*(v.denominator for v in values))
         rows.append([int(v * scale) for v in values])
     return _integer_rank(rows)

@@ -38,7 +38,6 @@ form in luinv.reference.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -125,15 +124,9 @@ def _symmetries(grades: Sequence[Sequence[Weight]]) -> Tuple:
     weights of each grade with each x-exponent.  They form a group, and the
     engine's series are invariant under it; for GRADES it is all of A2_MAPS.
     """
-    parts = [
-        collections.Counter(w[1:] for w in weights if w[0] == s)
-        for weights in grades
-        for s in (1, -1, 0)
-    ]
+    parts = [sorted(w[1:] for w in weights if w[0] == s) for weights in grades for s in (1, -1, 0)]
     return tuple(
-        a
-        for a in A2_MAPS
-        if all(collections.Counter(_apply(a, w) for w in c.elements()) == c for c in parts)
+        a for a in A2_MAPS if all(sorted(_apply(a, w) for w in part) == part for part in parts)
     )
 
 
@@ -253,26 +246,16 @@ def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
             yield p, next(w for w in roots if all(pow(w, m // q, p) != 1 for q in factors))
 
 
-def _levels(source: Sequence[int]) -> List[tuple]:
-    """The rows at each depth >= 1 along a source chain, with their sources.
+def _levels(depth: np.ndarray, source: np.ndarray) -> List[tuple]:
+    """The rows at each depth >= 1 with their sources, which lie one depth lower.
 
-    A row's depth is one more than its source's, 0 without one.  A level
-    of one row is a pair of ints, a larger one a pair of index arrays.
+    A level of one row is a pair of ints, a larger one a pair of index arrays.
     """
-    depth: List[int] = []
-    for j in source:
-        depth.append(depth[j] + 1 if j >= 0 else 0)
-    by_depth: Dict[int, List[int]] = collections.defaultdict(list)
-    for i, level in enumerate(depth):
-        if level:
-            by_depth[level].append(i)
     levels = []
-    for level in sorted(by_depth):
-        rows = by_depth[level]
-        sources = [source[i] for i in rows]
-        levels.append(
-            (rows[0], sources[0]) if len(rows) == 1 else (np.array(rows), np.array(sources))
-        )
+    for level in range(1, depth.max() + 1):
+        rows = np.flatnonzero(depth == level)
+        src = source[rows]
+        levels.append((int(rows[0]), int(src[0])) if len(rows) == 1 else (rows, src))
     return levels
 
 
@@ -280,8 +263,8 @@ def _divide(series: np.ndarray, weights: Iterable, levels: Sequence, p: int) -> 
     """Divide series by prod (1 - t_g w) in place, mod p.
 
     Row i of series holds a multidegree's values at the grid points, and
-    levels[g] is _levels of grade g's sources: the row of each multidegree
-    less one in grade g, or -1.  weights yields (g, values of w at the
+    levels[g] is _levels of grade g's degrees and sources: the row of each
+    multidegree less one in grade g.  weights yields (g, values of w at the
     points).  The update series[i] += w * series[source], for increasing
     i, only adds; a row at depth L along grade g's chain reads only a row
     at depth L - 1, so each depth is one update of all its rows.
@@ -339,12 +322,12 @@ def _dimensions(
     strides = (max_degree + 1) ** np.arange(k - 1, -1, -1)
     row = np.zeros((max_degree + 1) ** k, dtype=np.int64)  # by index in the cube
     row[degrees @ strides] = np.arange(len(order))
-    sources = [  # where d_g = 0 the lookup wraps around and is discarded
-        np.where(degrees[:, g] > 0, row[degrees @ strides - strides[g]], -1).tolist()
-        for g in range(k)
-    ]
-    levels = [_levels(chain) for chain in sources]
-    half_levels = [_levels(chain[: len(pq[0])]) for chain in sources]
+    # a row's depth along grade g is d_g; where d_g = 0 the source wraps around, unread
+    sources = [row[degrees @ strides - strides[g]] for g in range(k)]
+    levels = [_levels(degrees[:, g], sources[g]) for g in range(k)]
+    # the rows of total degree at most (max_degree + 1) // 2 come first
+    half = len(pq[0])
+    half_levels = [_levels(degrees[:half, g], sources[g][:half]) for g in range(k)]
     split = [  # (grade, weight) by x-exponent +1, -1 and 0
         [(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, -1, 0)
     ]
@@ -410,7 +393,6 @@ class MultigradedTable:
 
     max_total_degree: int
     entries: Dict[Tuple[int, int, int], int]
-    note: str = MULTIGRADED_NOTE
 
     def row_sums(self) -> List[int]:
         sums = [0] * (self.max_total_degree + 1)
@@ -533,35 +515,17 @@ def quadrature_coefficients(
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """Outcome of checking computed coefficients against the closed form."""
+    """Outcome of checking computed coefficients against the closed form.
 
-    max_degree: int
-    coefficients: Tuple[int, ...]
-    theorem_match: bool
+    checks maps each named check to its result, in report order:
+    theorem_match, palindrome_numerator, palindrome_nonneg_numerator,
+    nonneg_coefficients, transform_identity, degree_gap_35, series_head.
+    """
+
+    checks: Dict[str, bool]
     first_mismatch: Optional[int]
-    palindrome_numerator: bool
-    palindrome_nonneg_numerator: bool
-    nonneg_coefficients: bool
-    transform_identity: bool
     degree_gap: int
     hsop_degrees: Tuple[int, ...]
-    series_head: bool
-
-    def checks(self) -> Dict[str, bool]:
-        """Every named check, in report order."""
-        return {
-            "theorem_match": self.theorem_match,
-            "palindrome_numerator": self.palindrome_numerator,
-            "palindrome_nonneg_numerator": self.palindrome_nonneg_numerator,
-            "nonneg_coefficients": self.nonneg_coefficients,
-            "transform_identity": self.transform_identity,
-            "degree_gap_35": self.degree_gap == 35,
-            "series_head": self.series_head,
-        }
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.checks().values())
 
 
 def _taylor_head(
@@ -603,7 +567,10 @@ def verify_theorem(computed: Sequence[int]) -> SeriesReport:
     denominator/numerator degree gaps equal 35; the series starts 1, 0
     (c1 only when computed); and reports the degree multiset of a
     homogeneous system of parameters read off the nonnegative
-    denominator's factors.
+    denominator's factors.  The two palindrome checks hold by
+    construction while luinv.reference completes N and N* by mirroring
+    their tabulated halves; they gain force once the numerators are
+    derived from computed data.
     """
     if not computed:
         raise ValueError("need at least the degree-0 coefficient")
@@ -621,20 +588,15 @@ def verify_theorem(computed: Sequence[int]) -> SeriesReport:
     transform = np.convolve([1, -1, 1], [1, 0, 0, 1])
 
     gap = len(den) - len(num)
-    gap_star = len(den_star) - len(num_star)
-    return SeriesReport(
-        max_degree=len(computed) - 1,
-        coefficients=tuple(computed),
-        theorem_match=first_mismatch is None,
-        first_mismatch=first_mismatch,
-        palindrome_numerator=_palindromic(num, reference.NUMERATOR_DEGREE),
-        palindrome_nonneg_numerator=_palindromic(
-            num_star, reference.NONNEG_NUMERATOR_DEGREE
-        ),
-        nonneg_coefficients=all(c >= 0 for c in num_star),
-        transform_identity=np.array_equal(np.convolve(den, transform), den_star)
+    gap = gap if gap == len(den_star) - len(num_star) else -1
+    checks = {
+        "theorem_match": first_mismatch is None,
+        "palindrome_numerator": _palindromic(num, reference.NUMERATOR_DEGREE),
+        "palindrome_nonneg_numerator": _palindromic(num_star, reference.NONNEG_NUMERATOR_DEGREE),
+        "nonneg_coefficients": all(c >= 0 for c in num_star),
+        "transform_identity": np.array_equal(np.convolve(den, transform), den_star)
         and np.array_equal(np.convolve(num, transform), num_star),
-        degree_gap=gap if gap == gap_star else -1,
-        hsop_degrees=reference.hsop_degrees(),
-        series_head=computed[0] == 1 and all(c == 0 for c in computed[1:2]),
-    )
+        "degree_gap_35": gap == 35,
+        "series_head": computed[0] == 1 and all(c == 0 for c in computed[1:2]),
+    }
+    return SeriesReport(checks, first_mismatch, gap, reference.hsop_degrees())

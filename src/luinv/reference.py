@@ -77,27 +77,20 @@ class ReferenceDataError(ValueError):
     """Tabulated data fails its own internal consistency checks."""
 
 
-def _expand_factors(
-    factors: Sequence[Tuple[int, int]], *, times_one_plus_t: bool = False
-) -> Tuple[int, ...]:
+def _expand_factors(factors: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
     """Coefficients of prod (1 - t^e)^m over the (e, m) pairs.
 
-    ``times_one_plus_t`` appends the lone (1 + t) factor D carries.  Each
-    factor is the in-place update c[k] -= c[k - e] (c[k] += c[k - 1] for
-    1 + t) with k running downward, so every read sees the old value.
-    The empty product is (1,).
+    Each factor is the in-place update c[k] -= c[k - e] with k running
+    downward, so every read sees the old value.  The empty product is (1,).
     """
     if any(e < 1 or m < 1 for e, m in factors):
         raise ValueError("factor exponents and multiplicities must be >= 1")
-    top = sum(e * m for e, m in factors) + (1 if times_one_plus_t else 0)
+    top = sum(e * m for e, m in factors)
     c = [1] + [0] * top
     for e, m in factors:
         for _ in range(m):
             for k in range(top, e - 1, -1):
                 c[k] -= c[k - e]
-    if times_one_plus_t:
-        for k in range(top, 0, -1):
-            c[k] += c[k - 1]
     return tuple(c)
 
 
@@ -124,7 +117,8 @@ def numerator_poly() -> Tuple[int, ...]:
 
 def denominator_poly() -> Tuple[int, ...]:
     """D(t), expanded from its factored form (degree 105)."""
-    return _expand_factors(DENOMINATOR_FACTORS, times_one_plus_t=True)
+    c = _expand_factors(DENOMINATOR_FACTORS)
+    return tuple(a + b for a, b in zip(c + (0,), (0,) + c))  # times 1 + t
 
 
 def nonneg_numerator_poly() -> Tuple[int, ...]:

@@ -155,17 +155,13 @@ def _add_identity(m: np.ndarray, c) -> np.ndarray:
     return m
 
 
-def _local_sum(local_a: np.ndarray, local_b: np.ndarray) -> np.ndarray:
-    """J(X (x) I + I (x) Y) from J(X) and J(Y)."""
-    return kron(local_a, np.eye(6, dtype=int)) + kron(np.eye(4, dtype=int), local_b)
-
-
 def decompose_state(rho: np.ndarray) -> StateDecomposition:
     """Split a state or a stack of them, validated at the default tolerance, into its pieces."""
     den, n = validate_state(rho)
     local_a = _add_identity(4 * partial_trace_qutrit(n), -2 * den)
     local_b = _add_identity(6 * partial_trace_qubit(n), -2 * den)
-    corr = _add_identity(12 * n, -2 * den) - _local_sum(local_a, local_b)
+    local_sum = kron(local_a, np.eye(6, dtype=int)) + kron(np.eye(4, dtype=int), local_b)
+    corr = _add_identity(12 * n, -2 * den) - local_sum
     # P_k = tr_qubit((E_k (x) I) Z~): E_k is indexed (k, c, a, e, b), Z~ (..., e, b, j, d, a, l)
     paulis = pauli_basis().reshape(3, 2, 2, 2, 2)
     corr_parts = np.tensordot(_split(corr), paulis, axes=([-6, -5, -2], [3, 4, 2]))
@@ -183,17 +179,6 @@ def scale_components(dec: StateDecomposition, a: Scalar, b: Scalar, c: Scalar) -
     return StateDecomposition(
         dec.local_a * a, dec.local_b * b, dec.corr * c, dec.corr_parts * c, dec.scale
     )
-
-
-def divide(raw, divisor: int, exact: bool):
-    """raw / divisor as Fractions if exact, else as floats; raw may be an array."""
-    return raw * Fraction(1, divisor) if exact else raw / divisor
-
-
-def recompose(dec: StateDecomposition) -> np.ndarray:
-    """Rebuild the embedded density matrix from its decomposition pieces."""
-    total = _local_sum(dec.local_a, dec.local_b) + dec.corr
-    return divide(_add_identity(total, dec.scale // 6), dec.scale, dec.exact)
 
 
 def _ginibre(normals: np.ndarray, n: int) -> np.ndarray:

@@ -566,6 +566,17 @@ class TestMultigraded:
         assert code == 1 and json.loads(out)["row_sums_match"] is False
 
 
+    def test_row_sums_checked_against_the_closed_form(self, capsys, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("multigraded must not run the single-graded engine")
+
+        monkeypatch.setattr(cli, "poincare_coefficients", engine)
+        code, out, _ = run_cli(capsys, "multigraded", "--max-degree", "6", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["row_sums_match"] is True
+        assert payload["row_sums"] == list(reference.TAYLOR_COEFFS[:7])
+
+
 class TestDeterminism:
     def test_byte_identical_series_json(self, capsys):
         _, out_a, _ = run_cli(capsys, "series", "--max-degree", "8", "--format", "json")

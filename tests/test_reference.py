@@ -101,13 +101,10 @@ class TestPolyFromFactored:
         cubed = np.convolve(np.convolve(base, base), base)
         assert _expand_factors([(2, 3)]) == tuple(cubed)
 
-    def test_one_plus_t_flag(self):
+    def test_denominator_carries_one_plus_t(self):
         assert _expand_factors([]) == (1,)
-        assert _expand_factors([], times_one_plus_t=True) == (1, 1)
-        # (1 + t)(1 - t) = 1 - t^2
-        assert _expand_factors([(1, 1)], times_one_plus_t=True) == (1, 0, -1)
-        # (1 + t)(1 - t^2)^2 = 1 + t - 2t^2 - 2t^3 + t^4 + t^5
-        assert _expand_factors([(2, 2)], times_one_plus_t=True) == (1, 1, -2, -2, 1, 1)
+        expanded = np.convolve(_expand_factors(reference.DENOMINATOR_FACTORS), (1, 1))
+        assert reference.denominator_poly() == tuple(expanded)
 
     def test_degree_is_weighted_sum(self):
         factors = [(2, 3), (5, 2), (7, 1)]

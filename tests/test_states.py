@@ -18,7 +18,6 @@ from luinv.states import (
     pauli_basis,
     random_local_unitary,
     random_state,
-    recompose,
     scale_components,
     state_from_json,
     state_to_json,
@@ -31,6 +30,12 @@ def exact(re_rows, im_rows=None) -> np.ndarray:
     re = np.array(re_rows, dtype=object)
     im = np.zeros_like(re) if im_rows is None else np.array(im_rows, dtype=object)
     return embed(re, im)
+
+
+def defining_sum(dec) -> np.ndarray:
+    """(s/6) I + X~ (x) I + I (x) Y~ + Z~, which is s rho for the scale s."""
+    local = kron(dec.local_a, np.eye(6, dtype=int)) + kron(np.eye(4, dtype=int), dec.local_b)
+    return (dec.scale // 6) * np.eye(12, dtype=int) + local + dec.corr
 
 
 def exact_identity(n: int) -> np.ndarray:
@@ -301,14 +306,14 @@ class TestDecomposition:
             rebuilt = rebuilt + kron(e, y)
         assert np.array_equal(rebuilt, 2 * dec.corr)
         # and the whole thing reassembles to the input
-        assert np.array_equal(recompose(dec), rho)
+        assert np.array_equal(defining_sum(dec), dec.scale * rho)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_roundtrip_float(self, seed):
         rho = random_state(seed, "psd_float")
         dec = decompose_state(rho)
         assert not dec.exact
-        assert np.abs(recompose(dec) - rho).max() < 1e-14
+        assert np.abs(defining_sum(dec) / dec.scale - rho).max() < 1e-14
 
     def test_scale_components(self):
         dec = decompose_state(random_state(5, "rational"))
