@@ -23,10 +23,13 @@ that factor the integrand is invariant under the 12 automorphisms of the
 SU(3) roots, A2_MAPS, which permute the grid, so the engine evaluates it
 at one point per orbit, about a twelfth of the grid, and weights each
 orbit by its sum of the Weyl factor.  There dividing by (1 - t w) is the
-update G[d] += w * G[d-1] on int64 rows, one array operation for all the
-rows of a level.  A few primes joined by the Chinese remainder theorem
-give the integers.  Giving each subspace its own t yields the
-multigraded table from the same update.
+update G[d] += w * G[d-1] on int64 rows.  With one grade the rows form a
+chain, and the K weights cross it as a wavefront (Lamport's hyperplane
+method): row d takes weight k at step k + d, so each of the K + n - 2
+steps is one array operation on a slice of rows.  A few primes joined by
+the Chinese remainder theorem give the integers.  Giving each subspace
+its own t yields the multigraded table from the same update, one array
+operation per weight and level of rows.
 
 An exact quadrature, with no x constant-term identity, orbits or Chinese
 remainder theorem, cross-checks the engine mod one prime: it builds h_d
@@ -41,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -193,7 +196,10 @@ def _estimated_bytes(k: int, d: int, maps: Sequence = A2_MAPS) -> int:
     pairing stores a row of E per (P row, Q row) pair, at most twice the P
     rows times the rows of total degree (d + 1) // 2; the multidegrees are
     looked up in an int64 per point of the cube [0, d]^k; the multidegree
-    tables and the residues take a few hundred bytes per multidegree.
+    tables and the residues take a few hundred bytes per multidegree.  A
+    wavefront step on a chain holds a grade's K weights and a slice of at
+    most K rows, at most 70 rows for 35 weights, which fit in the space the
+    orbit enumeration has freed by then.
     """
     m, cells, half = d + 3, math.comb(d + k, k), math.comb((d + 1) // 2 + k, k)
     rows = cells + 2 * half + 4 * math.comb(d + k - 1, k - 1) + 8
@@ -246,16 +252,19 @@ def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
             yield p, next(w for w in roots if all(pow(w, m // q, p) != 1 for q in factors))
 
 
-def _levels(depth: np.ndarray, source: np.ndarray) -> List[tuple]:
+def _levels(depth: np.ndarray, source: np.ndarray) -> Union[int, List[tuple]]:
     """The rows at each depth >= 1 with their sources, which lie one depth lower.
 
-    A level of one row is a pair of ints, a larger one a pair of index arrays.
+    On a chain, where row r has depth r and source r - 1, this is the chain's
+    length n, an int; otherwise a list of (rows, src) index arrays, one per depth.
     """
+    n = len(depth)
+    if np.array_equal(depth, np.arange(n)) and np.array_equal(source[1:], np.arange(n - 1)):
+        return n
     levels = []
     for level in range(1, depth.max() + 1):
         rows = np.flatnonzero(depth == level)
-        src = source[rows]
-        levels.append((int(rows[0]), int(src[0])) if len(rows) == 1 else (rows, src))
+        levels.append((rows, source[rows]))
     return levels
 
 
@@ -267,19 +276,31 @@ def _divide(series: np.ndarray, weights: Iterable, levels: Sequence, p: int) -> 
     multidegree less one in grade g.  weights yields (g, values of w at the
     points).  The update series[i] += w * series[source], for increasing
     i, only adds; a row at depth L along grade g's chain reads only a row
-    at depth L - 1, so each depth is one update of all its rows.
+    at depth L - 1, so on index-array levels each depth is one update of
+    all its rows, weight by weight.  On a chain of n rows, the K weights of
+    a run of one grade go as a wavefront: row r takes weight k at step
+    k + r, from values of the step before, so each of the K + n - 2 steps
+    is one update of a slice of rows.
     """
-    for g, w in weights:
-        for rows, src in levels[g]:
-            if isinstance(rows, int):
-                series[rows] += w * series[src]
-                series[rows] %= p
-            else:
-                block = series[src]
-                block *= w
-                block += series[rows]
+    for g, run in itertools.groupby(weights, key=lambda gw: gw[0]):
+        if isinstance(levels[g], int):
+            stack = np.stack([w for _, w in run][::-1])  # the last weight first
+            k, n = len(stack), levels[g]
+            for step in range(1, k + n - 1 if n > 1 else 1):
+                lo, hi = max(1, step - k + 1), min(n - 1, step)
+                # stack[i] is weight k - 1 - i: rows lo..hi take weights step - lo down to step - hi
+                block = stack[k - 1 - step + lo : k - step + hi] * series[lo - 1 : hi]
+                block += series[lo : hi + 1]
                 block %= p
-                series[rows] = block
+                series[lo : hi + 1] = block
+        else:
+            for _, w in run:
+                for rows, src in levels[g]:
+                    block = series[src]
+                    block *= w
+                    block += series[rows]
+                    block %= p
+                    series[rows] = block
 
 
 def _dimensions(
@@ -456,20 +477,31 @@ def _slice_sums(max_degree: int, m: int, p: int, omega: int, exponents: np.ndarr
     """For each a in exponents, a row of the sums over the M x M grid of (y, z) of
     (1 - 1/y)(1 - 1/z)(1 - 1/(yz)) h_d(omega^a, y, z) mod p, d = 0..max_degree.  A block
     of x values at a time, dividing 1 by (1 - t w) for each of the 35 weights, h_d += w
-    h_(d-1) for increasing d, builds h_0..h_max_degree at the block's points."""
+    h_(d-1) for increasing d, builds h_0..h_max_degree at the block's points.  The 17
+    weights with x-exponent 0 give the same values on every x slice, so they divide the
+    block's first slice only, which is then copied into the others."""
     # the grid first, so that a grid too large to hold fails before the rest
     i, j = np.divmod(np.arange(m * m), m)  # point i*m + j is (omega^i, omega^j)
     powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
     yz = {u[1:]: powers[(u[1] * i + u[2] * j) % m] for u in WEIGHTS}
     weyl = (1 - yz[-1, 0]) * (1 - yz[0, -1]) % p * (1 - yz[-1, -1]) % p
     size = _quadrature_block(max_degree, m)
+    x_free = [u for u in WEIGHTS if u[0] == 0]
+    x_weights = [u for u in WEIGHTS if u[0] != 0]
     out = np.empty((len(exponents), max_degree + 1), dtype=np.int64)
     for start in range(0, len(exponents), size):
         block = exponents[start : start + size]
         h = np.zeros((max_degree + 1, len(block), m * m), dtype=np.int64)
         h[0] = 1
         w, product = np.empty((2, len(block), m * m), dtype=np.int64)
-        for ex, ey, ez in WEIGHTS:
+        for _, ey, ez in x_free:
+            for d in range(1, max_degree + 1):
+                np.multiply(yz[ey, ez], h[d - 1, 0], out=product[0])
+                product[0] += h[d, 0]
+                np.remainder(product[0], p, out=h[d, 0])
+        for d in range(1, max_degree + 1):  # h[:, 1:] = h[:, :1] would copy h
+            h[d, 1:] = h[d, 0]
+        for ex, ey, ez in x_weights:
             np.multiply(powers[ex * block % m, None], yz[ey, ez], out=w)
             w %= p
             for d in range(1, max_degree + 1):

@@ -296,6 +296,65 @@ class TestCharacters:
         assert _dimensions(grades, max_degree, None) == expected
 
 
+def per_depth_levels(n: int) -> list:
+    """The chain of n rows as per-depth index arrays, one row per depth."""
+    return [(np.array([r]), np.array([r - 1])) for r in range(1, n)]
+
+
+class TestDivide:
+    @given(
+        n=st.integers(1, 30),
+        runs=st.lists(st.tuples(st.sampled_from((0, 1)), st.integers(1, 40)), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_wavefront_matches_per_depth_levels(self, n, runs, seed):
+        # runs of weights of two grades, each grade dividing the same chain;
+        # K > n, K < n and n = 1 all occur
+        p = next(_grid_primes(7))[0]
+        rng = np.random.default_rng(seed)
+        start = rng.integers(0, p, size=(n, 5))
+        weights = [(g, rng.integers(0, p, size=5)) for g, k in runs for _ in range(k)]
+        chain = _levels(np.arange(n), np.arange(-1, n - 1))
+        assert chain == n
+        wavefront, per_depth = start.copy(), start.copy()
+        _divide(wavefront, weights, [chain, chain], p)
+        _divide(per_depth, weights, [per_depth_levels(n)] * 2, p)
+        assert (wavefront == per_depth).all()
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (9, 1), (1, 2), (1, 30), (5, 3), (17, 23), (40, 2)])
+    def test_wavefront_writes_once_per_step(self, k, n):
+        # K + n - 2 slice writes for one grade on a chain of n >= 2 rows, not K (n - 1)
+        class Counting(np.ndarray):
+            writes = 0
+
+            def __setitem__(self, key, value):
+                Counting.writes += 1
+                super().__setitem__(key, value)
+
+        p = next(_grid_primes(7))[0]
+        series = np.ones((n, 5), dtype=np.int64).view(Counting)
+        _divide(series, ((0, np.full(5, 2)) for _ in range(k)), [n], p)
+        assert Counting.writes == (k + n - 2 if n > 1 else 0)
+        expected = np.ones((n, 5), dtype=np.int64)
+        _divide(expected, ((0, np.full(5, 2)) for _ in range(k)), [per_depth_levels(n)], p)
+        assert (np.asarray(series) == expected).all()
+
+    def test_one_grade_divides_chains(self, monkeypatch):
+        kinds = []
+
+        def spy(depth, source):
+            levels = _levels(depth, source)
+            kinds.append(type(levels))
+            return levels
+
+        monkeypatch.setattr(molien, "_levels", spy)
+        _dimensions([WEIGHTS], 22, None)
+        assert kinds == [int, int]  # E, then the half rows of P and Q
+        kinds.clear()
+        _dimensions(list(GRADES.values()), 6, None)
+        assert kinds == [list] * 6
+
+
 #: The primes up to the square root of 2^31, for trial division.
 SMALL_PRIMES = np.array([q for q in range(2, math.isqrt(2**31) + 1) if is_prime(q)])
 
@@ -458,6 +517,11 @@ class TestSeries:
     def test_memory_budget_advisory(self):
         with pytest.raises(MemoryBudgetError, match="feasible max degree"):
             poincare_coefficients(19, memory_budget=30_000)
+
+    def test_closed_form_through_230(self):
+        # chains longer than the 17 weights of E, several primes, and past
+        # the denominator degree 105
+        assert verify_theorem(poincare_coefficients(230)).checks["theorem_match"]
 
     @pytest.mark.parametrize(
         "tags, degrees", [(None, (0, 3, 12, 35, 110)), (tuple(GRADES), (0, 3, 8, 20))]
