@@ -201,15 +201,6 @@ def _integer(minimum: int):
     return parse
 
 
-def _engine_options(max_degree: int) -> argparse.ArgumentParser:
-    """--max-degree and --memory-budget of the series, verify and multigraded commands."""
-    # one per subcommand: set_defaults on a shared parent's action moves them all
-    options = argparse.ArgumentParser(add_help=False)
-    options.add_argument("--max-degree", type=int, default=max_degree)
-    options.add_argument("--memory-budget", type=_integer(1), default=None, metavar="BYTES")
-    return options
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="luinv",
@@ -219,20 +210,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+    formats = ("plain", "csv", "json")
 
-    p = sub.add_parser("series", parents=[_engine_options(14), fmt], help="exact series coefficients")
+    p = sub.add_parser("series", help="exact series coefficients")
+    p.add_argument("--max-degree", type=int, default=14)
+    p.add_argument("--memory-budget", type=_integer(1), default=None, metavar="BYTES")
+    p.add_argument("--format", choices=formats, default="plain")
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser(
-        "verify", parents=[_engine_options(14), fmt], help="check the closed form and identities"
-    )
+    p = sub.add_parser("verify", help="check the closed form and identities")
+    p.add_argument("--max-degree", type=int, default=14)
+    p.add_argument("--memory-budget", type=_integer(1), default=None, metavar="BYTES")
+    p.add_argument("--format", choices=formats, default="plain")
     p.add_argument("--with-quadrature", action="store_true")
     p.add_argument("--grid-size", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("invariants", parents=[fmt], help="evaluate the seven invariants")
+    p = sub.add_parser("invariants", help="evaluate the seven invariants")
+    p.add_argument("--format", choices=formats, default="plain")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--state", metavar="FILE", help="JSON state file")
     source.add_argument("--random", action="store_true", help="random state (needs --seed)")
@@ -242,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser(
-        "multigraded", parents=[_engine_options(6), fmt], help="dimensions refined by multidegree"
-    )
+    p = sub.add_parser("multigraded", help="dimensions refined by multidegree")
+    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--memory-budget", type=_integer(1), default=None, metavar="BYTES")
+    p.add_argument("--format", choices=formats, default="plain")
     p.set_defaults(func=cmd_multigraded)
 
     return parser

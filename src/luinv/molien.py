@@ -599,17 +599,19 @@ def verify_theorem(computed: Sequence[int]) -> SeriesReport:
     denominator/numerator degree gaps equal 35; the series starts 1, 0
     (c1 only when computed); and reports the degree multiset of a
     homogeneous system of parameters read off the nonnegative
-    denominator's factors.  The two palindrome checks hold by
+    denominator's factors.  It reads N, D, N*, D* and the hsop degrees
+    as the constants luinv.reference built at import, looked up at each
+    call, and calls nothing there.  The two palindrome checks hold by
     construction while luinv.reference completes N and N* by mirroring
     their tabulated halves; they gain force once the numerators are
     derived from computed data.
     """
     if not computed:
         raise ValueError("need at least the degree-0 coefficient")
-    num = reference.numerator_poly()
-    den = reference.denominator_poly()
-    num_star = reference.nonneg_numerator_poly()
-    den_star = reference.nonneg_denominator_poly()
+    num = reference.NUMERATOR
+    den = reference.DENOMINATOR
+    num_star = reference.NONNEG_NUMERATOR
+    den_star = reference.NONNEG_DENOMINATOR
 
     expected = _taylor_head(num, den, len(computed) - 1)
     first_mismatch = next(
@@ -631,4 +633,4 @@ def verify_theorem(computed: Sequence[int]) -> SeriesReport:
         "degree_gap_35": gap == 35,
         "series_head": computed[0] == 1 and all(c == 0 for c in computed[1:2]),
     }
-    return SeriesReport(checks, first_mismatch, gap, reference.hsop_degrees())
+    return SeriesReport(checks, first_mismatch, gap, reference.HSOP_DEGREES)

@@ -2,18 +2,20 @@
 local-unitary invariant algebra.
 
 Every golden value consumed by the verification pipeline lives in this
-one file so it can be audited in a single place.  Polynomials are plain
-tuples of Python ints, coefficient k at index k.  Nothing here is
-computed beyond completing the tabulated numerators and expanding the
-factored denominators; the engine in :mod:`luinv.molien` recomputes the
-series from scratch and :func:`luinv.molien.verify_theorem` compares the
-two.
+one file so it can be audited in a single place.  The transcribed
+tables come first; below them NUMERATOR, DENOMINATOR, NONNEG_NUMERATOR,
+NONNEG_DENOMINATOR and HSOP_DEGREES are built from those tables once,
+at import, as plain tuples of Python ints, coefficient k at index k.
+Nothing here is computed beyond that completion and expansion; the
+engine in :mod:`luinv.molien` recomputes the series from scratch and
+:func:`luinv.molien.verify_theorem` compares the two.
 
 The series P(t) = sum_d dim(invariants of degree d) t^d is a rational
 function N(t)/D(t).  N is palindromic of degree 70, so only the
 coefficients through t^35 are tabulated; the mirror rule c[70-k] = c[k]
 completes the rest, and a few independently tabulated high-degree terms
-serve as a transcription check.  Multiplying both N and D by
+serve as a transcription check: one that disagrees with the mirror
+raises ReferenceDataError at import.  Multiplying both N and D by
 (1 - t + t^2)(1 + t^3) yields an equivalent form whose numerator has
 nonnegative coefficients (palindromic of degree 75, tabulated through
 t^37 and mirrored) and whose denominator factors as a product of
@@ -108,34 +110,20 @@ def _mirror_complete(low_coeffs, degree, tail_check) -> Tuple[int, ...]:
     return tuple(coeffs)
 
 
-def numerator_poly() -> Tuple[int, ...]:
-    """N(t): palindromic numerator of the series, completed by mirroring."""
-    return _mirror_complete(
-        NUMERATOR_LOW_COEFFS, NUMERATOR_DEGREE, NUMERATOR_TAIL_CHECK
-    )
+# --- the built polynomials, once, at import -----------------------------
 
+NUMERATOR = _mirror_complete(NUMERATOR_LOW_COEFFS, NUMERATOR_DEGREE, NUMERATOR_TAIL_CHECK)
 
-def denominator_poly() -> Tuple[int, ...]:
-    """D(t), expanded from its factored form (degree 105)."""
-    c = _expand_factors(DENOMINATOR_FACTORS)
-    return tuple(a + b for a, b in zip(c + (0,), (0,) + c))  # times 1 + t
+_FACTORED = _expand_factors(DENOMINATOR_FACTORS)
+DENOMINATOR = tuple(a + b for a, b in zip(_FACTORED + (0,), (0,) + _FACTORED))  # times 1 + t
+del _FACTORED
 
+NONNEG_NUMERATOR = _mirror_complete(
+    NONNEG_NUMERATOR_LOW_COEFFS, NONNEG_NUMERATOR_DEGREE, NONNEG_NUMERATOR_TAIL_CHECK
+)
 
-def nonneg_numerator_poly() -> Tuple[int, ...]:
-    """N*(t): the nonnegative palindromic numerator (degree 75)."""
-    return _mirror_complete(
-        NONNEG_NUMERATOR_LOW_COEFFS,
-        NONNEG_NUMERATOR_DEGREE,
-        NONNEG_NUMERATOR_TAIL_CHECK,
-    )
+NONNEG_DENOMINATOR = _expand_factors(NONNEG_DENOMINATOR_FACTORS)
 
-
-def nonneg_denominator_poly() -> Tuple[int, ...]:
-    """D*(t), expanded from its factored form (degree 110)."""
-    return _expand_factors(NONNEG_DENOMINATOR_FACTORS)
-
-
-def hsop_degrees() -> Tuple[int, ...]:
-    """Sorted degree multiset of a homogeneous system of parameters, read off
-    the exponents of D*'s factors with multiplicity: 24 values in total."""
-    return tuple(e for e, m in sorted(NONNEG_DENOMINATOR_FACTORS) for _ in range(m))
+# Sorted degree multiset of a homogeneous system of parameters, read off
+# the exponents of D*'s factors with multiplicity: 24 values in total.
+HSOP_DEGREES = tuple(e for e, m in sorted(NONNEG_DENOMINATOR_FACTORS) for _ in range(m))

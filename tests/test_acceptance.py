@@ -66,10 +66,10 @@ def test_criterion_1_exact_series_reproduction():
 
 def test_criterion_2_closed_form_verification(coeffs19):
     report = verify_theorem(coeffs19)
-    num = reference.numerator_poly()
-    den = reference.denominator_poly()
-    num_star = reference.nonneg_numerator_poly()
-    den_star = reference.nonneg_denominator_poly()
+    num = reference.NUMERATOR
+    den = reference.DENOMINATOR
+    num_star = reference.NONNEG_NUMERATOR
+    den_star = reference.NONNEG_DENOMINATOR
     factor = np.convolve([1, -1, 1], [1, 0, 0, 1])
 
     ok = _taylor_head(num, den, 19) == coeffs19
@@ -419,7 +419,7 @@ def test_criterion_8_dimension_cross_checks(rational_states, coeffs19):
 
 def test_criterion_9_structural_constants():
     expected_hsop = {2: 3, 3: 4, 4: 5, 5: 4, 6: 5, 7: 2, 8: 1}
-    degrees = reference.hsop_degrees()
+    degrees = reference.HSOP_DEGREES
     counts = {d: degrees.count(d) for d in set(degrees)}
     ok = len(WEIGHTS) == 35
     ok = ok and len(degrees) == 24 and counts == expected_hsop
@@ -443,7 +443,7 @@ def test_stretch_full_numerator_reconstruction():
     """
     computed = poincare_coefficients(110)
     expansion = _taylor_head(
-        reference.numerator_poly(), reference.denominator_poly(), 110
+        reference.NUMERATOR, reference.DENOMINATOR, 110
     )
     assert computed == expansion
     print(

@@ -198,9 +198,9 @@ class TestVerify:
         assert payload["checks"]["series_head"] is True
 
     def test_corrupted_fixture_names_degree(self, capsys, monkeypatch):
-        tampered = list(reference.NUMERATOR_LOW_COEFFS)
+        tampered = list(reference.NUMERATOR)
         tampered[5] += 1
-        monkeypatch.setattr(reference, "NUMERATOR_LOW_COEFFS", tuple(tampered))
+        monkeypatch.setattr(reference, "NUMERATOR", tuple(tampered))
         code, out, _ = run_cli(capsys, "verify", "--max-degree", "8")
         assert code == 1
         assert "first mismatch at degree 5" in out
@@ -582,6 +582,68 @@ class TestDeterminism:
         _, out_a, _ = run_cli(capsys, "series", "--max-degree", "8", "--format", "json")
         _, out_b, _ = run_cli(capsys, "series", "--max-degree", "8", "--format", "json")
         assert out_a == out_b
+
+
+ENGINE_OPTIONS = ["--max-degree MAX_DEGREE", "--memory-budget BYTES", "--format {plain,csv,json}"]
+
+# usage block and option order of `luinv [sub] -h` at 80 columns
+HELP = {
+    (): (
+        "usage: luinv [-h] {series,verify,invariants,multigraded} ...",
+        ["-h, --help"],
+    ),
+    ("series",): (
+        "usage: luinv series [-h] [--max-degree MAX_DEGREE] [--memory-budget BYTES]\n"
+        "                    [--format {plain,csv,json}]",
+        ["-h, --help", *ENGINE_OPTIONS],
+    ),
+    ("verify",): (
+        "usage: luinv verify [-h] [--max-degree MAX_DEGREE] [--memory-budget BYTES]\n"
+        "                    [--format {plain,csv,json}] [--with-quadrature]\n"
+        "                    [--grid-size GRID_SIZE]",
+        ["-h, --help", *ENGINE_OPTIONS, "--with-quadrature", "--grid-size GRID_SIZE"],
+    ),
+    ("invariants",): (
+        "usage: luinv invariants [-h] [--format {plain,csv,json}]\n"
+        "                        [--state FILE | --random | --battery]\n"
+        "                        [--scalar {exact,float}] [--seed SEED]\n"
+        "                        [--trials TRIALS]",
+        [
+            "-h, --help", "--format {plain,csv,json}", "--state FILE", "--random",
+            "--battery", "--scalar {exact,float}", "--seed SEED", "--trials TRIALS",
+        ],
+    ),
+    ("multigraded",): (
+        "usage: luinv multigraded [-h] [--max-degree MAX_DEGREE]\n"
+        "                         [--memory-budget BYTES] [--format {plain,csv,json}]",
+        ["-h, --help", *ENGINE_OPTIONS],
+    ),
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("sub", list(HELP), ids=lambda s: " ".join(s) or "root")
+    def test_usage_and_option_order(self, capsys, monkeypatch, sub):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*sub, "-h"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        usage, options = HELP[sub]
+        assert captured.out.split("\n\n")[0] == usage
+        assert re.findall(r"^  (-\S+(?: \S+)*)", captured.out, re.MULTILINE) == options
+
+    def test_root_lists_subcommands_in_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["-h"])
+        out = capsys.readouterr().out
+        assert re.findall(r"^    (\w+) +(.+)$", out, re.MULTILINE) == [
+            ("series", "exact series coefficients"),
+            ("verify", "check the closed form and identities"),
+            ("invariants", "evaluate the seven invariants"),
+            ("multigraded", "dimensions refined by multidegree"),
+        ]
 
 
 def _state_files(root):

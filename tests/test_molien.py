@@ -656,23 +656,41 @@ class TestVerifyTheorem:
             assert not all(report.checks.values())
 
     @pytest.mark.parametrize(
-        "table, index, value, check",
+        "name, index, delta, check",
         [
-            ("NONNEG_NUMERATOR_LOW_COEFFS", 10, 734, "transform_identity"),
-            ("NONNEG_DENOMINATOR_FACTORS", 6, (9, 1), "transform_identity"),
-            ("NONNEG_NUMERATOR_LOW_COEFFS", 1, -1, "nonneg_coefficients"),
-            ("DENOMINATOR_FACTORS", 6, (9, 1), "degree_gap_35"),
+            pytest.param(
+                "NONNEG_NUMERATOR", 10, 1, "transform_identity", id="transform_identity-N_star"
+            ),
+            pytest.param(
+                "NONNEG_DENOMINATOR", 8, 1, "transform_identity", id="transform_identity-D_star"
+            ),
+            pytest.param(
+                "NONNEG_NUMERATOR", 1, -1, "nonneg_coefficients", id="nonneg_coefficients-N_star"
+            ),
+            # one term past degree 105
+            pytest.param("DENOMINATOR", 106, 1, "degree_gap_35", id="degree_gap_35-D"),
         ],
     )
-    def test_tampered_table_fails_its_check(self, monkeypatch, table, index, value, check):
+    def test_tampered_table_fails_its_check(self, monkeypatch, name, index, delta, check):
         computed = list(reference.TAYLOR_COEFFS)
         assert verify_theorem(computed).checks[check] is True
-        tampered = list(getattr(reference, table))
-        tampered[index] = value
-        monkeypatch.setattr(reference, table, tuple(tampered))
+        # add delta * t^index to the built polynomial, lengthening it if needed
+        tampered = list(getattr(reference, name))
+        tampered += [0] * (index + 1 - len(tampered))
+        tampered[index] += delta
+        monkeypatch.setattr(reference, name, tuple(tampered))
         report = verify_theorem(computed)
         assert report.checks[check] is False
         assert not all(report.checks.values())
+
+    def test_calls_nothing_in_reference(self, monkeypatch, coeffs19):
+        # the closed form is read as constants built at import, never rebuilt
+        def refuse(*args):
+            raise AssertionError("verify_theorem rebuilt the closed form")
+
+        monkeypatch.setattr(reference, "_expand_factors", refuse)
+        monkeypatch.setattr(reference, "_mirror_complete", refuse)
+        assert all(verify_theorem(coeffs19).checks.values())
 
 
 class TestMultigraded:
@@ -698,7 +716,7 @@ class TestMultigraded:
         assert table.row_sums() == poincare_coefficients(5)
 
     def test_row_sums_match_closed_form_through_20(self):
-        expansion = _taylor_head(reference.numerator_poly(), reference.denominator_poly(), 20)
+        expansion = _taylor_head(reference.NUMERATOR, reference.DENOMINATOR, 20)
         assert poincare_multigraded(20).row_sums() == expansion
 
     def test_rejects_negative(self):

@@ -2,6 +2,8 @@
 closed form's integer-array helpers (factored expansion, Taylor
 recurrence, palindromy)."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from luinv import reference
 from luinv.molien import _palindromic, _taylor_head
-from luinv.reference import _expand_factors
+from luinv.reference import ReferenceDataError, _expand_factors, _mirror_complete
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
 
@@ -19,71 +21,113 @@ def degree(coeffs) -> int:
     return max(k for k, c in enumerate(coeffs) if c != 0)
 
 
+def test_constants_are_built_from_the_tables():
+    assert reference.NUMERATOR == _mirror_complete(
+        reference.NUMERATOR_LOW_COEFFS,
+        reference.NUMERATOR_DEGREE,
+        reference.NUMERATOR_TAIL_CHECK,
+    )
+    assert reference.NONNEG_NUMERATOR == _mirror_complete(
+        reference.NONNEG_NUMERATOR_LOW_COEFFS,
+        reference.NONNEG_NUMERATOR_DEGREE,
+        reference.NONNEG_NUMERATOR_TAIL_CHECK,
+    )
+    # DENOMINATOR: TestPolyFromFactored.test_denominator_carries_one_plus_t
+    assert reference.NONNEG_DENOMINATOR == _expand_factors(reference.NONNEG_DENOMINATOR_FACTORS)
+    built = (
+        reference.NUMERATOR,
+        reference.DENOMINATOR,
+        reference.NONNEG_NUMERATOR,
+        reference.NONNEG_DENOMINATOR,
+        reference.HSOP_DEGREES,
+    )
+    for coeffs in built:
+        assert type(coeffs) is tuple and all(type(c) is int for c in coeffs)
+
+
+def test_module_has_no_accessor_functions():
+    # the closed form is data: only the two import-time builders are functions
+    functions = sorted(
+        name for name, value in vars(reference).items()
+        if inspect.isfunction(value) and value.__module__ == reference.__name__
+    )
+    assert functions == ["_expand_factors", "_mirror_complete"]
+
+
+@pytest.mark.parametrize("name", ["NUMERATOR", "NONNEG_NUMERATOR"])
+def test_tail_check_mismatch_names_the_degree(name):
+    top = getattr(reference, f"{name}_DEGREE")
+    tail_check = dict(getattr(reference, f"{name}_TAIL_CHECK"))
+    tail_check[top] += 1  # a transcription error in the top tabulated term
+    with pytest.raises(ReferenceDataError, match=rf"at degree {top} disagrees"):
+        _mirror_complete(getattr(reference, f"{name}_LOW_COEFFS"), top, tail_check)
+
+
 def test_builder_degrees():
-    assert degree(reference.numerator_poly()) == 70
-    assert degree(reference.denominator_poly()) == 105
-    assert degree(reference.nonneg_numerator_poly()) == 75
-    assert degree(reference.nonneg_denominator_poly()) == 110
+    assert degree(reference.NUMERATOR) == 70
+    assert degree(reference.DENOMINATOR) == 105
+    assert degree(reference.NONNEG_NUMERATOR) == 75
+    assert degree(reference.NONNEG_DENOMINATOR) == 110
 
 
 def test_denominator_degree_is_weighted_factor_sum():
     weighted = sum(e * m for e, m in reference.DENOMINATOR_FACTORS)
-    assert degree(reference.denominator_poly()) == weighted + 1  # the (1+t) factor
+    assert degree(reference.DENOMINATOR) == weighted + 1  # the (1+t) factor
     weighted_star = sum(e * m for e, m in reference.NONNEG_DENOMINATOR_FACTORS)
-    assert degree(reference.nonneg_denominator_poly()) == weighted_star
+    assert degree(reference.NONNEG_DENOMINATOR) == weighted_star
 
 
 def test_numerators_are_palindromic():
-    num = reference.numerator_poly()
-    num_star = reference.nonneg_numerator_poly()
+    num = reference.NUMERATOR
+    num_star = reference.NONNEG_NUMERATOR
     assert len(num) == 71 and num == num[::-1]
     assert len(num_star) == 76 and num_star == num_star[::-1]
 
 
 def test_nonneg_numerator_has_no_negative_coefficient():
-    assert all(c >= 0 for c in reference.nonneg_numerator_poly())
+    assert all(c >= 0 for c in reference.NONNEG_NUMERATOR)
 
 
 def test_reduced_numerator_has_negative_coefficient():
     # the reason the second form exists at all
-    assert any(c < 0 for c in reference.numerator_poly())
+    assert any(c < 0 for c in reference.NUMERATOR)
 
 
 def test_transform_identity_links_the_two_forms():
     # multiplying by (1 - t + t^2)(1 + t^3) turns one form into the other
     factor = np.convolve([1, -1, 1], [1, 0, 0, 1])
-    assert tuple(np.convolve(reference.denominator_poly(), factor)) == (
-        reference.nonneg_denominator_poly()
+    assert tuple(np.convolve(reference.DENOMINATOR, factor)) == (
+        reference.NONNEG_DENOMINATOR
     )
-    assert tuple(np.convolve(reference.numerator_poly(), factor)) == (
-        reference.nonneg_numerator_poly()
+    assert tuple(np.convolve(reference.NUMERATOR, factor)) == (
+        reference.NONNEG_NUMERATOR
     )
 
 
 def test_degree_gaps_are_35():
-    assert degree(reference.denominator_poly()) - degree(reference.numerator_poly()) == 35
+    assert degree(reference.DENOMINATOR) - degree(reference.NUMERATOR) == 35
     assert (
-        degree(reference.nonneg_denominator_poly())
-        - degree(reference.nonneg_numerator_poly())
+        degree(reference.NONNEG_DENOMINATOR)
+        - degree(reference.NONNEG_NUMERATOR)
         == 35
     )
 
 
 def test_taylor_head_matches_rational_form():
-    series = _taylor_head(reference.numerator_poly(), reference.denominator_poly(), 19)
+    series = _taylor_head(reference.NUMERATOR, reference.DENOMINATOR, 19)
     assert tuple(series) == reference.TAYLOR_COEFFS
 
 
 def test_both_forms_expand_identically():
-    a = _taylor_head(reference.numerator_poly(), reference.denominator_poly(), 25)
+    a = _taylor_head(reference.NUMERATOR, reference.DENOMINATOR, 25)
     b = _taylor_head(
-        reference.nonneg_numerator_poly(), reference.nonneg_denominator_poly(), 25
+        reference.NONNEG_NUMERATOR, reference.NONNEG_DENOMINATOR, 25
     )
     assert len(a) == 26 and a == b
 
 
 def test_hsop_degrees_multiset():
-    degrees = reference.hsop_degrees()
+    degrees = reference.HSOP_DEGREES
     assert len(degrees) == 24
     assert degrees == tuple(sorted(degrees))
     counts = {d: degrees.count(d) for d in set(degrees)}
@@ -104,7 +148,7 @@ class TestPolyFromFactored:
     def test_denominator_carries_one_plus_t(self):
         assert _expand_factors([]) == (1,)
         expanded = np.convolve(_expand_factors(reference.DENOMINATOR_FACTORS), (1, 1))
-        assert reference.denominator_poly() == tuple(expanded)
+        assert reference.DENOMINATOR == tuple(expanded)
 
     def test_degree_is_weighted_sum(self):
         factors = [(2, 3), (5, 2), (7, 1)]
