@@ -27,16 +27,22 @@ update G[d] += w * G[d-1] on int64 rows.  With one grade the rows form a
 chain, and the K weights cross it as a wavefront (Lamport's hyperplane
 method): row d takes weight k at step k + d, so each of the K + n - 2
 steps is one array operation on a slice of rows.  A few primes joined by
-the Chinese remainder theorem give the integers.  Giving each subspace
+the Chinese remainder theorem give the integers; the primes run side by
+side, a column per (prime, orbit) pair reduced mod its own prime, in as
+few passes as keep a pass's rows within PASS_BYTES.  Giving each subspace
 its own t yields the multigraded table from the same update, one array
 operation per weight and level of rows.
 
-An exact quadrature, with no x constant-term identity, orbits or Chinese
-remainder theorem, cross-checks the engine mod one prime: it builds h_d
-at every point of the 3-D torus grid in F_p by the same additive update,
-a block of x values at a time, and sums weyl_factor * h_d over the grid.
-verify_theorem compares the whole series against the tabulated closed
-form in luinv.reference.
+An exact quadrature, with no x constant-term identity, root maps or
+Chinese remainder theorem, cross-checks the engine mod one prime.  h_d is
+a character, so the Weyl group S3 of SU(3), which permutes the
+eigenvalues of a torus element, fixes it: the quadrature builds h_d by
+the same additive update at one (y, z) point per S3 orbit and at each of
+a block of x values at a time, weights each orbit by its sum of the rest
+of the Weyl factor, and sums over the 3-D torus grid in F_p.  It derives
+its orbits from the eigenvalues, not from A2_MAPS.  verify_theorem
+compares the whole series against the tabulated closed form in
+luinv.reference.
 """
 
 from __future__ import annotations
@@ -70,6 +76,9 @@ WEIGHTS: Tuple[Weight, ...] = sum(GRADES.values(), ())
 
 #: Default cap on the engine's estimated bytes held (1 GiB).
 DEFAULT_MEMORY_BUDGET = 1 << 30
+#: Bytes of rows one pass may hold (4 MiB): the engine puts as many CRT primes
+#: in a pass, the quadrature as many x values in a block, as fit in it.
+PASS_BYTES = 1 << 22
 
 MULTIGRADED_NOTE = (
     "multigraded dimensions are engine output only; unlike the single-graded "
@@ -167,46 +176,92 @@ def _orbits(m: int, maps: Sequence) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _weyl_sums(
-    powers: np.ndarray, perm: np.ndarray, starts: np.ndarray, p: int
+    powers: np.ndarray, perm: np.ndarray, starts: np.ndarray, p: Union[int, np.ndarray]
 ) -> np.ndarray:
     """(1 - 1/y)(1 - 1/z)(1 - 1/(yz)), the x-free part of the Weyl factor,
     summed over each orbit of _orbits mod p, in int64.
 
-    powers[a] is omega^a for the grid's m-th root of unity omega.
+    powers[..., a] is omega^a for the grid's m-th root of unity omega: one
+    row for one prime p, or a row per prime of a pass, with p the column of
+    those primes, which gives a row of sums per prime.
     """
-    m = len(powers)
+    m = powers.shape[-1]
     grid = np.arange(m)
-    inverse = 1 - powers[-grid % m]
-    weyl = np.outer(inverse, inverse) % p
-    weyl *= 1 - powers[-(grid[:, None] + grid) % m]
-    weyl %= p
+    q = np.expand_dims(p, -1)  # p for each (y, z) point
+    inverse = 1 - powers[..., -grid % m]
+    weyl = inverse[..., :, None] * inverse[..., None, :] % q
+    weyl *= 1 - powers[..., -(grid[:, None] + grid) % m]
+    weyl %= q
     # an orbit sums at most 12 values below 2^31
-    return np.add.reduceat(weyl.ravel()[perm], starts) % p
+    flat = weyl.reshape(*powers.shape[:-1], m * m)[..., perm]
+    return np.add.reduceat(flat, starts, axis=-1) % p
 
 
-def _estimated_bytes(k: int, d: int, maps: Sequence = A2_MAPS) -> int:
-    """Bytes the engine holds at its peak for k grades to degree d.
+def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
+    """The first grid primes of _grid_primes(max_degree + 3), with their
+    elements of order M, whose product exceeds twice the bound on |CT|: with
+    that many weights, |CT| is at most the sum of the cells of G[delta],
+    which is at most comb(weights + max_degree, max_degree)."""
+    bound = 2 * math.comb(weights + max_degree, max_degree)
+    primes, modulus, candidates = [], 1, _grid_primes(max_degree + 3)
+    while modulus <= bound:
+        primes.append(next(candidates))
+        modulus *= primes[-1][0]
+    return primes
 
-    A row is an int64 per orbit of maps on the M^2 grid, M = d + 3.  E has
-    a row per multidegree, P and Q one per multidegree of at most half the
-    total degree, and the slab temporaries of one division level or one
-    pairing, with the grid values, take at most four times the rows of
-    total degree d and eight more.  Enumerating the orbits and summing the
-    Weyl factor over them hold at most twelve int64 per grid point.  The
-    pairing stores a row of E per (P row, Q row) pair, at most twice the P
-    rows times the rows of total degree (d + 1) // 2; the multidegrees are
-    looked up in an int64 per point of the cube [0, d]^k; the multidegree
-    tables and the residues take a few hundred bytes per multidegree.  A
-    wavefront step on a chain holds a grade's K weights and a slice of at
-    most K rows, at most 70 rows for 35 weights, which fit in the space the
-    orbit enumeration has freed by then.
+
+def _row_bytes(k: int, d: int, maps: Sequence) -> int:
+    """Bytes of one prime's rows for k grades to degree d: an int64 per orbit
+    of maps on the M^2 grid, M = d + 3, for each row of E (one per
+    multidegree), of P and Q (one per multidegree of at most half the total
+    degree), and of the slab temporaries of one division level or one
+    pairing, with the grid values, at most four times the rows of total
+    degree d and eight more."""
+    rows = (
+        math.comb(d + k, k)
+        + 2 * math.comb((d + 1) // 2 + k, k)
+        + 4 * math.comb(d + k - 1, k - 1)
+        + 8
+    )
+    return 8 * _orbit_count(d + 3, maps) * rows
+
+
+def _pass_size(k: int, d: int, maps: Sequence, primes: int, memory_budget: Optional[int]) -> int:
+    """Primes per pass of the engine: as many of the primes as keep their rows
+    within PASS_BYTES and _estimated_bytes within the memory budget, and at
+    least one."""
+    size = min(primes, PASS_BYTES // _row_bytes(k, d, maps))
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    while size > 1 and _estimated_bytes(k, d, maps, size) > budget:
+        size -= 1
+    return max(1, size)
+
+
+def _estimated_bytes(
+    k: int, d: int, maps: Sequence = A2_MAPS, per_pass: Optional[int] = None
+) -> int:
+    """Bytes the engine holds at its peak for k grades to degree d with
+    per_pass primes in a pass, by default as many as _dimensions puts in one
+    for the 35 WEIGHTS under the default budget.
+
+    Each prime of a pass holds its _row_bytes.  Enumerating the orbits and
+    summing the Weyl factor over them hold at most twelve int64 per grid
+    point and prime of a pass.  The pairing stores a row of E per (P row, Q
+    row) pair, at most twice the P rows times the rows of total degree
+    (d + 1) // 2; the multidegrees are looked up in an int64 per point of
+    the cube [0, d]^k; the multidegree tables and the residues take a few
+    hundred bytes per multidegree.  A wavefront step on a chain holds a
+    grade's K weights and a slice of at most K rows, at most 70 rows for 35
+    weights, which fit in the space the orbit enumeration has freed by
+    then.  A pass holds more than one prime only while their rows fit in
+    PASS_BYTES, so from moderate degrees on a pass is one prime.
     """
+    if per_pass is None:
+        per_pass = _pass_size(k, d, maps, len(_crt_primes(len(WEIGHTS), d)), None)
     m, cells, half = d + 3, math.comb(d + k, k), math.comb((d + 1) // 2 + k, k)
-    rows = cells + 2 * half + 4 * math.comb(d + k - 1, k - 1) + 8
     pairs = 2 * half * math.comb((d + 1) // 2 + k - 1, k - 1)
     return (
-        8 * _orbit_count(m, maps) * rows
-        + 96 * m * m
+        per_pass * (_row_bytes(k, d, maps) + 96 * m * m)
         + 8 * (pairs + (d + 1) ** k)
         + 500 * cells
         + 16384
@@ -318,24 +373,28 @@ def _dimensions(
     3, is its constant term mod p, and enough primes fix it by the Chinese
     remainder theorem.  Apart from the Weyl factor, that rest is invariant
     under _symmetries(grades), so it is evaluated at one point per orbit
-    and weighted by the orbit's sum of the Weyl factor.  Weight exponents
-    must lie in {-1, 0, 1}.  Raises MemoryBudgetError, before allocating,
-    if the estimated bytes held exceed the budget.
+    and weighted by the orbit's sum of the Weyl factor.  The primes run in
+    passes of _pass_size: a pass's columns are its (prime, orbit) pairs,
+    each reduced mod its own prime, so one array operation serves every
+    prime of the pass.  Weight exponents must lie in {-1, 0, 1}.  Raises
+    MemoryBudgetError, before allocating, if the estimated bytes held with
+    one prime per pass exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     k, m = len(grades), max_degree + 3
     maps = _symmetries(grades)
-    _check_budget(
-        f"max degree {max_degree}",
-        _estimated_bytes(k, max_degree, maps),
-        memory_budget,
-        lambda d: _estimated_bytes(k, d, maps),
-    )
+
+    def estimate(d: int) -> int:  # a pass takes more primes only where they fit
+        return _estimated_bytes(k, d, maps, per_pass=1)
+
+    _check_budget(f"max degree {max_degree}", estimate(max_degree), memory_budget, estimate)
     reps, perm, starts = _orbits(m, maps)
     rep_y, rep_z = np.divmod(reps, m)
-    e = np.zeros((math.comb(max_degree + k, k), len(reps)), dtype=np.int64)
-    pq = np.zeros((2, math.comb((max_degree + 1) // 2 + k, k), len(reps)), dtype=np.int64)
+    # the exponent of omega in each weight's (y, z) part at the orbit representatives
+    exponents = {w[1:]: (w[1] * rep_y + w[2] * rep_z) % m for ws in grades for w in ws}
+    del rep_y, rep_z
+    cells, half = math.comb(max_degree + k, k), math.comb((max_degree + 1) // 2 + k, k)
     # multidegrees by total degree; those of total t start at row comb(t + k - 1, k)
     cube = itertools.product(range(max_degree + 1), repeat=k)
     order = sorted((d for d in cube if sum(d) <= max_degree), key=sum)
@@ -347,13 +406,12 @@ def _dimensions(
     sources = [row[degrees @ strides - strides[g]] for g in range(k)]
     levels = [_levels(degrees[:, g], sources[g]) for g in range(k)]
     # the rows of total degree at most (max_degree + 1) // 2 come first
-    half = len(pq[0])
     half_levels = [_levels(degrees[:half, g], sources[g][:half]) for g in range(k)]
     split = [  # (grade, weight) by x-exponent +1, -1 and 0
         [(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, -1, 0)
     ]
     pairs = []  # (P row, its Q rows, how many of them pair with sign -1, their rows of E)
-    for a, alpha in enumerate(order[: len(pq[0])]):
+    for a, alpha in enumerate(order[:half]):
         # the Q rows of total sum(alpha) - 1, sign -1, and sum(alpha), sign +1, in range
         first = math.comb(max(sum(alpha) - 2, -1) + k, k)
         middle = math.comb(sum(alpha) - 1 + k, k)
@@ -361,37 +419,48 @@ def _dimensions(
         if first < last:
             targets = row[(degrees[first:last] + degrees[a]) @ strides]
             pairs.append((a, slice(first, last), min(middle, last) - first, targets))
-    # |CT| <= the sum of the cells of G[delta] <= comb(weights + max_degree, max_degree)
-    bound = 2 * math.comb(sum(map(len, grades)) + max_degree, max_degree)
-    values, modulus, primes = [0] * len(order), 1, _grid_primes(m)
-    while modulus <= bound:
-        p, omega = next(primes)
-        powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
+    del row, degrees, sources  # before the passes allocate their rows
+    primes = _crt_primes(sum(map(len, grades)), max_degree)
+    size = _pass_size(k, max_degree, maps, len(primes), memory_budget)
+    values, modulus = [0] * len(order), 1
+    # E, P and Q for a pass of size primes; a shorter last pass takes their first columns
+    e_rows = np.zeros((cells, size * len(reps)), dtype=np.int64)
+    pq_rows = np.zeros((2, half, size * len(reps)), dtype=np.int64)
+    for chunk in (primes[i : i + size] for i in range(0, len(primes), size)):
+        p = np.array([q for q, _ in chunk], dtype=np.int64)
+        moduli = np.repeat(p, len(reps))  # the prime of each (prime, orbit) column
+        powers = np.array(
+            [[pow(omega, a, q) for a in range(m)] for q, omega in chunk], dtype=np.int64
+        )
 
-        def at(w):  # y^w[1] z^w[2] at the orbit representatives
-            return powers[(w[1] * rep_y + w[2] * rep_z) % m]
+        def at(w):  # y^w[1] z^w[2] at the orbit representatives, prime by prime
+            return powers[:, exponents[w[1:]]].ravel()
 
-        for series, weights in zip(pq, split):
-            series.fill(0)
-            series[0] = 1
-            _divide(series, ((g, at(w)) for g, w in weights), half_levels, p)
+        pq = pq_rows[:, :, : len(moduli)]
+        pq.fill(0)
+        pq[:, 0] = 1
+        for i in range(2):
+            _divide(pq[i], ((g, at(w)) for g, w in split[i]), half_levels, moduli)
+        e = e_rows[:, : len(moduli)]
         e.fill(0)
-        # within one P row the targets are distinct, so each pairing is one update
+        # within one P row the targets are distinct, so each pairing is one update; a
+        # term is below 2^31 in size and a row takes fewer than 2^32 of them
         for a, betas, negative, targets in pairs:
             block = pq[1, betas] * pq[0, a]
+            block %= moduli
             block[:negative] *= -1
-            block %= p
-            block += e[targets]
-            block %= p
-            e[targets] = block
-        _divide(e, ((g, at(w)) for g, w in split[2]), levels, p)
-        e *= _weyl_sums(powers, perm, starts, p)
-        e %= p
-        # a row sums fewer than 2^32 values below 2^31, which int64 holds
-        residues = (e.sum(axis=1) % p * pow(m * m, -1, p) % p).tolist()
-        inverse = pow(modulus, -1, p)
-        values = [v + (r - v) * inverse % p * modulus for v, r in zip(values, residues)]
-        modulus *= p
+            e[targets] += block
+        e %= moduli
+        _divide(e, ((g, at(w)) for g, w in split[2]), levels, moduli)
+        e *= _weyl_sums(powers, perm, starts, p[:, None]).ravel()
+        e %= moduli
+        # a row sums fewer than 2^32 values below 2^31 per prime, which int64 holds
+        sums = e.reshape(cells, len(chunk), len(reps)).sum(axis=2) % p
+        scale = np.array([pow(m * m, -1, q) for q, _ in chunk], dtype=np.int64)
+        for q, residues in zip(p.tolist(), (sums * scale % p).T.tolist()):
+            inverse = pow(modulus, -1, q)
+            values = [v + (r - v) * inverse % q * modulus for v, r in zip(values, residues)]
+            modulus *= q
     return {d: v - modulus if 2 * v > modulus else v for d, v in zip(order, values)}
 
 
@@ -437,23 +506,58 @@ def poincare_multigraded(
     )
 
 
+def _s3_orbit_count(m: int) -> int:
+    """The number of orbits of S3 on the M x M grid of _s3_orbits, by Burnside's
+    lemma: the identity fixes M^2 points, each transposition the M points of
+    a line, and each 3-cycle, (i, j) -> (j, -i - j), the gcd(3, M) points
+    with i = j and 3i = 0."""
+    return (m * m + 3 * m + 2 * math.gcd(3, m)) // 6
+
+
+def _s3_orbits(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(reps, inverse) for the orbits of the Weyl group S3 of SU(3) on the M x M grid.
+
+    An SU(3) torus element with eigenvalues omega^a, omega^b, omega^c has
+    y = omega^(a - b) and z = omega^(b - c), so it is grid point i*M + j
+    with (i, j) = (a - b, b - c) mod M.  S3 permutes the eigenvalues; the
+    transpositions of a, b and of b, c send (i, j) to (-i, i + j) and to
+    (i + j, -j), and they generate it.  Each pass replaces a point's label
+    by the least label of it and its two images, so after as many passes
+    as a word of S3 is long, three, each point carries the least index of
+    its orbit.  reps lists those indices ascending, the points that carry
+    their own index, and inverse[point] is the position of its orbit in reps.
+    """
+    i, j = np.divmod(np.arange(m * m), m)
+    images = [(-i % m) * m + (i + j) % m, (i + j) % m * m + (-j % m)]
+    del i, j
+    label = np.arange(m * m)
+    for _ in range(3):
+        label = np.minimum(label, np.minimum(label[images[0]], label[images[1]]))
+    reps = np.flatnonzero(label == np.arange(m * m))
+    position = np.zeros(m * m, dtype=np.int64)
+    position[reps] = np.arange(len(reps))
+    return reps, position[label]
+
+
 def _quadrature_block(max_degree: int, m: int) -> int:
-    """x values per block: as many as hold h_0..h_max_degree in 4 MiB, at least one."""
-    return max(1, min(m // 2, (1 << 22) // (8 * (max_degree + 1) * m * m)))
+    """x values per block: as many as hold h_0..h_max_degree at the S3 orbits in PASS_BYTES, at
+    least one."""
+    return max(1, min(m // 2, PASS_BYTES // (8 * (max_degree + 1) * _s3_orbit_count(m))))
 
 
 def _quadrature_bytes(max_degree: int, grid_size: int) -> int:
     """Bytes the quadrature holds at its peak, estimated before allocating.
 
-    A block of b x values holds h_0..h_max_degree, a weight and a product,
-    an int64 per point of b M^2 each, and two int64 per row sum over z.
-    The grid coordinates, the seven (y, z) parts of the weights, the Weyl
-    factor and their temporaries hold at most sixteen int64 per point of
-    the M^2 grid; numpy's buffers for the broadcast products, 8192 int64
-    each, and the small tables take under 128 KiB.
+    With n the number of S3 orbits on the M^2 grid, a block of b x values
+    holds h_0..h_max_degree, a weight and a product, an int64 per point of
+    b n each, and two int64 per orbit sum.  Labelling the orbits, the Weyl
+    factor on the grid and their temporaries hold at most sixteen int64 per
+    point of the M^2 grid, more than the orbit tables and the seven (y, z)
+    parts of the weights that stay; numpy's buffers for the broadcast
+    products, 8192 int64 each, and the small tables take under 128 KiB.
     """
     m, d, b = grid_size, max_degree, _quadrature_block(max_degree, grid_size)
-    return 8 * (d + 3) * b * m * m + 16 * (d + 1) * b * m + 128 * m * m + (1 << 17)
+    return 8 * (d + 3) * b * _s3_orbit_count(m) + 16 * (d + 1) * b + 128 * m * m + (1 << 17)
 
 
 def quadrature_grid(max_degree: int, grid_size: Optional[int] = None) -> Tuple[int, int, int]:
@@ -475,25 +579,33 @@ def quadrature_grid(max_degree: int, grid_size: Optional[int] = None) -> Tuple[i
 
 def _slice_sums(max_degree: int, m: int, p: int, omega: int, exponents: np.ndarray) -> np.ndarray:
     """For each a in exponents, a row of the sums over the M x M grid of (y, z) of
-    (1 - 1/y)(1 - 1/z)(1 - 1/(yz)) h_d(omega^a, y, z) mod p, d = 0..max_degree.  A block
-    of x values at a time, dividing 1 by (1 - t w) for each of the 35 weights, h_d += w
-    h_(d-1) for increasing d, builds h_0..h_max_degree at the block's points.  The 17
-    weights with x-exponent 0 give the same values on every x slice, so they divide the
-    block's first slice only, which is then copied into the others."""
+    (1 - 1/y)(1 - 1/z)(1 - 1/(yz)) h_d(omega^a, y, z) mod p, d = 0..max_degree.  h_d is a
+    character, so S3 fixes it: it is evaluated at one point per orbit of _s3_orbits, and
+    each orbit weighs its sum of the Weyl part.  A block of x values at a time, dividing 1
+    by (1 - t w) for each of the 35 weights, h_d += w h_(d-1) for increasing d, builds
+    h_0..h_max_degree at the block's points.  The 17 weights with x-exponent 0 give the same
+    values on every x slice, so they divide the block's first slice only, which is then
+    copied into the others."""
     # the grid first, so that a grid too large to hold fails before the rest
-    i, j = np.divmod(np.arange(m * m), m)  # point i*m + j is (omega^i, omega^j)
+    reps, inverse = _s3_orbits(m)
     powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
+    i, j = np.divmod(np.arange(m * m), m)
+    weyl = (1 - powers[-i % m]) * (1 - powers[-j % m]) % p * (1 - powers[-(i + j) % m]) % p
+    orbit_weyl = np.zeros(len(reps), dtype=np.int64)
+    np.add.at(orbit_weyl, inverse, weyl)  # six values below 2^31 at most
+    orbit_weyl %= p
+    del i, j, weyl, inverse
+    i, j = np.divmod(reps, m)
     yz = {u[1:]: powers[(u[1] * i + u[2] * j) % m] for u in WEIGHTS}
-    weyl = (1 - yz[-1, 0]) * (1 - yz[0, -1]) % p * (1 - yz[-1, -1]) % p
     size = _quadrature_block(max_degree, m)
     x_free = [u for u in WEIGHTS if u[0] == 0]
     x_weights = [u for u in WEIGHTS if u[0] != 0]
     out = np.empty((len(exponents), max_degree + 1), dtype=np.int64)
     for start in range(0, len(exponents), size):
         block = exponents[start : start + size]
-        h = np.zeros((max_degree + 1, len(block), m * m), dtype=np.int64)
+        h = np.zeros((max_degree + 1, len(block), len(reps)), dtype=np.int64)
         h[0] = 1
-        w, product = np.empty((2, len(block), m * m), dtype=np.int64)
+        w, product = np.empty((2, len(block), len(reps)), dtype=np.int64)
         for _, ey, ez in x_free:
             for d in range(1, max_degree + 1):
                 np.multiply(yz[ey, ez], h[d - 1, 0], out=product[0])
@@ -508,11 +620,10 @@ def _slice_sums(max_degree: int, m: int, p: int, omega: int, exponents: np.ndarr
                 np.multiply(w, h[d - 1], out=product)
                 product += h[d]
                 np.remainder(product, p, out=h[d])
-        h *= weyl
+        h *= orbit_weyl
         h %= p
-        # a sum of M values below p < 2^31 stays below 2^62
-        sums = h.reshape(max_degree + 1, len(block), m, m).sum(axis=3) % p
-        out[start : start + len(block)] = (sums.sum(axis=2) % p).T
+        # fewer than 2^32 orbits, each below p < 2^31
+        out[start : start + len(block)] = (h.sum(axis=2) % p).T
         del h, w, product  # before the next block allocates its own
     return out
 

@@ -157,7 +157,7 @@ class TestVerify:
             capsys, "verify", "--max-degree", "3", "--with-quadrature", "--grid-size", "20000"
         )
         assert code == 2 and out == ""
-        assert "grid of size 20000" in err and "feasible max degree is 503" in err
+        assert "grid of size 20000" in err and "feasible max degree is 895" in err
         assert "Traceback" not in err
 
     def test_refused_allocation_exit_2(self, capsys):
@@ -171,10 +171,10 @@ class TestVerify:
 
     def test_quadrature_memory_budget_advisory_degree_runs(self, capsys):
         args = ("--with-quadrature", "--memory-budget", "2000000", "--format", "json")
-        code, _, err = run_cli(capsys, "verify", "--max-degree", "30", *args)
+        code, _, err = run_cli(capsys, "verify", "--max-degree", "40", *args)
         assert code == 2 and "quadrature" in err
-        assert "feasible max degree is 22" in err
-        code, out, _ = run_cli(capsys, "verify", "--max-degree", "22", *args)
+        assert "feasible max degree is 36" in err
+        code, out, _ = run_cli(capsys, "verify", "--max-degree", "36", *args)
         assert code == 0 and json.loads(out)["checks"]["quadrature_match"]
 
     @pytest.mark.parametrize("grid", ["3", "100"])

@@ -1,8 +1,11 @@
 """Constant-term engine: weights, characters, series, quadrature."""
 
+import ast
 import collections
+import inspect
 import itertools
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -18,6 +21,7 @@ from luinv.molien import (
     GRADES,
     WEIGHTS,
     MemoryBudgetError,
+    _crt_primes,
     _dimensions,
     _divide,
     _estimated_bytes,
@@ -26,6 +30,8 @@ from luinv.molien import (
     _levels,
     _orbit_count,
     _orbits,
+    _s3_orbit_count,
+    _s3_orbits,
     _symmetries,
     _taylor_head,
     _weyl_sums,
@@ -355,6 +361,31 @@ class TestDivide:
         assert kinds == [list] * 6
 
 
+class TestPasses:
+    @pytest.mark.parametrize("tags, d", [(None, 22), (None, 60), (tuple(GRADES), 12)])
+    def test_one_pass_equals_a_prime_per_pass(self, monkeypatch, tags, d):
+        grades = [WEIGHTS] if tags is None else [GRADES[t] for t in tags]
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _weyl_sums(*args)
+
+        monkeypatch.setattr(molien, "_weyl_sums", spy)
+        primes = len(_crt_primes(len(WEIGHTS), d))
+        assert primes > 1
+        batched = _dimensions(grades, d, None)
+        assert len(calls) == 1  # every prime in one pass under the default budget
+        for size in range(1, primes):
+            # a budget that holds a pass of size primes and no more; at size 1 every
+            # prime runs alone, and a shorter last pass takes the first columns
+            budget = _estimated_bytes(len(grades), d, per_pass=size)
+            assert _estimated_bytes(len(grades), d, per_pass=size + 1) > budget
+            calls.clear()
+            assert _dimensions(grades, d, budget) == batched
+            assert len(calls) == -(-primes // size)
+
+
 #: The primes up to the square root of 2^31, for trial division.
 SMALL_PRIMES = np.array([q for q in range(2, math.isqrt(2**31) + 1) if is_prime(q)])
 
@@ -486,6 +517,80 @@ class TestOrbits:
             assert s == sum(weyl(i, j) for i, j in by_rep[r]) % p
 
 
+#: The transpositions of the eigenvalue exponents (a, b) and (b, c) of an SU(3)
+#: torus element, acting on its grid point (i, j) = (a - b, b - c).
+TRANSPOSITIONS = (lambda i, j: (-i, i + j), lambda i, j: (i + j, -j))
+
+
+def s3_orbits_by_closure(m: int) -> set:
+    """The orbits of the grid points (i, j) mod m under TRANSPOSITIONS, each
+    grown from a point until no transposition adds a new one (oracle)."""
+    orbits = set()
+    for start in itertools.product(range(m), repeat=2):
+        orbit, frontier = {start}, [start]
+        while frontier:
+            point = frontier.pop()
+            for transpose in TRANSPOSITIONS:
+                image = tuple(v % m for v in transpose(*point))
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def names_reached(name: str) -> set:
+    """The names in the source of the molien function name and, transitively,
+    of every molien function it names."""
+    seen, todo = set(), [name]
+    while todo:
+        current = todo.pop()
+        seen.add(current)
+        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(molien, current))))
+        for node in ast.walk(tree):
+            found = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(found, str) and found not in seen:
+                if inspect.isfunction(getattr(molien, found, None)):
+                    todo.append(found)
+                else:
+                    seen.add(found)
+    return seen
+
+
+class TestS3Orbits:
+    def test_transpositions_fix_every_grade(self):
+        # weight w at a transposed point is the weight whose (y, z)-exponents are
+        # w's exponents at the images of (1, 0) and (0, 1); x is untouched
+        for weights in GRADES.values():
+            for transpose in TRANSPOSITIONS:
+                (a, b), (c, d) = transpose(1, 0), transpose(0, 1)
+                image = [(x, y * a + z * b, y * c + z * d) for x, y, z in weights]
+                assert collections.Counter(image) == collections.Counter(weights)
+
+    @pytest.mark.parametrize("m", [3, 4, 6, 9, 18, 25])
+    def test_orbits_match_the_closure(self, m):
+        reps, inverse = _s3_orbits(m)
+        points = np.arange(m * m)
+        found = {
+            frozenset(divmod(int(v), m) for v in points[inverse == r]) for r in range(len(reps))
+        }
+        expected = s3_orbits_by_closure(m)
+        assert found == expected
+        assert reps.tolist() == sorted(min(i * m + j for i, j in o) for o in expected)
+        assert _s3_orbit_count(m) == len(expected)
+
+    def test_orbit_count_is_about_a_sixth_of_the_grid(self):
+        for m in range(1, 300):
+            assert m * m / 6 < _s3_orbit_count(m) <= m * m / 6 + m, m
+        assert len(_s3_orbits(113)[0]) == _s3_orbit_count(113) == 2185
+
+    def test_quadrature_names_no_engine_code(self):
+        reached = names_reached("quadrature_coefficients")
+        assert {"_slice_sums", "_s3_orbits", "_quadrature_bytes"} <= reached
+        engine = {"A2_MAPS", "_symmetries", "_orbits", "_weyl_sums", "_levels", "_divide"}
+        assert not reached & engine
+
+
 class TestSeries:
     def test_low_degrees(self):
         assert poincare_coefficients(6) == [1, 0, 3, 4, 15, 25, 90]
@@ -602,17 +707,17 @@ class TestQuadrature:
         assert quadrature_coefficients(6) == [c % p for c in exact]
 
     def test_memory_budget_refuses_a_large_grid(self):
-        with pytest.raises(MemoryBudgetError, match="feasible max degree is 503"):
+        with pytest.raises(MemoryBudgetError, match="feasible max degree is 895"):
             quadrature_coefficients(3, grid_size=20000)
-        assert _quadrature_bytes(503, 506) <= DEFAULT_MEMORY_BUDGET < _quadrature_bytes(504, 507)
+        assert _quadrature_bytes(895, 898) <= DEFAULT_MEMORY_BUDGET < _quadrature_bytes(896, 899)
 
     def test_memory_budget_advisory_degree_runs(self):
         budget = 2_000_000
-        with pytest.raises(MemoryBudgetError, match="feasible max degree is 22"):
-            quadrature_coefficients(30, memory_budget=budget)
-        assert len(quadrature_coefficients(22, memory_budget=budget)) == 23
+        with pytest.raises(MemoryBudgetError, match="feasible max degree is 36"):
+            quadrature_coefficients(40, memory_budget=budget)
+        assert len(quadrature_coefficients(36, memory_budget=budget)) == 37
         with pytest.raises(MemoryBudgetError):
-            quadrature_coefficients(23, memory_budget=budget)
+            quadrature_coefficients(37, memory_budget=budget)
 
     @pytest.mark.parametrize(
         "max_degree, grid", [(0, None), (9, None), (15, None), (36, None), (10, 100)]
@@ -718,6 +823,15 @@ class TestMultigraded:
     def test_row_sums_match_closed_form_through_20(self):
         expansion = _taylor_head(reference.NUMERATOR, reference.DENOMINATOR, 20)
         assert poincare_multigraded(20).row_sums() == expansion
+
+    def test_face_without_correlation_degree(self):
+        # with d3 = 0 the qubit part is the SO(3) vector, with invariants C[|r|^2],
+        # and the qutrit part the adjoint of SU(3), with invariants C[tr Y^2, tr Y^3]
+        entries = poincare_multigraded(24).entries
+        for d1 in range(25):
+            for d2 in range(25 - d1):
+                qutrit = sum((d2 - 3 * c) % 2 == 0 for c in range(d2 // 3 + 1))
+                assert entries.get((d1, d2, 0), 0) == (d1 % 2 == 0) * qutrit, (d1, d2)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
