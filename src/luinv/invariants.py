@@ -21,9 +21,12 @@ work on the real embeddings of the scaled pieces (see
 :mod:`luinv.states`), the same code for exact and float states: a
 complex trace is a pair (re, im), the traces of the top-left and
 bottom-left blocks, and each invariant is one such raw value divided
-once by its constant times scale^degree.  All seven values are real;
-the exact route enforces a vanishing imaginary part and returns
-Fractions, the float route holds it to IMAG_TOLERANCE.
+once by its constant times scale^degree.  Exact raw values are
+integers, int64 up to states.INT64_LIMIT and Python ints beyond, and
+each becomes one Fraction.  All seven values are real; the exact route
+enforces a vanishing imaginary part and returns Fractions, the float
+route holds it to IMAG_TOLERANCE.  The Pauli traces the basis form
+contracts with are built once, at import.
 
 The matrix form also takes a decomposed stack of float states and returns
 (N,) arrays, bit for bit each state's values alone; the battery uses it.
@@ -39,6 +42,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from luinv.states import (
+    PAULIS,
     StateDecomposition,
     _ginibre,
     _gram_state,
@@ -46,7 +50,6 @@ from luinv.states import (
     apply_local_unitary,
     decompose_state,
     kron,
-    pauli_basis,
 )
 
 COMPONENTS = ("i1", "i2", "i3", "i4", "i5", "i6", "i7")
@@ -110,16 +113,24 @@ def _dot(u: Tuple, v: Tuple) -> Tuple:
     return (u[0] * v[0] - u[1] * v[1]).sum(), (u[0] * v[1] + u[1] * v[0]).sum()
 
 
+# traces of products of two and of three Pauli matrices E_k, E_l, E_m, indexed k, l, m
+_PAULI_TR2 = _trace(PAULIS[:, None], PAULIS[None, :])
+_PAULI_TR3 = _trace((PAULIS[:, None] @ PAULIS[None, :])[:, :, None], PAULIS[None, None, :])
+
+
 def _realize(values, exact: bool) -> InvariantVector:
-    """The seven real invariants raw / divisor from (raw (re, im), divisor), checked per state."""
-    re, im = (
-        np.array([raw[k] * Fraction(1, d) if exact else raw[k] / d for raw, d in values])
-        for k in (0, 1)
-    )
+    """The seven real invariants raw / divisor from (raw (re, im), divisor), checked per state.
+
+    Exact raw values are integers, int64 or Python ints, and give Fractions.
+    """
     if exact:
-        if np.any(im != 0):
-            raise ArithmeticError(f"invariant value has a nonzero imaginary part {im[im != 0][0]}")
-        return InvariantVector(*re)
+        for (_, im), d in values:
+            if im != 0:
+                raise ArithmeticError(
+                    f"invariant value has a nonzero imaginary part {Fraction(int(im), d)}"
+                )
+        return InvariantVector(*(Fraction(int(re), d) for (re, _), d in values))
+    re, im = (np.array([raw[k] / d for raw, d in values]) for k in (0, 1))
     # a finite state can overflow to inf or nan, which no output format can carry
     overflowed = ~(np.isfinite(re) & np.isfinite(im))
     if overflowed.any():
@@ -132,7 +143,9 @@ def _realize(values, exact: bool) -> InvariantVector:
 
 
 def eval_matrix_form(dec: StateDecomposition) -> InvariantVector:
-    """Evaluate the invariants directly on the pieces X, Y, Z; a stack gives arrays."""
+    """Evaluate the invariants directly on the pieces X, Y, Z; a float stack gives arrays."""
+    if dec.exact and dec.corr.ndim != 2:
+        raise ValueError("eval_matrix_form takes one exact state, not a stack")
     x, y, z = dec.local_a, dec.local_b, dec.corr
     z2 = z @ z
     s = dec.scale
@@ -159,25 +172,22 @@ def eval_basis_form(dec: StateDecomposition) -> InvariantVector:
     if dec.corr.ndim != 2:
         raise ValueError("eval_basis_form takes one state, not a stack")
     x, y, parts = dec.local_a, dec.local_b, dec.corr_parts
-    paulis = pauli_basis()
     s = dec.scale
 
-    x_tr = _trace(x, paulis)  # tr(X~ E_k)
-    # traces of products of two and of three basis elements, k, l, m
-    pauli_tr2 = _trace(paulis[:, None], paulis[None, :])
+    x_tr = _trace(x, PAULIS)  # tr(X~ E_k)
+    # traces of products of two and of three parts, k, l, m
     part_tr2 = _trace(parts[:, None], parts[None, :])
-    pauli_tr3 = _trace((paulis[:, None] @ paulis[None, :])[:, :, None], paulis[None, None, :])
     part_tr3 = _trace((parts[:, None] @ parts[None, :])[:, :, None], parts[None, None, :])
 
     values = (
         # det of a traceless hermitian 2x2 is minus its squared Bloch length
         (_dot(x_tr, x_tr), -4 * s**2),
         (_trace(y, y), s**2),
-        (_dot(pauli_tr2, part_tr2), 4 * s**2),
+        (_dot(_PAULI_TR2, part_tr2), 4 * s**2),
         (_trace(y @ y, y), 3 * s**3),
-        (_dot(pauli_tr3, part_tr3), 8 * s**3),
+        (_dot(_PAULI_TR3, part_tr3), 8 * s**3),
         (_dot(x_tr, _trace(y, parts)), 2 * s**3),
-        (_dot(pauli_tr2, _trace((y @ parts)[:, None], parts[None, :])), 4 * s**3),
+        (_dot(_PAULI_TR2, _trace((y @ parts)[:, None], parts[None, :])), 4 * s**3),
     )
     return _realize(values, dec.exact)
 

@@ -24,10 +24,11 @@ ints and Fractions (``rho.dtype == object`` is the exact test), float
 states are float64; ``embed(m.real, m.imag)`` embeds a complex array and
 ``astype(float)`` turns an exact state into a float one.  Exact and float
 states take the same code path: the decomposition scales by a common
-denominator, so exact pieces are integer arrays.  Exact random states
-come from A A^dagger / tr(A A^dagger) with Gaussian-integer A, float
-ones from the Ginibre ensemble, and Haar special unitaries from QR with
-the standard phase fix.
+denominator, so exact pieces are integer arrays, int64 while the integer
+form's entries are within INT64_LIMIT and Python ints beyond it.  Exact
+random states come from A A^dagger / tr(A A^dagger) with Gaussian-integer
+A, float ones from the Ginibre ensemble, and Haar special unitaries from
+QR with the standard phase fix.
 
 The array functions act on the last two axes, so a stack (N, 12, 12) of
 float states takes the same code as one state, checked state by state.
@@ -57,11 +58,12 @@ def embed(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     )
 
 
-def pauli_basis() -> np.ndarray:
-    """The embedded Pauli matrices, a (3, 4, 4) int array; tr(E_k E_l) = 2 delta_kl."""
-    re = np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[1, 0], [0, -1]]])
-    im = np.array([[[0, 0], [0, 0]], [[0, -1], [1, 0]], [[0, 0], [0, 0]]])
-    return embed(re, im)
+#: The embedded Pauli matrices E_k, a read-only (3, 4, 4) int array; tr(E_k E_l) = 2 delta_kl.
+PAULIS = embed(
+    np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[1, 0], [0, -1]]]),
+    np.array([[[0, 0], [0, 0]], [[0, -1], [1, 0]], [[0, 0], [0, 0]]]),
+)
+PAULIS.flags.writeable = False
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,24 +91,52 @@ def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
     return np.trace(_split(m), axis1=-5, axis2=-2).reshape(*m.shape[:-2], 6, 6)
 
 
+#: The largest entry size max |den * rho| of an exact state's integer form
+#: that decompose_state and both evaluation forms handle in int64.
+#:
+#: With entries |n| <= B of the integer form n = den * rho, den = tr n is
+#: at most 6B, and each piece entry is a linear form in the 36 real
+#: parameters of the hermitian n whose coefficients sum in size to 12 for
+#: X~, 16 for Y~ and Z~, 32 for the parts P_k and at most 20 for any other
+#: intermediate of decompose_state.  A trace tr(A B) of two embedded n x n
+#: arrays sums 2n^2 products of entries, and an entry of A B sums 2n, so
+#: tr(P_k P_l P_m) <= 18 * 6 * (32B)^3.  The largest value is the basis
+#: form's i5, the six nonzero Pauli traces tr(E_k E_l E_m) = +-2i times
+#: those: 1296 * (32B)^3 = 81 * 2^19 * B^3 bounds it and every partial sum
+#: on the way, and every other trace is smaller (the matrix form's
+#: largest, tr Z~^3, is at most 72 * 12 * 16^3 * B^3).  81 * 2^19 * B^3 is
+#: below 2^63 for B <= 6010.  Random rational states have B <= 108.
+INT64_LIMIT = 6010
+
+
 @dataclass(frozen=True)
 class StateDecomposition:
     """Embedded pieces of s*rho = s/6 + X~(x)I + I(x)Y~ + Z~ for the integer scale s.
 
-    The pieces are X~ = sX, Y~ = sY, Z~ = sZ and the parts P_k = 2s Y_k,
-    so that for an exact state every entry is an integer; a stack's axes
-    come before each piece's shape given below.
+    The pieces are X~ = sX, Y~ = sY and Z~ = sZ, so that for an exact state
+    every entry is an integer: int64 arrays while the state's integer form
+    is within INT64_LIMIT, Python ints (dtype=object) beyond it.  The parts
+    P_k = 2s Y_k of Z~ are computed on demand.  A stack's axes come before
+    each piece's shape given below.
     """
 
     local_a: np.ndarray  # J(X~): 4x4, X traceless hermitian, qubit side
     local_b: np.ndarray  # J(Y~): 6x6, Y traceless hermitian, qutrit side
     corr: np.ndarray  # J(Z~): 12x12, both partial traces vanish
-    corr_parts: np.ndarray  # (3, 6, 6): J(P_k), Z~ = sum E_k (x) P_k / 2
     scale: int  # s = 12 * the common denominator of the state's entries
 
     @property
     def exact(self) -> bool:
-        return self.corr.dtype == object
+        """Whether the pieces are integers, int64 or object: those of an exact state."""
+        return self.corr.dtype.kind in "iO"
+
+    @property
+    def corr_parts(self) -> np.ndarray:
+        """(3, 6, 6): J(P_k), Z~ = sum E_k (x) P_k / 2."""
+        # P_k = tr_qubit((E_k (x) I) Z~): E_k is indexed (k, c, a, e, b), Z~ (..., e, b, j, d, a, l)
+        paulis = PAULIS.reshape(3, 2, 2, 2, 2)
+        parts = np.tensordot(_split(self.corr), paulis, axes=([-6, -5, -2], [3, 4, 2]))
+        return np.moveaxis(parts, (-2, -1), (-5, -4)).reshape(*self.corr.shape[:-2], 3, 6, 6)
 
 
 def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> Tuple[int, np.ndarray]:
@@ -121,11 +151,9 @@ def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> Tuple[int, np.n
     """
     if rho.shape[-2:] != (12, 12):
         raise ValueError(f"expected the 12x12 embedding of a 6x6 matrix, got shape {rho.shape}")
-    if rho.dtype == object:
-        if not all(type(v) in (int, Fraction) for v in rho.flat):
-            raise ValueError("exact states must hold int or Fraction entries")
-        tolerance = 0
     den, n = _integer_form(rho)
+    if rho.dtype == object:
+        tolerance = 0
     checked = n if rho.dtype == object else rho
     if not abs(checked - checked.swapaxes(-1, -2)).max() <= tolerance:
         raise ValueError("state is not hermitian")
@@ -141,12 +169,21 @@ def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> Tuple[int, np.n
 
 
 def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
-    """(den, den * rho): integers over the lcm of the denominators if exact, den = 1 if float."""
-    if rho.dtype == object:
-        den = math.lcm(*(v.denominator for v in rho.flat))
-        ints = [v.numerator * (den // v.denominator) for v in rho.flat]
-        return den, np.array(ints, dtype=object).reshape(rho.shape)
-    return 1, rho.astype(float, copy=False)
+    """(den, den * rho): integers over the lcm of the denominators if exact, den = 1 if float.
+
+    The integers are int64 while every one is within INT64_LIMIT in size,
+    Python ints beyond.  Exact entries must be ints or Fractions.
+    """
+    if rho.dtype != object:
+        return 1, rho.astype(float, copy=False)
+    values = rho.ravel().tolist()
+    if not set(map(type, values)) <= {int, Fraction}:
+        raise ValueError("exact states must hold int or Fraction entries")
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in ratios})
+    ints = [p * (den // d) for p, d in ratios]
+    small = max(map(abs, ints), default=0) <= INT64_LIMIT
+    return den, np.array(ints, dtype=np.int64 if small else object).reshape(rho.shape)
 
 
 def _add_identity(m: np.ndarray, c) -> np.ndarray:
@@ -162,23 +199,7 @@ def decompose_state(rho: np.ndarray) -> StateDecomposition:
     local_b = _add_identity(6 * partial_trace_qubit(n), -2 * den)
     local_sum = kron(local_a, np.eye(6, dtype=int)) + kron(np.eye(4, dtype=int), local_b)
     corr = _add_identity(12 * n, -2 * den) - local_sum
-    # P_k = tr_qubit((E_k (x) I) Z~): E_k is indexed (k, c, a, e, b), Z~ (..., e, b, j, d, a, l)
-    paulis = pauli_basis().reshape(3, 2, 2, 2, 2)
-    corr_parts = np.tensordot(_split(corr), paulis, axes=([-6, -5, -2], [3, 4, 2]))
-    corr_parts = np.moveaxis(corr_parts, (-2, -1), (-5, -4)).reshape(*corr.shape[:-2], 3, 6, 6)
-    return StateDecomposition(local_a, local_b, corr, corr_parts, 12 * den)
-
-
-def scale_components(dec: StateDecomposition, a: Scalar, b: Scalar, c: Scalar) -> StateDecomposition:
-    """Scale the qubit, qutrit and correlation pieces independently.
-
-    An invariant of multidegree (d1, d2, d3) picks up the factor
-    a^d1 b^d2 c^d3 under this scaling, which is how the multidegrees
-    are tested.
-    """
-    return StateDecomposition(
-        dec.local_a * a, dec.local_b * b, dec.corr * c, dec.corr_parts * c, dec.scale
-    )
+    return StateDecomposition(local_a, local_b, corr, 12 * den)
 
 
 def _ginibre(normals: np.ndarray, n: int) -> np.ndarray:

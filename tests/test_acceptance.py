@@ -34,7 +34,9 @@ from luinv.molien import (
     quadrature_grid,
     verify_theorem,
 )
-from luinv.states import decompose_state, embed, scale_components
+from luinv.states import decompose_state, embed
+
+from conftest import scale_components
 
 EXPECTED_14 = [
     1, 0, 3, 4, 15, 25, 90, 170, 489, 1059, 2600, 5641, 12872, 27099, 57990,

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from luinv import invariants
+from luinv import invariants, states
 from luinv.invariants import (
     COMPONENTS,
     DEGREE_THREE,
@@ -29,8 +31,9 @@ from luinv.states import (
     kron,
     random_local_unitary,
     random_state,
-    scale_components,
 )
+
+from conftest import scale_components
 
 PURE_PRODUCT_VALUES = (
     Fraction(-1, 36),
@@ -116,7 +119,7 @@ class TestEvaluation:
         im = [[0] * 6 for _ in range(6)]
         re[0][1] = re[1][2] = im[2][0] = 1
         corr = exact(re, im)
-        bad = StateDecomposition(dec.local_a, dec.local_b, corr, dec.corr_parts, dec.scale)
+        bad = StateDecomposition(dec.local_a, dec.local_b, corr, dec.scale)
         with pytest.raises(ArithmeticError, match="imaginary"):
             eval_matrix_form(bad)
 
@@ -271,9 +274,61 @@ class TestStacks:
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
 
+    def test_matrix_form_refuses_an_exact_stack(self):
+        stack = np.stack([random_state(seed, "rational") for seed in range(2)])
+        with pytest.raises(ValueError, match="one exact state"):
+            eval_matrix_form(decompose_state(stack))
+
     def test_basis_form_refuses_a_stack(self):
         with pytest.raises(ValueError, match="one state"):
             eval_basis_form(decompose_state(float_stack(3)))
+
+
+@st.composite
+def state_at_the_int64_limit(draw):
+    """(rho, top): an exact state whose integer form has entries up to top in
+    size, top being INT64_LIMIT or one past it, under any sign pattern."""
+    top = states.INT64_LIMIT + draw(st.sampled_from([0, 1]))
+    size = st.one_of(st.just(top), st.integers(0, top))
+    part = st.tuples(size, st.sampled_from([-1, 1])).map(lambda p: p[0] * p[1])
+    re = [[0] * 6 for _ in range(6)]
+    im = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        re[i][i] = draw(part)
+        for j in range(i + 1, 6):
+            re[i][j] = re[j][i] = draw(part)
+            im[i][j] = draw(part)
+            im[j][i] = -im[i][j]
+    re[0][0] = top * draw(st.sampled_from([-1, 1]))  # the integer form reaches top
+    im[4][5], im[5][4] = 1, -1  # so the entries share no factor with the trace
+    trace = sum(re[i][i] for i in range(6))
+    assume(trace != 0)
+    return exact(re, im) * Fraction(1, trace), top
+
+
+class TestInt64Route:
+    @given(state_at_the_int64_limit())
+    def test_matches_the_object_route_at_the_limit(self, case):
+        rho, top = case
+        _, n = states.validate_state(rho)
+        assert abs(n).max() == top
+        assert n.dtype == (np.int64 if top <= states.INT64_LIMIT else object)
+        dec = decompose_state(rho)
+        fast = eval_matrix_form(dec).as_tuple(), eval_basis_form(dec).as_tuple()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(states, "INT64_LIMIT", -1)  # every integer form on Python ints
+            slow_dec = decompose_state(rho)
+            assert slow_dec.corr.dtype == object
+            slow = eval_matrix_form(slow_dec).as_tuple(), eval_basis_form(slow_dec).as_tuple()
+        assert all(type(v) is Fraction for form in fast for v in form)
+        assert fast == slow
+        assert fast[0] == fast[1]
+
+    def test_random_rational_states_decompose_to_int64(self):
+        for seed in range(50):
+            dec = decompose_state(random_state(seed, "rational"))
+            pieces = (dec.local_a, dec.local_b, dec.corr, dec.corr_parts)
+            assert all(p.dtype == np.int64 for p in pieces), seed
 
 
 class TestIndependence:

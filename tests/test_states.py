@@ -9,20 +9,21 @@ import numpy as np
 import pytest
 
 from luinv.states import (
+    PAULIS,
     apply_local_unitary,
     decompose_state,
     embed,
     kron,
     partial_trace_qubit,
     partial_trace_qutrit,
-    pauli_basis,
     random_local_unitary,
     random_state,
-    scale_components,
     state_from_json,
     state_to_json,
     validate_state,
 )
+
+from conftest import scale_components
 
 
 def exact(re_rows, im_rows=None) -> np.ndarray:
@@ -149,7 +150,7 @@ class TestMatrix:
 
 class TestBases:
     def test_pauli_orthogonality(self):
-        paulis = pauli_basis()
+        paulis = PAULIS
         assert paulis.shape == (3, 4, 4)
         for k, ek in enumerate(paulis):
             assert np.array_equal(ek, ek.T)
@@ -158,7 +159,7 @@ class TestBases:
                 assert complex_trace(ek @ el) == (2 if k == l else 0, 0)
 
     def test_pauli_squares_are_identity(self):
-        for e in pauli_basis():
+        for e in PAULIS:
             assert np.array_equal(e @ e, exact_identity(2))
 
 
@@ -288,7 +289,8 @@ class TestDecomposition:
         assert dec.exact
         pieces = (dec.local_a, dec.local_b, dec.corr, dec.corr_parts)
         # scaled by 12 times the common denominator, every piece is integral
-        assert all(type(v) is int for p in pieces for v in p.flat)
+        # (int64, or Python ints in an object array past the int64 limit)
+        assert all(p.dtype == np.int64 or all(type(v) is int for v in p.flat) for p in pieces)
         assert all(dec.scale % (12 * v.denominator) == 0 for v in rho.flat)
         # local parts: traceless hermitian of the right sizes
         assert dec.local_a.shape == (4, 4) and is_hermitian(dec.local_a)
@@ -301,7 +303,7 @@ class TestDecomposition:
         assert np.array_equal(partial_trace_qutrit(dec.corr), exact_zeros(2))
         # the Pauli expansion of the correlation part is exact: P_k = 2 Y_k
         rebuilt = exact_zeros(6)
-        for e, y in zip(pauli_basis(), dec.corr_parts):
+        for e, y in zip(PAULIS, dec.corr_parts):
             assert is_hermitian(y)
             rebuilt = rebuilt + kron(e, y)
         assert np.array_equal(rebuilt, 2 * dec.corr)
@@ -318,11 +320,13 @@ class TestDecomposition:
     def test_scale_components(self):
         dec = decompose_state(random_state(5, "rational"))
         scaled = scale_components(dec, 2, Fraction(1, 3), -1)
-        assert np.array_equal(scaled.local_a, dec.local_a * 2)
-        assert np.array_equal(scaled.local_b, dec.local_b * Fraction(1, 3))
-        assert np.array_equal(scaled.corr, -dec.corr)
-        assert np.array_equal(scaled.corr_parts[1], -dec.corr_parts[1])
-        assert scaled.scale == dec.scale
+        # each piece over its scale is the old one over its scale times the factor
+        s, t = dec.scale, scaled.scale
+        assert np.array_equal(scaled.local_a * s, dec.local_a * 2 * t)
+        assert np.array_equal(scaled.local_b * s, dec.local_b * Fraction(1, 3) * t)
+        assert np.array_equal(scaled.corr * s, -dec.corr * t)
+        assert np.array_equal(scaled.corr_parts[1] * s, -dec.corr_parts[1] * t)
+        assert t == 3 * s and scaled.exact
 
 
 class TestRandomStates:
