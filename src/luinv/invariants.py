@@ -118,6 +118,13 @@ _PAULI_TR2 = _trace(PAULIS[:, None], PAULIS[None, :])
 _PAULI_TR3 = _trace((PAULIS[:, None] @ PAULIS[None, :])[:, :, None], PAULIS[None, None, :])
 
 
+def _fraction(raw, d):
+    """raw / d for integer raw values, int64 or Python ints: a Fraction, an array of them for a stack."""
+    if getattr(raw, "ndim", 0):
+        return np.frompyfunc(_fraction, 2, 1)(raw, d)
+    return Fraction(int(raw), d)
+
+
 def _realize(values, exact: bool) -> InvariantVector:
     """The seven real invariants raw / divisor from (raw (re, im), divisor), checked per state.
 
@@ -125,11 +132,13 @@ def _realize(values, exact: bool) -> InvariantVector:
     """
     if exact:
         for (_, im), d in values:
-            if im != 0:
+            # a stack's raw values are arrays, one state's are scalars or 0-d arrays
+            if im.any() if getattr(im, "ndim", 0) else im:
+                first = np.ravel(im)[np.flatnonzero(im)[0]]
                 raise ArithmeticError(
-                    f"invariant value has a nonzero imaginary part {Fraction(int(im), d)}"
+                    f"invariant value has a nonzero imaginary part {_fraction(first, d)}"
                 )
-        return InvariantVector(*(Fraction(int(re), d) for (re, _), d in values))
+        return InvariantVector(*(_fraction(re, d) for (re, _), d in values))
     re, im = (np.array([raw[k] / d for raw, d in values]) for k in (0, 1))
     # a finite state can overflow to inf or nan, which no output format can carry
     overflowed = ~(np.isfinite(re) & np.isfinite(im))
@@ -143,9 +152,7 @@ def _realize(values, exact: bool) -> InvariantVector:
 
 
 def eval_matrix_form(dec: StateDecomposition) -> InvariantVector:
-    """Evaluate the invariants directly on the pieces X, Y, Z; a float stack gives arrays."""
-    if dec.exact and dec.corr.ndim != 2:
-        raise ValueError("eval_matrix_form takes one exact state, not a stack")
+    """Evaluate the invariants directly on the pieces X, Y, Z; a stack gives arrays."""
     x, y, z = dec.local_a, dec.local_b, dec.corr
     z2 = z @ z
     s = dec.scale

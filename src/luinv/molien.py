@@ -131,23 +131,15 @@ A2_MAPS = tuple(
 )
 
 
-#: _symmetries by the grades, as a tuple of tuples of weights.
-_SYMMETRIES: Dict[Tuple, Tuple] = {}
-
-
 def _symmetries(grades: Sequence[Sequence[Weight]]) -> Tuple:
     """The maps of A2_MAPS that fix, as a multiset of (y, z)-exponents, the
     weights of each grade with each x-exponent.  They form a group, and the
     engine's series are invariant under it; for GRADES it is all of A2_MAPS.
-    Each system of grades is worked out once.
     """
-    key = tuple(map(tuple, grades))
-    if key not in _SYMMETRIES:
-        parts = [sorted(w[1:] for w in ws if w[0] == s) for ws in key for s in (1, -1, 0)]
-        _SYMMETRIES[key] = tuple(
-            a for a in A2_MAPS if all(sorted(_apply(a, w) for w in part) == part for part in parts)
-        )
-    return _SYMMETRIES[key]
+    parts = [sorted(w[1:] for w in weights if w[0] == s) for weights in grades for s in (1, -1, 0)]
+    return tuple(
+        a for a in A2_MAPS if all(sorted(_apply(a, w) for w in part) == part for part in parts)
+    )
 
 
 def _orbit_count(m: int, maps: Sequence) -> int:
@@ -205,25 +197,17 @@ def _weyl_sums(
     return np.add.reduceat(flat, starts, axis=-1) % p
 
 
-#: _crt_primes by (weights, max_degree).
-_CRT_PRIMES: Dict[Tuple[int, int], Tuple] = {}
-
-
-def _crt_primes(weights: int, max_degree: int) -> Tuple[Tuple[int, int], ...]:
+def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
     """The first grid primes of _grid_primes(max_degree + 3), with their
     elements of order M, whose product exceeds twice the bound on |CT|: with
     that many weights, |CT| is at most the sum of the cells of G[delta],
-    which is at most comb(weights + max_degree, max_degree).  Each pair of
-    arguments is worked out once."""
-    key = (weights, max_degree)
-    if key not in _CRT_PRIMES:
-        bound = 2 * math.comb(weights + max_degree, max_degree)
-        primes, modulus, candidates = [], 1, _grid_primes(max_degree + 3)
-        while modulus <= bound:
-            primes.append(next(candidates))
-            modulus *= primes[-1][0]
-        _CRT_PRIMES[key] = tuple(primes)
-    return _CRT_PRIMES[key]
+    which is at most comb(weights + max_degree, max_degree)."""
+    bound = 2 * math.comb(weights + max_degree, max_degree)
+    primes, modulus, candidates = [], 1, _grid_primes(max_degree + 3)
+    while modulus <= bound:
+        primes.append(next(candidates))
+        modulus *= primes[-1][0]
+    return primes
 
 
 def _row_bytes(k: int, d: int, maps: Sequence) -> int:

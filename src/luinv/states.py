@@ -171,8 +171,9 @@ def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> Tuple[int, np.n
 def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
     """(den, den * rho): integers over the lcm of the denominators if exact, den = 1 if float.
 
-    The integers are int64 while every one is within INT64_LIMIT in size,
-    Python ints beyond.  Exact entries must be ints or Fractions.
+    The integers are int64 while every one is within INT64_LIMIT in size
+    and den within 6 * INT64_LIMIT, Python ints beyond.  Exact entries
+    must be ints or Fractions.
     """
     if rho.dtype != object:
         return 1, rho.astype(float, copy=False)
@@ -182,7 +183,8 @@ def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*{d for _, d in ratios})
     ints = [p * (den // d) for p, d in ratios]
-    small = max(map(abs, ints), default=0) <= INT64_LIMIT
+    # a valid state has den = tr(den * rho) <= 6 * INT64_LIMIT; a larger den stays a Python int
+    small = max(map(abs, ints), default=0) <= INT64_LIMIT and den <= 6 * INT64_LIMIT
     return den, np.array(ints, dtype=np.int64 if small else object).reshape(rho.shape)
 
 

@@ -274,10 +274,20 @@ class TestStacks:
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
 
-    def test_matrix_form_refuses_an_exact_stack(self):
-        stack = np.stack([random_state(seed, "rational") for seed in range(2)])
-        with pytest.raises(ValueError, match="one exact state"):
-            eval_matrix_form(decompose_state(stack))
+    @pytest.mark.parametrize("limit", [states.INT64_LIMIT, -1], ids=["int64", "object"])
+    def test_exact_stack_values_equal_each_state_alone(self, limit, monkeypatch):
+        monkeypatch.setattr(states, "INT64_LIMIT", limit)
+        mixed = exact([[Fraction(int(i == j), 6) for j in range(6)] for i in range(6)])
+        # the states share the common denominator of the stack
+        stack = np.stack([random_state(0, "rational"), pure_product_state(), mixed])
+        dec = decompose_state(stack)
+        assert dec.corr.dtype == (object if limit < 0 else np.int64)
+        values = eval_matrix_form(dec).as_dict()
+        for i, rho in enumerate(stack):
+            alone = eval_matrix_form(decompose_state(rho)).as_dict()
+            for name in COMPONENTS:
+                assert values[name].shape == (3,)
+                assert type(values[name][i]) is Fraction and values[name][i] == alone[name]
 
     def test_basis_form_refuses_a_stack(self):
         with pytest.raises(ValueError, match="one state"):
@@ -323,6 +333,37 @@ class TestInt64Route:
         assert all(type(v) is Fraction for form in fast for v in form)
         assert fast == slow
         assert fast[0] == fast[1]
+
+    def test_limit_follows_from_the_pieces(self):
+        # The pieces of an integer form n with den = tr n are linear forms in
+        # the 36 real parameters of the hermitian n.  The identity has no
+        # pieces, so those of a unit input u are the pieces of the state
+        # (u + I) / tr(u + I), times tr(u + I) * 12 / scale.
+        sums = dict.fromkeys(("local_a", "local_b", "corr", "corr_parts"), 0)
+        for i in range(6):
+            for j in range(i, 6):
+                for imaginary in (False, True) if i < j else (False,):
+                    re = [[int(k == l) for l in range(6)] for k in range(6)]
+                    im = [[0] * 6 for _ in range(6)]
+                    if imaginary:
+                        im[i][j], im[j][i] = 1, -1
+                    else:
+                        re[i][j] = re[j][i] = re[i][j] + 1
+                    trace = 6 + (i == j and not imaginary)
+                    dec = decompose_state(exact(re, im) * Fraction(1, trace))
+                    unscale = Fraction(12 * trace, dec.scale)
+                    for name in sums:
+                        sums[name] = sums[name] + abs(getattr(dec, name) * unscale)
+        bound = {name: max(total.flat) for name, total in sums.items()}
+        assert bound == {"local_a": 12, "local_b": 16, "corr": 16, "corr_parts": 32}
+        # the basis form's i5 bounds every intermediate: the Pauli traces
+        # tr(E_k E_l E_m) weigh 12 in all, and a trace tr(P_k P_l P_m) of
+        # embedded 3x3 matrices sums 18 products of entries of P_k P_l, each
+        # a sum of 6 products
+        weight = sum(abs(part).sum() for part in invariants._PAULI_TR3)
+        assert weight == 12
+        largest = lambda b: weight * 18 * 6 * (bound["corr_parts"] * b) ** 3
+        assert largest(states.INT64_LIMIT) < 2**63 <= largest(states.INT64_LIMIT + 1)
 
     def test_random_rational_states_decompose_to_int64(self):
         for seed in range(50):

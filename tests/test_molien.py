@@ -481,12 +481,6 @@ class TestOrbits:
         assert set(_symmetries(grades)) == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
         assert _symmetries([[(0, 1, 0), (1, 1, 1)]]) == (((1, 0), (0, 1)),)
 
-    def test_symmetries_and_primes_are_worked_out_once(self):
-        # a list of grades and the equal tuple share one entry
-        assert _symmetries([list(WEIGHTS)]) is _symmetries((WEIGHTS,))
-        primes = _crt_primes(len(WEIGHTS), 15)
-        assert _crt_primes(len(WEIGHTS), 15) is primes and isinstance(primes, tuple)
-
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 7, 12, 25])
     def test_orbits_match_enumeration(self, m):
         reps, perm, starts = _orbits(m, A2_MAPS)

@@ -221,6 +221,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="trace"):
             validate_state(exact_identity(6))
 
+    def test_rejects_wrong_trace_over_a_denominator_past_int64(self):
+        # the integer form is the identity, small, but den = 10^22 is not
+        rho = exact_identity(6) * Fraction(1, 10**22)
+        with pytest.raises(ValueError, match="^state trace is 3/5000000000000000000000, not 1$"):
+            validate_state(rho)
+
     def test_rejects_non_hermitian(self):
         im = [[int(i == 0 and j == 1) for j in range(6)] for i in range(6)]
         rho = exact_identity(6) * Fraction(1, 6) + exact([[0] * 6] * 6, im)
