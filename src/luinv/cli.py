@@ -31,8 +31,6 @@ from luinv.molien import (
 )
 from luinv.states import _fraction_str, decompose_state, random_state, state_from_json
 
-BATTERY_TOLERANCE = 1e-9
-
 
 def _emit(fmt: str, payload: dict, table: List[Sequence], plain: List[str]) -> None:
     """Print the payload as json, the table as csv, or the plain lines."""
@@ -127,7 +125,7 @@ def _load_state(args) -> np.ndarray:
 
 def cmd_invariants(args) -> int:
     if args.battery:
-        report = invariance_battery(args.trials, args.seed, BATTERY_TOLERANCE)
+        report = invariance_battery(args.trials, args.seed)
         fields = dataclasses.asdict(report)
         _emit(
             args.format,

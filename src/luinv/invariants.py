@@ -25,11 +25,12 @@ once by its constant times scale^degree.  Exact raw values are
 integers, int64 up to states.INT64_LIMIT and Python ints beyond, and
 each becomes one Fraction.  All seven values are real; the exact route
 enforces a vanishing imaginary part and returns Fractions, the float
-route holds it to IMAG_TOLERANCE.  The Pauli traces the basis form
-contracts with are built once, at import.
+route holds it to IMAG_TOLERANCE times max(1, |real part|).  The Pauli
+traces the basis form contracts with are built once, at import.
 
 The matrix form also takes a decomposed stack of float states and returns
 (N,) arrays, bit for bit each state's values alone; the battery uses it.
+Exact values are scalars: both forms take one exact state, not a stack.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ DEGREE_THREE = ("i4", "i5", "i6", "i7")
 
 Value = Union[Fraction, float, np.ndarray]
 
-#: Largest imaginary part a float invariant may carry before it is refused.
+#: Largest imaginary part, relative to max(1, |real part|), a float invariant may carry.
 IMAG_TOLERANCE = 1e-9
 
 #: Trials the invariance battery evaluates as one stack; it bounds the memory held.
@@ -79,7 +80,7 @@ BATTERY_CHUNK = 64
 
 @dataclass(frozen=True)
 class InvariantVector:
-    """Values of the seven invariants: exact Fractions, floats, or (N,) arrays for a stack."""
+    """Values of the seven invariants: exact Fractions, floats, or (N,) arrays for a float stack."""
 
     i1: Value
     i2: Value
@@ -118,41 +119,36 @@ _PAULI_TR2 = _trace(PAULIS[:, None], PAULIS[None, :])
 _PAULI_TR3 = _trace((PAULIS[:, None] @ PAULIS[None, :])[:, :, None], PAULIS[None, None, :])
 
 
-def _fraction(raw, d):
-    """raw / d for integer raw values, int64 or Python ints: a Fraction, an array of them for a stack."""
-    if getattr(raw, "ndim", 0):
-        return np.frompyfunc(_fraction, 2, 1)(raw, d)
-    return Fraction(int(raw), d)
-
-
 def _realize(values, exact: bool) -> InvariantVector:
     """The seven real invariants raw / divisor from (raw (re, im), divisor), checked per state.
 
-    Exact raw values are integers, int64 or Python ints, and give Fractions.
+    Exact raw values are integer scalars, int64 or Python ints, and give Fractions.
     """
     if exact:
         for (_, im), d in values:
-            # a stack's raw values are arrays, one state's are scalars or 0-d arrays
-            if im.any() if getattr(im, "ndim", 0) else im:
-                first = np.ravel(im)[np.flatnonzero(im)[0]]
+            if im:
                 raise ArithmeticError(
-                    f"invariant value has a nonzero imaginary part {_fraction(first, d)}"
+                    f"invariant value has a nonzero imaginary part {Fraction(int(im), d)}"
                 )
-        return InvariantVector(*(_fraction(re, d) for (re, _), d in values))
+        return InvariantVector(*(Fraction(int(re), d) for (re, _), d in values))
     re, im = (np.array([raw[k] / d for raw, d in values]) for k in (0, 1))
     # a finite state can overflow to inf or nan, which no output format can carry
     overflowed = ~(np.isfinite(re) & np.isfinite(im))
     if overflowed.any():
         value = complex(re[overflowed][0], im[overflowed][0])
         raise ArithmeticError(f"invariant value {value!r} is not finite")
-    if not (abs(im) <= IMAG_TOLERANCE).all():
-        worst = im.flat[np.argmax(abs(im))]
+    # rounding error grows with the value, so it is held at the battery's scale max(1, |v|)
+    excess = abs(im) / np.maximum(1.0, abs(re))
+    if not (excess <= IMAG_TOLERANCE).all():
+        worst = im.flat[np.argmax(excess)]
         raise ArithmeticError(f"invariant value has imaginary part {worst:.3e} above tolerance")
     return InvariantVector(*(re if re.ndim > 1 else map(float, re)))
 
 
 def eval_matrix_form(dec: StateDecomposition) -> InvariantVector:
-    """Evaluate the invariants directly on the pieces X, Y, Z; a stack gives arrays."""
+    """Evaluate the invariants directly on the pieces X, Y, Z; a float stack gives arrays."""
+    if dec.exact and dec.corr.ndim != 2:
+        raise ValueError("eval_matrix_form takes one exact state, not a stack")
     x, y, z = dec.local_a, dec.local_b, dec.corr
     z2 = z @ z
     s = dec.scale

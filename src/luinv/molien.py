@@ -34,13 +34,15 @@ its own t yields the multigraded table from the same update, one array
 operation per weight and level of rows.
 
 An exact quadrature, with no x constant-term identity, root maps or
-Chinese remainder theorem, cross-checks the engine mod one prime.  h_d is
-a character, so the Weyl group S3 of SU(3), which permutes the
-eigenvalues of a torus element, fixes it: the quadrature builds h_d by
-the same additive update at one (y, z) point per S3 orbit and at each of
-a block of x values at a time, weights each orbit by its sum of the rest
-of the Weyl factor, and sums over the 3-D torus grid in F_p.  It derives
-its orbits from the eigenvalues, not from A2_MAPS.  verify_theorem
+Chinese remainder theorem, cross-checks the engine mod one prime.  The
+engine skips that prime, the first grid prime, so the check covers every
+residue of the engine and its lift.  h_d is a character, so the Weyl
+group S3 of SU(3), which permutes the eigenvalues of a torus element,
+fixes it: the quadrature builds h_d by the same additive update at one
+(y, z) point per S3 orbit and at each of a block of x values at a time,
+weights each orbit by its sum of the rest of the Weyl factor, and sums
+over the 3-D torus grid in F_p.  It derives its orbits from the
+eigenvalues, not from A2_MAPS.  verify_theorem
 compares the whole series against the tabulated closed form in
 luinv.reference.
 """
@@ -198,12 +200,15 @@ def _weyl_sums(
 
 
 def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
-    """The first grid primes of _grid_primes(max_degree + 3), with their
-    elements of order M, whose product exceeds twice the bound on |CT|: with
-    that many weights, |CT| is at most the sum of the cells of G[delta],
-    which is at most comb(weights + max_degree, max_degree)."""
+    """Grid primes of _grid_primes(max_degree + 3), with their elements of
+    order M, whose product exceeds twice the bound on |CT|: with that many
+    weights, |CT| is at most the sum of the cells of G[delta], which is at
+    most comb(weights + max_degree, max_degree).  The first grid prime is
+    skipped: it is the quadrature's, which then checks the engine mod a prime
+    the engine never used."""
     bound = 2 * math.comb(weights + max_degree, max_degree)
     primes, modulus, candidates = [], 1, _grid_primes(max_degree + 3)
+    next(candidates)  # quadrature_grid's prime at the default grid size
     while modulus <= bound:
         primes.append(next(candidates))
         modulus *= primes[-1][0]
@@ -229,20 +234,17 @@ def _row_bytes(k: int, d: int, maps: Sequence) -> int:
 def _pass_size(k: int, d: int, maps: Sequence, primes: int, memory_budget: Optional[int]) -> int:
     """Primes per pass of the engine: as many of the primes as keep their rows
     within PASS_BYTES and _estimated_bytes within the memory budget, and at
-    least one."""
-    size = min(primes, PASS_BYTES // _row_bytes(k, d, maps))
+    least one.  The estimate is affine in the pass size, so the largest size
+    within the budget is one division."""
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    while size > 1 and _estimated_bytes(k, d, maps, size) > budget:
-        size -= 1
-    return max(1, size)
+    fixed = _estimated_bytes(k, d, maps, 0)
+    per_prime = _estimated_bytes(k, d, maps, 1) - fixed
+    return max(1, min(primes, PASS_BYTES // _row_bytes(k, d, maps), (budget - fixed) // per_prime))
 
 
-def _estimated_bytes(
-    k: int, d: int, maps: Sequence = A2_MAPS, per_pass: Optional[int] = None
-) -> int:
-    """Bytes the engine holds at its peak for k grades to degree d with
-    per_pass primes in a pass, by default as many as _dimensions puts in one
-    for the 35 WEIGHTS under the default budget.
+def _estimated_bytes(k: int, d: int, maps: Sequence, per_pass: int) -> int:
+    """Bytes the engine holds at its peak for k grades to degree d, with the
+    group maps and per_pass primes in a pass.
 
     Each prime of a pass holds its _row_bytes.  Enumerating the orbits and
     summing the Weyl factor over them hold at most twelve int64 per grid
@@ -254,10 +256,9 @@ def _estimated_bytes(
     grade's K weights and a slice of at most K rows, at most 70 rows for 35
     weights, which fit in the space the orbit enumeration has freed by
     then.  A pass holds more than one prime only while their rows fit in
-    PASS_BYTES, so from moderate degrees on a pass is one prime.
+    PASS_BYTES, so from moderate degrees on a pass is one prime.  The
+    estimate is affine in per_pass.
     """
-    if per_pass is None:
-        per_pass = _pass_size(k, d, maps, len(_crt_primes(len(WEIGHTS), d)), None)
     m, cells, half = d + 3, math.comb(d + k, k), math.comb((d + 1) // 2 + k, k)
     pairs = 2 * half * math.comb((d + 1) // 2 + k - 1, k - 1)
     return (
@@ -386,7 +387,7 @@ def _dimensions(
     maps = _symmetries(grades)
 
     def estimate(d: int) -> int:  # a pass takes more primes only where they fit
-        return _estimated_bytes(k, d, maps, per_pass=1)
+        return _estimated_bytes(k, d, maps, 1)
 
     _check_budget(f"max degree {max_degree}", estimate(max_degree), memory_budget, estimate)
     reps, perm, starts = _orbits(m, maps)
@@ -562,9 +563,10 @@ def _quadrature_bytes(max_degree: int, grid_size: int) -> int:
 
 def quadrature_grid(max_degree: int, grid_size: Optional[int] = None) -> Tuple[int, int, int]:
     """(M, p, omega) of quadrature_coefficients: the grid size, max_degree + 3
-    by default, the prime p = 1 mod M its residues are taken mod, and an
-    element of order M mod p.  Raises ValueError for a negative degree, a
-    grid below the exactness bound max_degree + 3 or one with no such p < 2^31.
+    by default, the prime p = 1 mod M its residues are taken mod, the first
+    of _grid_primes(M), and an element of order M mod p.  Raises ValueError
+    for a negative degree, a grid below the exactness bound max_degree + 3
+    or one with no such p < 2^31.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")

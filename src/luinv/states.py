@@ -42,7 +42,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -139,26 +139,24 @@ class StateDecomposition:
         return np.moveaxis(parts, (-2, -1), (-5, -4)).reshape(*self.corr.shape[:-2], 3, 6, 6)
 
 
-def validate_state(rho: np.ndarray, tolerance: float = 1e-12) -> Tuple[int, np.ndarray]:
+def validate_state(rho: np.ndarray) -> Tuple[int, np.ndarray]:
     """Raise ValueError unless rho embeds a 6x6 hermitian matrix with unit trace.
 
     That is: rho is 12x12, symmetric (J(M)^T = J(M^dagger)), of the form
     [[R, -I], [I, R]], and tr R = 1; a stack (..., 12, 12) passes if each
-    state does.  Exact states must hold int or Fraction entries only and
-    pass exactly, checked on their integer form den * rho; float states
-    are held to the tolerance, and a NaN anywhere fails the checks.
-    Returns _integer_form(rho).
+    state does.  The checks run on the integer form den * rho: exact states
+    must hold int or Fraction entries only and pass exactly, float states
+    are held to 1e-12, and a NaN anywhere fails the checks.  Returns
+    _integer_form(rho).
     """
     if rho.shape[-2:] != (12, 12):
         raise ValueError(f"expected the 12x12 embedding of a 6x6 matrix, got shape {rho.shape}")
     den, n = _integer_form(rho)
-    if rho.dtype == object:
-        tolerance = 0
-    checked = n if rho.dtype == object else rho
-    if not abs(checked - checked.swapaxes(-1, -2)).max() <= tolerance:
+    tolerance = 0 if rho.dtype == object else 1e-12
+    if not abs(n - n.swapaxes(-1, -2)).max() <= tolerance:
         raise ValueError("state is not hermitian")
-    re, im = checked[..., :6, :6], checked[..., 6:, :6]
-    blocks = abs(checked[..., 6:, 6:] - re).max(), abs(checked[..., :6, 6:] + im).max()
+    re, im = n[..., :6, :6], n[..., 6:, :6]
+    blocks = abs(n[..., 6:, 6:] - re).max(), abs(n[..., :6, 6:] + im).max()
     if not all(b <= tolerance for b in blocks):
         raise ValueError("state is not an embedding [[R, -I], [I, R]] of a complex matrix")
     trace = np.trace(re, axis1=-2, axis2=-1)
@@ -195,7 +193,7 @@ def _add_identity(m: np.ndarray, c) -> np.ndarray:
 
 
 def decompose_state(rho: np.ndarray) -> StateDecomposition:
-    """Split a state or a stack of them, validated at the default tolerance, into its pieces."""
+    """Split a state or a stack of them, validated by validate_state, into its pieces."""
     den, n = validate_state(rho)
     local_a = _add_identity(4 * partial_trace_qutrit(n), -2 * den)
     local_b = _add_identity(6 * partial_trace_qubit(n), -2 * den)
@@ -275,21 +273,6 @@ def apply_local_unitary(rho: np.ndarray, pair: LocalUnitaryPair) -> np.ndarray:
 
 def _fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def state_to_json(rho: np.ndarray, indent: Optional[int] = None) -> str:
-    """Serialize an embedded state to the versioned JSON schema of 6x6 [re, im] pairs."""
-    if rho.shape != (12, 12):
-        raise ValueError("expected the 12x12 embedding of a 6x6 matrix")
-    pairs = np.stack([rho[:6, :6], rho[6:, :6]], axis=-1).tolist()
-    if rho.dtype == object:
-        matrix = [[[_fraction_str(Fraction(v)) for v in pair] for pair in row] for row in pairs]
-        scalar = "rational"
-    else:
-        matrix = pairs
-        scalar = "float"
-    payload = {"schema": STATE_SCHEMA, "scalar": scalar, "matrix": matrix}
-    return json.dumps(payload, indent=indent)
 
 
 def _digit_limit() -> int:

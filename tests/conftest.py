@@ -1,13 +1,15 @@
 """Shared fixtures and helpers; expensive exact computations run once per session."""
 
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from luinv.molien import poincare_coefficients
-from luinv.states import StateDecomposition, random_state
+from luinv.states import STATE_SCHEMA, StateDecomposition, _fraction_str, random_state
 
 settings.register_profile(
     "ci",
@@ -48,3 +50,18 @@ def scale_components(dec: StateDecomposition, a, b, c) -> StateDecomposition:
         dec.corr.astype(object) * c,
         dec.scale * q,
     )
+
+
+def state_to_json(rho: np.ndarray) -> str:
+    """Serialize an embedded state to the versioned JSON schema of 6x6 [re, im] pairs."""
+    if rho.shape != (12, 12):
+        raise ValueError("expected the 12x12 embedding of a 6x6 matrix")
+    pairs = np.stack([rho[:6, :6], rho[6:, :6]], axis=-1).tolist()
+    if rho.dtype == object:
+        matrix = [[[_fraction_str(Fraction(v)) for v in pair] for pair in row] for row in pairs]
+        scalar = "rational"
+    else:
+        matrix = pairs
+        scalar = "float"
+    payload = {"schema": STATE_SCHEMA, "scalar": scalar, "matrix": matrix}
+    return json.dumps(payload)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from luinv import cli, molien, reference
 from luinv.molien import quadrature_grid
-from luinv.states import random_state, state_to_json
+from luinv.states import random_state
+
+from conftest import state_to_json
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +223,20 @@ class TestVerify:
         assert code == 1 and payload["passed"] is False
         assert payload["quadrature"]["passed"] is False
 
+    def test_quadrature_catches_an_error_mod_the_engines_primes(self, capsys, monkeypatch):
+        # c + q agrees with c mod q: had the quadrature's prime been the engine's
+        # first CRT prime q, the lift's error would pass it
+        q = molien._crt_primes(len(molien.WEIGHTS), 15)[0][0]
+
+        def shifted(max_degree, **kw):
+            return [c + q for c in molien.poincare_coefficients(max_degree, **kw)]
+
+        monkeypatch.setattr(cli, "poincare_coefficients", shifted)
+        argv = ("verify", "--max-degree", "15", "--with-quadrature", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["checks"]["quadrature_match"] is False
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-degree", "4", "--format", "csv")
         assert code == 0
@@ -310,6 +326,15 @@ class TestInvariants:
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(capsys, "invariants", "--state", str(path))
         assert code == 2 and "trace" in err
+
+    def test_unknown_scalar_exit_2(self, capsys, tmp_path):
+        matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
+        payload = {"schema": "luinv.state.v1", "scalar": "complex", "matrix": matrix}
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert code == 2 and out == ""
+        assert "scalar must be 'rational' or 'float'" in err
 
     def test_null_float_entry_exit_2(self, capsys, tmp_path):
         path = tmp_path / "null.json"

@@ -1,6 +1,7 @@
 """Invariant evaluation: dual routes, stacks, invariance, homogeneity, ranks."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,39 @@ class TestEvaluation:
         bad = StateDecomposition(dec.local_a, dec.local_b, corr, dec.scale)
         with pytest.raises(ArithmeticError, match="imaginary"):
             eval_matrix_form(bad)
+
+    def test_float_non_hermitian_correlation_is_caught(self):
+        # a doctored float corr part Z~ + 1e-3 i Re Z~: tr Z~^2 gains 2e-3 i tr (Re Z~)^2
+        dec = decompose_state(random_state(0, "psd_float"))
+        corr = dec.corr + embed(np.zeros((6, 6)), 1e-3 * dec.corr[:6, :6])
+        bad = StateDecomposition(dec.local_a, dec.local_b, corr, dec.scale)
+        with pytest.raises(ArithmeticError, match="above tolerance"):
+            eval_matrix_form(bad)
+
+    def test_float_route_holds_wide_states_to_their_scale(self):
+        # entries up to 300 make values near 1e9, whose rounding leaves imaginary
+        # parts above an absolute 1e-9; held relative to the value they pass
+        rng = random.Random(0)
+
+        def draw():
+            q = rng.randint(1, 7)
+            return Fraction(rng.randint(-300 * q, 300 * q), q)
+
+        re = [[0] * 6 for _ in range(6)]
+        im = [[0] * 6 for _ in range(6)]
+        for i in range(6):
+            re[i][i] = draw()
+            for j in range(i + 1, 6):
+                re[i][j] = re[j][i] = draw()
+                im[i][j] = draw()
+                im[j][i] = -im[i][j]
+        re[5][5] = 1 - sum(re[i][i] for i in range(5))  # hermitian with unit trace, not PSD
+        rho = exact(re, im)
+        values = eval_matrix_form(decompose_state(rho)).as_tuple()
+        approx = eval_matrix_form(decompose_state(rho.astype(float))).as_tuple()
+        assert max(abs(v) for v in values) > 1e8
+        for v, a in zip(values, approx):
+            assert abs(a - float(v)) <= 1e-9 * max(1.0, abs(float(v)))
 
 
 class TestHomogeneity:
@@ -274,20 +308,10 @@ class TestStacks:
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
 
-    @pytest.mark.parametrize("limit", [states.INT64_LIMIT, -1], ids=["int64", "object"])
-    def test_exact_stack_values_equal_each_state_alone(self, limit, monkeypatch):
-        monkeypatch.setattr(states, "INT64_LIMIT", limit)
-        mixed = exact([[Fraction(int(i == j), 6) for j in range(6)] for i in range(6)])
-        # the states share the common denominator of the stack
-        stack = np.stack([random_state(0, "rational"), pure_product_state(), mixed])
-        dec = decompose_state(stack)
-        assert dec.corr.dtype == (object if limit < 0 else np.int64)
-        values = eval_matrix_form(dec).as_dict()
-        for i, rho in enumerate(stack):
-            alone = eval_matrix_form(decompose_state(rho)).as_dict()
-            for name in COMPONENTS:
-                assert values[name].shape == (3,)
-                assert type(values[name][i]) is Fraction and values[name][i] == alone[name]
+    def test_matrix_form_refuses_an_exact_stack(self):
+        stack = np.stack([random_state(0, "rational"), pure_product_state()])
+        with pytest.raises(ValueError, match="one exact state"):
+            eval_matrix_form(decompose_state(stack))
 
     def test_basis_form_refuses_a_stack(self):
         with pytest.raises(ValueError, match="one state"):
@@ -392,6 +416,7 @@ class TestIndependence:
         states = [rho]
         assert independence_rank(states, 2) == 1
         assert independence_rank(states, 3) == 0
+        assert independence_rank([], 2) == 0
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from luinv.molien import (
     _levels,
     _orbit_count,
     _orbits,
+    _pass_size,
     _s3_orbit_count,
     _s3_orbits,
     _symmetries,
@@ -379,8 +380,8 @@ class TestPasses:
         for size in range(1, primes):
             # a budget that holds a pass of size primes and no more; at size 1 every
             # prime runs alone, and a shorter last pass takes the first columns
-            budget = _estimated_bytes(len(grades), d, per_pass=size)
-            assert _estimated_bytes(len(grades), d, per_pass=size + 1) > budget
+            budget = _estimated_bytes(len(grades), d, A2_MAPS, size)
+            assert _estimated_bytes(len(grades), d, A2_MAPS, size + 1) > budget
             calls.clear()
             assert _dimensions(grades, d, budget) == batched
             assert len(calls) == -(-primes // size)
@@ -416,6 +417,13 @@ class TestGridPrimes:
         for m in range(2, 121):
             got = list(itertools.islice(_grid_primes(m), 3))
             assert got == list(itertools.islice(trial_division_grid_primes(m), 3)), m
+
+    def test_quadrature_prime_is_none_of_the_engines(self):
+        # a shared prime would let an error in the engine's other residues or
+        # its lift agree with the quadrature
+        for d in [*range(121), 230, 500, 900]:
+            primes = [p for p, _ in _crt_primes(len(WEIGHTS), d)]
+            assert quadrature_grid(d)[1] not in primes, d
 
 
 def compose(a, b):
@@ -640,7 +648,8 @@ class TestSeries:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= _estimated_bytes(len(grades), d), (d, peak)
+            size = _pass_size(len(grades), d, A2_MAPS, len(_crt_primes(len(WEIGHTS), d)), None)
+            assert peak <= _estimated_bytes(len(grades), d, A2_MAPS, size), (d, peak)
 
 
 class TestQuadrature:

@@ -19,11 +19,10 @@ from luinv.states import (
     random_local_unitary,
     random_state,
     state_from_json,
-    state_to_json,
     validate_state,
 )
 
-from conftest import scale_components
+from conftest import scale_components, state_to_json
 
 
 def exact(re_rows, im_rows=None) -> np.ndarray:
@@ -260,7 +259,7 @@ class TestValidation:
 
     def test_float_tolerance(self):
         rho = (exact_identity(6) * Fraction(1, 6)).astype(float)
-        validate_state(rho, tolerance=1e-12)
+        validate_state(rho)
 
     def test_float_nan_rejected(self):
         rho = embed(np.eye(6) / 6, np.zeros((6, 6)))
@@ -351,7 +350,7 @@ class TestRandomStates:
     def test_float_states_are_valid_and_psd(self):
         rho = random_state(9, "psd_float")
         assert rho.dtype == np.float64
-        validate_state(rho, tolerance=1e-9)
+        validate_state(rho)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
     def test_distinct_seeds_differ(self):
@@ -375,7 +374,7 @@ class TestLocalUnitaries:
     def test_conjugation_preserves_state_properties(self):
         rho = random_state(17, "psd_float")
         moved = apply_local_unitary(rho, random_local_unitary(18))
-        validate_state(moved, tolerance=1e-9)
+        validate_state(moved)
         # spectrum is preserved by conjugation
         assert np.allclose(np.linalg.eigvalsh(moved), np.linalg.eigvalsh(rho), atol=1e-10)
 
