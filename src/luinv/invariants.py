@@ -29,12 +29,16 @@ route holds it to IMAG_TOLERANCE times max(1, |real part|).  The Pauli
 traces the basis form contracts with are built once, at import.
 
 The matrix form also takes a decomposed stack of float states and returns
-(N,) arrays, bit for bit each state's values alone; the battery uses it.
-Exact values are scalars: both forms take one exact state, not a stack.
+(N,) arrays, bit for bit each state's values alone; the battery uses it,
+one stack of states and their conjugates per chunk of trials.  The
+battery draws its normals from one stdlib random.Random(seed) stream by
+Box-Muller, so it never imports numpy.random.  Exact values are scalars:
+both forms take one exact state, not a stack.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -207,32 +211,56 @@ class InvarianceReport:
     passed: bool
 
 
+#: Normals a battery trial draws: 72 for the state, then 8 for u2 and 18 for u3.
+_TRIAL_NORMALS = 98
+
+
+def _battery_normals(rng: random.Random, trials: int) -> np.ndarray:
+    """(trials, 98) standard normals from the next 8 * 98 * trials bytes of rng.
+
+    Each 8 bytes, little-endian, give a 53-bit uniform u in [0, 1); each
+    pair (u, v) in turn gives the Box-Muller normals r cos(2 pi v) and
+    r sin(2 pi v), r = sqrt(-2 log(1 - u)), finite since 1 - u > 0.  Bytes
+    split into consecutive calls come out as one call's, so the normals of
+    a trial do not depend on how trials are grouped into calls.
+    """
+    raw = np.frombuffer(rng.randbytes(8 * _TRIAL_NORMALS * trials), dtype="<u8")
+    u = (raw >> np.uint64(11)) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2 * np.pi * u[1::2]
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1).reshape(trials, _TRIAL_NORMALS)
+
+
 def invariance_battery(
     trials: int, seed: int, tolerance: float = 1e-9
 ) -> InvarianceReport:
     """Check invariance under random SU(2) x SU(3) conjugations.
 
-    Each trial draws a Ginibre state and a Haar local unitary from its
-    own child of the seed sequence, evaluates the invariants before and
-    after conjugation, and records the relative deviation
-    |v' - v| / max(1, |v|).  Passes if the worst deviation over all
-    trials and components stays within tolerance, the worst being the
-    first largest in trial order.  Trials run BATTERY_CHUNK at a time.
+    One random.Random(seed) stream feeds the whole battery: trial t takes
+    the t-th block of 98 normals from _battery_normals, draws a Ginibre
+    state from the first 72 and a Haar local unitary from the other 26,
+    evaluates the invariants before and after conjugation, and records the
+    relative deviation |v' - v| / max(1, |v|).  Passes if the worst
+    deviation over all trials and components stays within tolerance, the
+    worst being the first largest in trial order.  Trials run BATTERY_CHUNK
+    at a time, each chunk's states and their conjugates as one stack; the
+    report does not depend on the chunk size.  The seed must be a
+    nonnegative integer.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        # random.Random would fold a negative seed onto its absolute value
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    rng = random.Random(seed)
     max_dev, worst_trial, worst_component = 0.0, 0, COMPONENTS[0]
     for start in range(0, trials, BATTERY_CHUNK):
-        # trial t draws its state's 72 normals, then u2's and u3's 26, from child t
-        normals = np.stack([
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,))).normal(size=98)
-            for t in range(start, min(start + BATTERY_CHUNK, trials))
-        ])
+        n = min(BATTERY_CHUNK, trials - start)
+        normals = _battery_normals(rng, n)
         rho = _gram_state(_ginibre(normals[:, :72], 6))
-        v, w = (
-            np.stack(eval_matrix_form(decompose_state(r)).as_tuple(), axis=-1)
-            for r in (rho, apply_local_unitary(rho, _local_unitary(normals[:, 72:])))
-        )
+        both = np.concatenate([rho, apply_local_unitary(rho, _local_unitary(normals[:, 72:]))])
+        values = np.stack(eval_matrix_form(decompose_state(both)).as_tuple(), axis=-1)
+        v, w = values[:n], values[n:]
         dev = abs(w - v) / np.maximum(1.0, abs(v))  # (trial, component)
         t, c = np.unravel_index(np.argmax(dev), dev.shape)  # the first of equal maxima
         if dev[t, c] > max_dev:

@@ -204,8 +204,8 @@ def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
     order M, whose product exceeds twice the bound on |CT|: with that many
     weights, |CT| is at most the sum of the cells of G[delta], which is at
     most comb(weights + max_degree, max_degree).  The first grid prime is
-    skipped: it is the quadrature's, which then checks the engine mod a prime
-    the engine never used."""
+    skipped: it is the quadrature's at the default grid size, which then
+    checks the engine mod a prime the engine never used."""
     bound = 2 * math.comb(weights + max_degree, max_degree)
     primes, modulus, candidates = [], 1, _grid_primes(max_degree + 3)
     next(candidates)  # quadrature_grid's prime at the default grid size
@@ -564,16 +564,19 @@ def _quadrature_bytes(max_degree: int, grid_size: int) -> int:
 def quadrature_grid(max_degree: int, grid_size: Optional[int] = None) -> Tuple[int, int, int]:
     """(M, p, omega) of quadrature_coefficients: the grid size, max_degree + 3
     by default, the prime p = 1 mod M its residues are taken mod, the first
-    of _grid_primes(M), and an element of order M mod p.  Raises ValueError
-    for a negative degree, a grid below the exactness bound max_degree + 3
-    or one with no such p < 2^31.
+    of _grid_primes(M) that is none of the engine's CRT primes, and an
+    element of order M mod p.  Raises ValueError for a negative degree, a
+    grid below the exactness bound max_degree + 3 or one with no such
+    p < 2^31.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     m = max_degree + 3 if grid_size is None else grid_size
     if m < max_degree + 3:
         raise ValueError(f"grid_size {m} is below the exactness bound {max_degree + 3}")
-    found = next(_grid_primes(m), None)
+    # at an engine prime the residues agree, whatever the other primes and the lift did
+    engine = {p for p, _ in _crt_primes(len(WEIGHTS), max_degree)}
+    found = next((g for g in _grid_primes(m) if g[0] not in engine), None)
     if found is None:
         raise ValueError(f"no prime below 2^31 is 1 mod the grid size {m}")
     return (m, *found)

@@ -146,22 +146,30 @@ def validate_state(rho: np.ndarray) -> Tuple[int, np.ndarray]:
     [[R, -I], [I, R]], and tr R = 1; a stack (..., 12, 12) passes if each
     state does.  The checks run on the integer form den * rho: exact states
     must hold int or Fraction entries only and pass exactly, float states
-    are held to 1e-12, and a NaN anywhere fails the checks.  Returns
-    _integer_form(rho).
+    are held to 1e-12 * max(1, max |entry|), each state at its own scale,
+    and a NaN anywhere fails the checks.  Returns _integer_form(rho).
     """
     if rho.shape[-2:] != (12, 12):
         raise ValueError(f"expected the 12x12 embedding of a 6x6 matrix, got shape {rho.shape}")
     den, n = _integer_form(rho)
-    tolerance = 0 if rho.dtype == object else 1e-12
-    if not abs(n - n.swapaxes(-1, -2)).max() <= tolerance:
+    if rho.dtype == object:
+        tolerance = 0
+    else:
+        # rounding error grows with the entries, so it is held at each state's scale max(1, max |n|)
+        tolerance = 1e-12 * np.maximum(1.0, abs(n).max(axis=(-2, -1)))
+
+    def within(deviation: np.ndarray) -> bool:
+        return bool(np.all(abs(deviation).max(axis=(-2, -1)) <= tolerance))
+
+    if not within(n - n.swapaxes(-1, -2)):
         raise ValueError("state is not hermitian")
     re, im = n[..., :6, :6], n[..., 6:, :6]
-    blocks = abs(n[..., 6:, 6:] - re).max(), abs(n[..., :6, 6:] + im).max()
-    if not all(b <= tolerance for b in blocks):
+    if not (within(n[..., 6:, 6:] - re) and within(n[..., :6, 6:] + im)):
         raise ValueError("state is not an embedding [[R, -I], [I, R]] of a complex matrix")
     trace = np.trace(re, axis1=-2, axis2=-1)
-    if not np.all(abs(trace - den) <= tolerance):
-        worst = np.ravel(trace)[np.argmax(abs(trace - den))]
+    passing = np.ravel(abs(trace - den) <= tolerance)
+    if not passing.all():
+        worst = np.ravel(trace)[np.argmin(passing)]  # the first failing state's
         raise ValueError(f"state trace is {Fraction(worst, den) if den > 1 else worst}, not 1")
     return den, n
 

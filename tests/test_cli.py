@@ -3,8 +3,13 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +324,25 @@ class TestInvariants:
         assert code == 0
         assert json.loads(out)["scalar"] == "float"
 
+    def test_wide_state_evaluates_on_both_routes(self, capsys, tmp_path):
+        # in floats the trace is 1 + 2.9e-12: rounding at the scale of the entries
+        diagonal = ["100000.1", "-100000.3", "0.2", "0.5", "0.3", "0.2"]
+        matrix = [[[diagonal[i] if i == j else "0", "0"] for j in range(6)] for i in range(6)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix}))
+        values = {}
+        for scalar in ("exact", "float"):
+            code, out, err = run_cli(
+                capsys, "invariants", "--state", str(path), "--scalar", scalar, "--format", "json"
+            )
+            assert code == 0, err
+            values[scalar] = json.loads(out)["values"]
+        exact = {name: Fraction(v) for name, v in values["exact"].items()}
+        scale = max(abs(v) for v in exact.values())
+        assert scale > 1e9
+        for name, v in exact.items():
+            assert abs(values["float"][name] - v) <= 1e-9 * scale, name
+
     def test_bad_trace_exit_2(self, capsys, tmp_path):
         matrix = [[["1" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
         payload = {"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix}
@@ -429,6 +453,23 @@ class TestInvariants:
         )
         assert code == 0
         assert out.startswith("PASS")
+
+    def test_battery_does_not_import_numpy_random(self):
+        # a fresh process: importing numpy.random alone takes about 12 ms and 5 MB
+        script = (
+            "import contextlib, io, sys\n"
+            "import luinv, luinv.cli\n"
+            "print('numpy.random' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = luinv.cli.main(['invariants', '--battery', '--trials', '5', '--seed', '1'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout.split() == ["False", "0", "False"], result.stderr
 
     def test_battery_json_deterministic(self, capsys):
         args = (

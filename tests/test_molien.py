@@ -424,6 +424,10 @@ class TestGridPrimes:
         for d in [*range(121), 230, 500, 900]:
             primes = [p for p, _ in _crt_primes(len(WEIGHTS), d)]
             assert quadrature_grid(d)[1] not in primes, d
+            # on a larger grid the first prime can be one of the engine's: 271 pairs here
+            sizes = range(d + 4, 4 * (d + 3) + 1) if d < 60 else ()
+            for m in sizes:
+                assert quadrature_grid(d, m)[1] not in primes, (d, m)
 
 
 def compose(a, b):
