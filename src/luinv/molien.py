@@ -22,7 +22,10 @@ against the rest of the Weyl factor, is each dimension mod p.  Apart from
 that factor the integrand is invariant under the 12 automorphisms of the
 SU(3) roots, A2_MAPS, which permute the grid, so the engine evaluates it
 at one point per orbit, about a twelfth of the grid, and weights each
-orbit by its sum of the Weyl factor.  There dividing by (1 - t w) is the
+orbit by its sum of the Weyl factor.  The engine assumes, unchecked,
+that A2_MAPS fixes each grade's weights with each x-exponent and that
+every exponent is in {-1, 0, 1}: in GRADES these weights are copies of
+the zero weight and the six roots.  There dividing by (1 - t w) is the
 update G[d] += w * G[d-1] on int64 rows.  With one grade the rows form a
 chain, and the K weights cross it as a wavefront (Lamport's hyperplane
 method): row d takes weight k at step k + d, so each of the K + n - 2
@@ -133,44 +136,26 @@ A2_MAPS = tuple(
 )
 
 
-def _symmetries(grades: Sequence[Sequence[Weight]]) -> Tuple:
-    """The maps of A2_MAPS that fix, as a multiset of (y, z)-exponents, the
-    weights of each grade with each x-exponent.  They form a group, and the
-    engine's series are invariant under it; for GRADES it is all of A2_MAPS.
-    """
-    parts = [sorted(w[1:] for w in weights if w[0] == s) for weights in grades for s in (1, -1, 0)]
-    return tuple(
-        a for a in A2_MAPS if all(sorted(_apply(a, w) for w in part) == part for part in parts)
-    )
+def _orbit_count(m: int) -> int:
+    """The number of orbits of A2_MAPS on the M x M grid, by Burnside's lemma:
+    the identity fixes M^2 points, each of the six reflections M, each of
+    the two rotations of order 3 gcd(3, M), the negation gcd(2, M)^2 and
+    each of the two rotations of order 6 one."""
+    return (m * m + 6 * m + 2 * math.gcd(3, m) + math.gcd(2, m) ** 2 + 2) // 12
 
 
-def _orbit_count(m: int, maps: Sequence) -> int:
-    """The number of orbits of the group maps on the M x M grid, by Burnside's lemma.
-
-    A map a sends a weight w to a w, so it moves the grid exponents (i, j)
-    of a point by its transpose, and the points it fixes solve
-    (a^T - 1) v = 0 mod m: there are gcd(s1, m) gcd(s2, m) of them, for
-    s1, s2 the Smith invariants of a - 1.
-    """
-    fixed = 0
-    for (a, b), (c, d) in maps:
-        s1 = math.gcd(a - 1, b, c, d - 1)
-        s2 = abs((a - 1) * (d - 1) - b * c) // s1 if s1 else 0
-        fixed += math.gcd(s1, m) * math.gcd(s2, m)
-    return fixed // len(maps)
-
-
-def _orbits(m: int, maps: Sequence) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(reps, perm, starts) for the orbits of maps on the M x M grid.
+def _orbits(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(reps, perm, starts) for the orbits of A2_MAPS on the M x M grid.
 
     Point i*m + j has y = omega^i, z = omega^j.  Its orbit's representative
     is the least linear index over its images; reps lists them ascending,
     perm sorts the points by orbit, and the orbit of reps[r] is the run of
-    perm that begins at starts[r].
+    perm that begins at starts[r].  A map a sends a weight w to a w, so it
+    moves the grid exponents (i, j) of a point by its transpose.
     """
     i, j = np.divmod(np.arange(m * m), m)
     label = np.arange(m * m)
-    for (a, b), (c, d) in maps:
+    for (a, b), (c, d) in A2_MAPS:
         np.minimum(label, (a * i + c * j) % m * m + (b * i + d * j) % m, out=label)
     perm = np.argsort(label, kind="stable")
     reps, starts = np.unique(label[perm], return_index=True)
@@ -215,9 +200,9 @@ def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
     return primes
 
 
-def _row_bytes(k: int, d: int, maps: Sequence) -> int:
+def _row_bytes(k: int, d: int) -> int:
     """Bytes of one prime's rows for k grades to degree d: an int64 per orbit
-    of maps on the M^2 grid, M = d + 3, for each row of E (one per
+    of A2_MAPS on the M^2 grid, M = d + 3, for each row of E (one per
     multidegree), of P and Q (one per multidegree of at most half the total
     degree), and of the slab temporaries of one division level or one
     pairing, with the grid values, at most four times the rows of total
@@ -228,23 +213,23 @@ def _row_bytes(k: int, d: int, maps: Sequence) -> int:
         + 4 * math.comb(d + k - 1, k - 1)
         + 8
     )
-    return 8 * _orbit_count(d + 3, maps) * rows
+    return 8 * _orbit_count(d + 3) * rows
 
 
-def _pass_size(k: int, d: int, maps: Sequence, primes: int, memory_budget: Optional[int]) -> int:
+def _pass_size(k: int, d: int, primes: int, memory_budget: Optional[int]) -> int:
     """Primes per pass of the engine: as many of the primes as keep their rows
     within PASS_BYTES and _estimated_bytes within the memory budget, and at
     least one.  The estimate is affine in the pass size, so the largest size
     within the budget is one division."""
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    fixed = _estimated_bytes(k, d, maps, 0)
-    per_prime = _estimated_bytes(k, d, maps, 1) - fixed
-    return max(1, min(primes, PASS_BYTES // _row_bytes(k, d, maps), (budget - fixed) // per_prime))
+    fixed = _estimated_bytes(k, d, 0)
+    per_prime = _estimated_bytes(k, d, 1) - fixed
+    return max(1, min(primes, PASS_BYTES // _row_bytes(k, d), (budget - fixed) // per_prime))
 
 
-def _estimated_bytes(k: int, d: int, maps: Sequence, per_pass: int) -> int:
-    """Bytes the engine holds at its peak for k grades to degree d, with the
-    group maps and per_pass primes in a pass.
+def _estimated_bytes(k: int, d: int, per_pass: int) -> int:
+    """Bytes the engine holds at its peak for k grades to degree d, with
+    per_pass primes in a pass, and _orbit_count(d + 3) points per prime.
 
     Each prime of a pass holds its _row_bytes.  Enumerating the orbits and
     summing the Weyl factor over them hold at most twelve int64 per grid
@@ -262,7 +247,7 @@ def _estimated_bytes(k: int, d: int, maps: Sequence, per_pass: int) -> int:
     m, cells, half = d + 3, math.comb(d + k, k), math.comb((d + 1) // 2 + k, k)
     pairs = 2 * half * math.comb((d + 1) // 2 + k - 1, k - 1)
     return (
-        per_pass * (_row_bytes(k, d, maps) + 96 * m * m)
+        per_pass * (_row_bytes(k, d) + 96 * m * m)
         + 8 * (pairs + (d + 1) ** k)
         + 500 * cells
         + 16384
@@ -373,24 +358,24 @@ def _dimensions(
     average over the grid of M-th roots of unity in F_p, M = max_degree +
     3, is its constant term mod p, and enough primes fix it by the Chinese
     remainder theorem.  Apart from the Weyl factor, that rest is invariant
-    under _symmetries(grades), so it is evaluated at one point per orbit
-    and weighted by the orbit's sum of the Weyl factor.  The primes run in
+    under A2_MAPS, so it is evaluated at one point per orbit of _orbits and
+    weighted by the orbit's sum of the Weyl factor.  The primes run in
     passes of _pass_size: a pass's columns are its (prime, orbit) pairs,
     each reduced mod its own prime, so one array operation serves every
-    prime of the pass.  Weight exponents must lie in {-1, 0, 1}.  Raises
+    prime of the pass.  Unchecked: A2_MAPS fixes each grade's weights with
+    each x-exponent, and every weight exponent is in {-1, 0, 1}.  Raises
     MemoryBudgetError, before allocating, if the estimated bytes held with
     one prime per pass exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     k, m = len(grades), max_degree + 3
-    maps = _symmetries(grades)
 
     def estimate(d: int) -> int:  # a pass takes more primes only where they fit
-        return _estimated_bytes(k, d, maps, 1)
+        return _estimated_bytes(k, d, 1)
 
     _check_budget(f"max degree {max_degree}", estimate(max_degree), memory_budget, estimate)
-    reps, perm, starts = _orbits(m, maps)
+    reps, perm, starts = _orbits(m)
     rep_y, rep_z = np.divmod(reps, m)
     # the exponent of omega in each weight's (y, z) part at the orbit representatives
     exponents = {w[1:]: (w[1] * rep_y + w[2] * rep_z) % m for ws in grades for w in ws}
@@ -422,7 +407,7 @@ def _dimensions(
             pairs.append((a, slice(first, last), min(middle, last) - first, targets))
     del row, degrees, sources  # before the passes allocate their rows
     primes = _crt_primes(sum(map(len, grades)), max_degree)
-    size = _pass_size(k, max_degree, maps, len(primes), memory_budget)
+    size = _pass_size(k, max_degree, len(primes), memory_budget)
     values, modulus = [0] * len(order), 1
     # E, P and Q for a pass of size primes; a shorter last pass takes their first columns
     e_rows = np.zeros((cells, size * len(reps)), dtype=np.int64)

@@ -240,8 +240,7 @@ def random_state(seed: int, kind: str = "rational") -> np.ndarray:
             if tr != 0:
                 return gram * Fraction(1, tr)
     if kind == "psd_float":
-        rng_np = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        return _gram_state(_ginibre(rng_np.normal(size=72), 6))
+        return _gram_state(_ginibre(np.random.default_rng(seed).normal(size=72), 6))
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -267,10 +266,9 @@ def _local_unitary(normals: np.ndarray) -> LocalUnitaryPair:
     return LocalUnitaryPair(u2, _haar_special_unitary(_ginibre(normals[..., 8:], 3)))
 
 
-def random_local_unitary(seed) -> LocalUnitaryPair:
-    """Haar-distributed SU(2) x SU(3) pair from a seed or Generator."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _local_unitary(rng.normal(size=26))
+def random_local_unitary(seed: int) -> LocalUnitaryPair:
+    """Haar-distributed SU(2) x SU(3) pair from a seed."""
+    return _local_unitary(np.random.default_rng(seed).normal(size=26))
 
 
 def apply_local_unitary(rho: np.ndarray, pair: LocalUnitaryPair) -> np.ndarray:
@@ -323,6 +321,8 @@ def _parse_entry(entry, scalar: str, where: str) -> Tuple[Scalar, Scalar]:
             return _rational(entry[0]), _rational(entry[1])
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"bad rational entry {where} {shown}: {_cut(str(err))}") from err
+    if any(isinstance(part, bool) for part in entry):  # float() would read them as 1.0, 0.0
+        raise ValueError(f"bad float entry {where} {shown}: a boolean is not a number")
     try:
         re_part, im_part = float(entry[0]), float(entry[1])
     except (TypeError, ValueError) as err:
@@ -356,7 +356,7 @@ def state_from_json(text: str) -> np.ndarray:
     """Parse a state from the versioned JSON schema, validating shape and entries."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
         raise ValueError(f"state file is not valid JSON: {err}") from err
     if not isinstance(payload, dict) or payload.get("schema") != STATE_SCHEMA:
         raise ValueError(f"expected schema {STATE_SCHEMA!r}")

@@ -367,6 +367,28 @@ class TestInvariants:
         assert code == 2 and out == ""
         assert "bad float entry (0, 1)" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("scalar", ["rational", "float"])
+    def test_boolean_entry_exit_2_on_both_routes(self, capsys, tmp_path, scalar):
+        # float() would read true and false as 1.0 and 0.0
+        sixth, zero = ("1/6", "0") if scalar == "rational" else (1 / 6, 0)
+        matrix = [[[sixth if i == j else zero, zero] for j in range(6)] for i in range(6)]
+        matrix[0][1] = matrix[1][0] = [True, False]
+        path = tmp_path / "bool.json"
+        path.write_text(
+            json.dumps({"schema": "luinv.state.v1", "scalar": scalar, "matrix": matrix})
+        )
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f"bad {scalar} entry (0, 1)" in err
+
+    def test_deeply_nested_state_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: state file is not valid JSON")
+
     @pytest.mark.parametrize("part", [float("nan"), float("inf")])
     def test_non_finite_float_entry_exit_2(self, capsys, tmp_path, part):
         path = tmp_path / "nonfinite.json"

@@ -265,8 +265,7 @@ class TestInvarianceBattery:
 
 
 def float_stack(n: int, seed: int = 11) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.stack([random_state(rng, "psd_float") for _ in range(n)])
+    return np.stack([random_state(s, "psd_float") for s in range(seed, seed + n)])
 
 
 def non_hermitian(rho):

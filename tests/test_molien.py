@@ -33,7 +33,6 @@ from luinv.molien import (
     _pass_size,
     _s3_orbit_count,
     _s3_orbits,
-    _symmetries,
     _taylor_head,
     _weyl_sums,
     _quadrature_bytes,
@@ -95,6 +94,22 @@ class TestWeightSystem:
             assert EXPECTED_MULTIPLICITIES[negated] == mult
 
 
+ROOTS = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
+#: A grade that meets the engine's precondition: with each x-exponent s, 0-2
+#: zero weights (s, 0, 0) and 0-1 copies of the six roots at s.
+A2_CLOSED_GRADES = st.lists(
+    st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 1))] * 3).map(
+        lambda counts: [
+            w
+            for s, (zeros, roots) in zip((1, -1, 0), counts)
+            for w in [(s, 0, 0)] * zeros + [(s, *r) for r in sorted(ROOTS)] * roots
+        ]
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
 def dict_mul(a: dict, b: dict) -> dict:
     out = {}
     for ea, ca in a.items():
@@ -116,7 +131,7 @@ def brute_force_character(weights, d: int) -> dict:
     """h_d by direct enumeration of weight multisets (oracle)."""
     terms = {}
     for combo in itertools.combinations_with_replacement(weights, d):
-        key = tuple(sum(w[i] for w in combo) for i in range(3))
+        key = tuple(map(sum, zip((0, 0, 0), *combo)))
         terms[key] = terms.get(key, 0) + 1
     return terms
 
@@ -246,57 +261,31 @@ class TestCharacters:
         # six size-2 multisets of three copies of x, three with one y, one y^2
         assert (h2 == dense({(2, 0, 0): 6, (1, 1, 0): 3, (0, 2, 0): 1}, 2)).all()
 
-    @given(
-        st.lists(
-            st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=1, max_size=3),
-            min_size=1,
-            max_size=3,
-        ),
-        st.integers(0, 4),
-    )
+    @given(A2_CLOSED_GRADES, st.integers(0, 4))
     def test_dimensions_match_brute_force_ct(self, grades, max_degree):
-        expected = {}
-        for delta in itertools.product(range(max_degree + 1), repeat=len(grades)):
-            if sum(delta) > max_degree:
-                continue
-            product = weyl_by_expansion()
-            for weights, d in zip(grades, delta):
-                product = dict_mul(product, brute_force_character(weights, d))
-            expected[delta] = product.get((0, 0, 0), 0)
-        assert _dimensions(grades, max_degree, None) == expected
+        assert _dimensions(grades, max_degree, None) == brute_force_dimensions(grades, max_degree)
 
     @pytest.mark.parametrize(
         "grades",
         [
-            [[(1, 1, 0), (-1, -1, 0), (0, 1, -1), (1, 0, 1), (-1, 0, -1), (0, 0, 1)]],
-            [[(1, 0, 1), (-1, 1, 0), (0, 0, -1)], [(1, -1, 0), (-1, -1, -1), (0, 1, 1)]],
+            [[(1, 0, 0), (-1, 0, 0)] + [(0, *r) for r in sorted(ROOTS)]],
+            [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)] + [(1, 0, 0)]],
         ],
     )
     def test_x_elimination_at_depth(self, grades):
         # x-exponents +1, -1 and 0 in every system, far past the hypothesis depth
-        max_degree = 20
+        max_degree = 12
         expected = brute_force_dimensions(grades, max_degree)
         assert len(set(expected.values())) >= 5  # not a trivial answer
         assert _dimensions(grades, max_degree, None) == expected
 
-    @pytest.mark.parametrize(
-        "grades, symmetries",
-        [
-            ([[(0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, 0), (-1, 0, -1), (0, -1, -1)]], 2),
-            (
-                [
-                    [(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, -1, 0), (1, 0, -1), (1, -1, -1)]
-                    + [(-1, 0, 0)],
-                    [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, -1, 0), (0, 0, -1), (0, -1, -1)],
-                ],
-                12,
-            ),
-        ],
-    )
-    def test_orbit_reduction_matches_brute_force(self, grades, symmetries):
-        # systems fixed by two and by all twelve maps, so the engine evaluates
-        # one point per orbit of the swap of y and z, or of the whole group
-        assert len(_symmetries(grades)) == symmetries
+    def test_orbit_reduction_matches_brute_force(self):
+        # roots at x and at x^0, fixed by all twelve maps, so the engine
+        # evaluates one point per orbit of the whole group
+        grades = [
+            [(1, *r) for r in sorted(ROOTS)] + [(-1, 0, 0)],
+            [(0, *r) for r in sorted(ROOTS)],
+        ]
         max_degree = 10
         expected = brute_force_dimensions(grades, max_degree)
         assert len(set(expected.values())) >= 5  # not a trivial answer
@@ -380,8 +369,8 @@ class TestPasses:
         for size in range(1, primes):
             # a budget that holds a pass of size primes and no more; at size 1 every
             # prime runs alone, and a shorter last pass takes the first columns
-            budget = _estimated_bytes(len(grades), d, A2_MAPS, size)
-            assert _estimated_bytes(len(grades), d, A2_MAPS, size + 1) > budget
+            budget = _estimated_bytes(len(grades), d, size)
+            assert _estimated_bytes(len(grades), d, size + 1) > budget
             calls.clear()
             assert _dimensions(grades, d, budget) == batched
             assert len(calls) == -(-primes // size)
@@ -450,7 +439,6 @@ def generated_group(generators):
 #: The automorphisms of the A2 roots, from the swap of y and z, the map
 #: y -> 1/(yz), z -> y of order 3, and negation.
 A2_GROUP = generated_group([((0, 1), (1, 0)), ((-1, 1), (-1, 0)), ((-1, 0), (0, -1))])
-ROOTS = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
 
 
 def apply_map(a, w):
@@ -477,25 +465,20 @@ class TestOrbits:
         for a in A2_MAPS:
             assert {apply_map(a, r) for r in ROOTS} == ROOTS
 
-    def test_maps_fix_every_grade_and_x_split(self):
+    def test_grades_meet_the_engine_precondition(self):
+        # the engine does not check its grades: the maps fix each grade's
+        # weights with each x-exponent, and every exponent is -1, 0 or 1
         for weights in [WEIGHTS, *GRADES.values()]:
+            assert {e for w in weights for e in w} <= {-1, 0, 1}
             for s in (1, -1, 0):
                 part = collections.Counter(w[1:] for w in weights if w[0] == s)
                 for a in A2_MAPS:
                     image = collections.Counter(apply_map(a, w) for w in part.elements())
                     assert image == part, (a, s)
-        assert _symmetries([WEIGHTS]) == A2_MAPS
-        assert _symmetries(list(GRADES.values())) == A2_MAPS
-
-    def test_symmetries_of_an_asymmetric_system(self):
-        # only the swap of y and z, and the identity, fix {y, z, x yz}
-        grades = [[(0, 1, 0), (0, 0, 1), (1, 1, 1)]]
-        assert set(_symmetries(grades)) == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
-        assert _symmetries([[(0, 1, 0), (1, 1, 1)]]) == (((1, 0), (0, 1)),)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 7, 12, 25])
     def test_orbits_match_enumeration(self, m):
-        reps, perm, starts = _orbits(m, A2_MAPS)
+        reps, perm, starts = _orbits(m)
         found = {
             frozenset(divmod(int(v), m) for v in run)
             for run in np.split(perm, starts[1:])
@@ -503,20 +486,23 @@ class TestOrbits:
         expected = orbits_by_enumeration(m)
         assert found == expected
         assert reps.tolist() == sorted(min(i * m + j for i, j in o) for o in expected)
-        assert _orbit_count(m, A2_MAPS) == len(expected)
+        assert _orbit_count(m) == len(expected)
 
     def test_orbit_count_is_about_a_twelfth_of_the_grid(self):
         for m in range(1, 300):
-            count = _orbit_count(m, A2_MAPS)
+            count = _orbit_count(m)
             assert m * m / 12 < count <= m * m / 12 + m, m
-        assert len(_orbits(113, A2_MAPS)[0]) == _orbit_count(113, A2_MAPS) == 1121
-        assert _orbit_count(113, (((1, 0), (0, 1)),)) == 113**2
+        assert len(_orbits(113)[0]) == _orbit_count(113) == 1121
+
+    def test_orbit_count_closed_form_counts_the_orbits(self):
+        for m in range(1, 151):
+            assert _orbit_count(m) == len(_orbits(m)[0]), m
 
     @pytest.mark.parametrize("m", [3, 8, 25, 60])
     def test_orbit_weyl_sums_add_up_to_the_grid_sum(self, m):
         p, omega = next(_grid_primes(m))
         powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
-        reps, perm, starts = _orbits(m, A2_MAPS)
+        reps, perm, starts = _orbits(m)
         sums = _weyl_sums(powers, perm, starts, p)
 
         def weyl(i, j):
@@ -599,7 +585,7 @@ class TestS3Orbits:
     def test_quadrature_names_no_engine_code(self):
         reached = names_reached("quadrature_coefficients")
         assert {"_slice_sums", "_s3_orbits", "_quadrature_bytes"} <= reached
-        engine = {"A2_MAPS", "_symmetries", "_orbits", "_weyl_sums", "_levels", "_divide"}
+        engine = {"A2_MAPS", "_orbits", "_weyl_sums", "_levels", "_divide"}
         assert not reached & engine
 
 
@@ -652,8 +638,8 @@ class TestSeries:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            size = _pass_size(len(grades), d, A2_MAPS, len(_crt_primes(len(WEIGHTS), d)), None)
-            assert peak <= _estimated_bytes(len(grades), d, A2_MAPS, size), (d, peak)
+            size = _pass_size(len(grades), d, len(_crt_primes(len(WEIGHTS), d)), None)
+            assert peak <= _estimated_bytes(len(grades), d, size), (d, peak)
 
 
 class TestQuadrature:
