@@ -140,7 +140,7 @@ def _orbit_count(m: int) -> int:
     """The number of orbits of A2_MAPS on the M x M grid, by Burnside's lemma:
     the identity fixes M^2 points, each of the six reflections M, each of
     the two rotations of order 3 gcd(3, M), the negation gcd(2, M)^2 and
-    each of the two rotations of order 6 one."""
+    each of the two rotations of order 6 only the origin."""
     return (m * m + 6 * m + 2 * math.gcd(3, m) + math.gcd(2, m) ** 2 + 2) // 12
 
 
