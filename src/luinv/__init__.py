@@ -6,7 +6,8 @@ The package has two halves that cross-check each other:
 * an exact constant-term engine that computes the dimensions of the
   spaces of homogeneous SU(2)xSU(3)-invariant polynomials on traceless
   hermitian 6x6 matrices, degree by degree, and verifies them against
-  the known closed form of the generating series;
+  the known closed form of the generating series and against an exact
+  quadrature mod the one prime the engine skips (quadrature_grid);
 * evaluators for the seven independent quadratic and cubic invariants
   on density matrices, held as real 12x12 embeddings of int and
   Fraction entries (exact) or float64, through one code path.

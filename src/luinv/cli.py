@@ -7,6 +7,8 @@ usage or resource errors.  Each builds its result once, and ``_emit``,
 the one place that reads ``--format``, prints it: json is the whole
 payload with a versioned "schema" field, csv one table with its header
 (verify's leaves out first_mismatch and max_residual), plain a few lines.
+verify --with-quadrature runs the quadrature before the series engine, so
+a degree over the memory budget is refused before any work.
 """
 
 from __future__ import annotations
@@ -54,13 +56,8 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _quadrature_check(
-    coeffs: List[int], grid_size: Optional[int], memory_budget: Optional[int]
-) -> dict:
-    # without a budget the call keeps its two-argument form and the default cap
-    budget = {} if memory_budget is None else {"memory_budget": memory_budget}
-    residues = quadrature_coefficients(len(coeffs) - 1, grid_size, **budget)
-    p = quadrature_grid(len(coeffs) - 1, grid_size)[1]
+def _quadrature_check(coeffs: List[int], residues: List[int]) -> dict:
+    p = quadrature_grid(len(coeffs) - 1)[1]
     # the largest |c_d - r_d| mod p, with the difference taken in (-p/2, p/2]
     residual = max(min((c % p - r) % p, (r - c % p) % p) for r, c in zip(residues, coeffs))
     return {
@@ -72,12 +69,18 @@ def _quadrature_check(
 
 
 def cmd_verify(args) -> int:
+    # the quadrature first: no budget fits it a higher degree than the engine
+    residues = (
+        quadrature_coefficients(args.max_degree, args.memory_budget)
+        if args.with_quadrature
+        else None
+    )
     coeffs = poincare_coefficients(args.max_degree, memory_budget=args.memory_budget)
     report = verify_theorem(coeffs)
     checks = dict(report.checks)
     quad = None
-    if args.with_quadrature:
-        quad = _quadrature_check(coeffs, args.grid_size, args.memory_budget)
+    if residues is not None:
+        quad = _quadrature_check(coeffs, residues)
         checks["quadrature_match"] = quad["passed"]
     passed = all(checks.values())
     plain = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in checks.items()]
@@ -221,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory-budget", type=_integer(1), default=None, metavar="BYTES")
     p.add_argument("--format", choices=formats, default="plain")
     p.add_argument("--with-quadrature", action="store_true")
-    p.add_argument("--grid-size", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("invariants", help="evaluate the seven invariants")
@@ -256,8 +258,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--trials must be positive")
         if args.battery and args.scalar == "exact":
             parser.error("--battery runs in floats only; drop --scalar exact")
-    if args.subcommand == "verify" and args.grid_size is not None and not args.with_quadrature:
-        parser.error("--grid-size needs --with-quadrature")
     try:
         return args.func(args)
     # MemoryError covers MemoryBudgetError and an allocation refused outright

@@ -37,17 +37,17 @@ its own t yields the multigraded table from the same update, one array
 operation per weight and level of rows.
 
 An exact quadrature, with no x constant-term identity, root maps or
-Chinese remainder theorem, cross-checks the engine mod one prime.  The
-engine skips that prime, the first grid prime, so the check covers every
-residue of the engine and its lift.  h_d is a character, so the Weyl
-group S3 of SU(3), which permutes the eigenvalues of a torus element,
-fixes it: the quadrature builds h_d by the same additive update at one
-(y, z) point per S3 orbit and at each of a block of x values at a time,
-weights each orbit by its sum of the rest of the Weyl factor, and sums
-over the 3-D torus grid in F_p.  It derives its orbits from the
-eigenvalues, not from A2_MAPS.  verify_theorem
-compares the whole series against the tabulated closed form in
-luinv.reference.
+Chinese remainder theorem, cross-checks the engine mod one prime, with
+M-th roots of unity of the engine's order, M = max_degree + 3.  The
+engine skips the first prime of that M, the quadrature's, so the check
+covers every residue of the engine and its lift.  h_d is a character, so
+the Weyl group S3 of SU(3), which permutes the eigenvalues of a torus
+element, fixes it: the quadrature builds h_d by the same additive update
+at one (y, z) point per S3 orbit and at each of a block of x values at a
+time, weights each orbit by its sum of the rest of the Weyl factor, and
+sums over the 3-D torus grid in F_p.  It derives its orbits from the
+eigenvalues, not from A2_MAPS.  verify_theorem compares the whole series
+against the tabulated closed form in luinv.reference.
 """
 
 from __future__ import annotations
@@ -189,11 +189,11 @@ def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
     order M, whose product exceeds twice the bound on |CT|: with that many
     weights, |CT| is at most the sum of the cells of G[delta], which is at
     most comb(weights + max_degree, max_degree).  The first grid prime is
-    skipped: it is the quadrature's at the default grid size, which then
-    checks the engine mod a prime the engine never used."""
+    skipped: it is the quadrature's, which then checks the engine mod a
+    prime the engine never used."""
     bound = 2 * math.comb(weights + max_degree, max_degree)
     primes, modulus, candidates = [], 1, _grid_primes(max_degree + 3)
-    next(candidates)  # quadrature_grid's prime at the default grid size
+    next(candidates)  # quadrature_grid's prime
     while modulus <= bound:
         primes.append(next(candidates))
         modulus *= primes[-1][0]
@@ -531,37 +531,33 @@ def _quadrature_block(max_degree: int, m: int) -> int:
     return max(1, min(m // 2, PASS_BYTES // (8 * (max_degree + 1) * _s3_orbit_count(m))))
 
 
-def _quadrature_bytes(max_degree: int, grid_size: int) -> int:
+def _quadrature_bytes(max_degree: int) -> int:
     """Bytes the quadrature holds at its peak, estimated before allocating.
 
-    With n the number of S3 orbits on the M^2 grid, a block of b x values
-    holds h_0..h_max_degree, a weight and a product, an int64 per point of
-    b n each, and two int64 per orbit sum.  Labelling the orbits, the Weyl
-    factor on the grid and their temporaries hold at most sixteen int64 per
-    point of the M^2 grid, more than the orbit tables and the seven (y, z)
-    parts of the weights that stay; numpy's buffers for the broadcast
-    products, 8192 int64 each, and the small tables take under 128 KiB.
+    With n the number of S3 orbits on the M^2 grid, M = max_degree + 3, a block
+    of b x values holds h_0..h_max_degree, a weight and a product, an int64 per
+    point of b n each, and two int64 per orbit sum.  Labelling the orbits, the
+    Weyl factor on the grid and their temporaries hold at most sixteen int64
+    per point of the M^2 grid, more than the orbit tables and the seven (y, z)
+    parts of the weights that stay; numpy's buffers for the broadcast products,
+    8192 int64 each, and the small tables take under 128 KiB.
     """
-    m, d, b = grid_size, max_degree, _quadrature_block(max_degree, grid_size)
+    d, m = max_degree, max_degree + 3
+    b = _quadrature_block(d, m)
     return 8 * (d + 3) * b * _s3_orbit_count(m) + 16 * (d + 1) * b + 128 * m * m + (1 << 17)
 
 
-def quadrature_grid(max_degree: int, grid_size: Optional[int] = None) -> Tuple[int, int, int]:
-    """(M, p, omega) of quadrature_coefficients: the grid size, max_degree + 3
-    by default, the prime p = 1 mod M its residues are taken mod, the first
-    of _grid_primes(M) that is none of the engine's CRT primes, and an
-    element of order M mod p.  Raises ValueError for a negative degree, a
-    grid below the exactness bound max_degree + 3 or one with no such
-    p < 2^31.
+def quadrature_grid(max_degree: int) -> Tuple[int, int, int]:
+    """(M, p, omega) of quadrature_coefficients: the grid size M = max_degree
+    + 3, the exactness bound; the prime p = 1 mod M its residues are taken
+    mod, the first of _grid_primes(M), which _crt_primes skips; and an
+    element of order M mod p.  Raises ValueError for a negative degree or a
+    grid with no such p < 2^31.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    m = max_degree + 3 if grid_size is None else grid_size
-    if m < max_degree + 3:
-        raise ValueError(f"grid_size {m} is below the exactness bound {max_degree + 3}")
-    # at an engine prime the residues agree, whatever the other primes and the lift did
-    engine = {p for p, _ in _crt_primes(len(WEIGHTS), max_degree)}
-    found = next((g for g in _grid_primes(m) if g[0] not in engine), None)
+    m = max_degree + 3
+    found = next(_grid_primes(m), None)
     if found is None:
         raise ValueError(f"no prime below 2^31 is 1 mod the grid size {m}")
     return (m, *found)
@@ -618,26 +614,22 @@ def _slice_sums(max_degree: int, m: int, p: int, omega: int, exponents: np.ndarr
     return out
 
 
-def quadrature_coefficients(
-    max_degree: int,
-    grid_size: Optional[int] = None,
-    *,
-    memory_budget: Optional[int] = None,
-) -> List[int]:
+def quadrature_coefficients(max_degree: int, memory_budget: Optional[int] = None) -> List[int]:
     """The series coefficients mod p, p from quadrature_grid, independent of
     the engine.  weyl_factor * h_d has exponents in [-max_degree - 2,
-    max_degree], so for M >= max_degree + 3 its sum over the M^3 points of
-    M-th roots of unity in F_p is M^3 times its constant term.  The weights
-    are invariant under x -> 1/x, so slice x = omega^(M - a) equals slice
-    omega^a: only a = 1..M // 2 are summed, weighted by (1 - omega^-a) +
-    (1 - omega^a), or by 1 - omega^-a = 2 when 2a = M (slice 0 weighs 0).
-    Raises MemoryBudgetError, before allocating, over the budget."""
-    m, p, omega = quadrature_grid(max_degree, grid_size)
+    max_degree], so on the grid of M = max_degree + 3 its sum over the M^3
+    points of M-th roots of unity in F_p is M^3 times its constant term.
+    The weights are invariant under x -> 1/x, so slice x = omega^(M - a)
+    equals slice omega^a: only a = 1..M // 2 are summed, weighted by (1 -
+    omega^-a) + (1 - omega^a), or by 1 - omega^-a = 2 when 2a = M (slice 0
+    weighs 0).  Raises MemoryBudgetError, before allocating, over the
+    budget."""
+    m, p, omega = quadrature_grid(max_degree)
     _check_budget(
         f"quadrature at max degree {max_degree} on a grid of size {m}",
-        _quadrature_bytes(max_degree, m),
+        _quadrature_bytes(max_degree),
         memory_budget,
-        lambda d: _quadrature_bytes(d, d + 3),
+        _quadrature_bytes,
     )
     half = np.arange(1, m // 2 + 1)
     sums = _slice_sums(max_degree, m, p, omega, half)

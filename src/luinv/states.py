@@ -321,11 +321,13 @@ def _parse_entry(entry, scalar: str, where: str) -> Tuple[Scalar, Scalar]:
             return _rational(entry[0]), _rational(entry[1])
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"bad rational entry {where} {shown}: {_cut(str(err))}") from err
-    if any(isinstance(part, bool) for part in entry):  # float() would read them as 1.0, 0.0
-        raise ValueError(f"bad float entry {where} {shown}: a boolean is not a number")
+    for part in entry:  # float() would read true as 1.0 and "1e-2" as 0.01
+        if isinstance(part, (bool, str)):
+            kind = "boolean" if isinstance(part, bool) else "string"
+            raise ValueError(f"bad float entry {where} {shown}: a {kind} is not a number")
     try:
         re_part, im_part = float(entry[0]), float(entry[1])
-    except (TypeError, ValueError) as err:
+    except TypeError as err:
         raise ValueError(f"bad float entry {where} {shown}: {_cut(str(err))}") from err
     if not (math.isfinite(re_part) and math.isfinite(im_part)):
         raise ValueError(f"non-finite float entry {where} {shown}")

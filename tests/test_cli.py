@@ -160,21 +160,32 @@ class TestVerify:
         assert elapsed < 60, elapsed
 
     def test_quadrature_over_memory_budget_exit_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--max-degree", "3", "--with-quadrature", "--grid-size", "20000"
-        )
+        # the engine alone fits degree 896 in 1 GiB; the quadrature, run first, refuses
+        # it before the engine's minute of work
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--max-degree", "896", "--with-quadrature")
+        elapsed = time.perf_counter() - start
         assert code == 2 and out == ""
-        assert "grid of size 20000" in err and "feasible max degree is 895" in err
+        assert "quadrature at max degree 896" in err and "feasible max degree is 895" in err
         assert "Traceback" not in err
+        assert elapsed < 5, elapsed
 
     def test_refused_allocation_exit_2(self, capsys):
-        # within the budget, but numpy refuses the 32 PiB grid at once; p = 30 * 2^26 + 1
+        # within the budget, but numpy refuses the engine's 32 PiB grid at once: M = 2^26
         code, out, err = run_cli(
-            capsys, "verify", "--max-degree", "3", "--with-quadrature",
-            "--grid-size", str(2**26), "--memory-budget", str(10**30),
+            capsys, "verify", "--max-degree", str(2**26 - 3), "--memory-budget", str(10**30)
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    def test_no_quadrature_prime_exit_2(self, capsys):
+        # M = 2^31: no p < 2^31 is 1 mod M, and the quadrature says so before the engine runs
+        code, out, err = run_cli(
+            capsys, "verify", "--max-degree", str(2**31 - 3), "--with-quadrature",
+            "--memory-budget", str(10**60),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: no prime below 2^31 is 1 mod the grid size 2147483648\n"
 
     def test_quadrature_memory_budget_advisory_degree_runs(self, capsys):
         args = ("--with-quadrature", "--memory-budget", "2000000", "--format", "json")
@@ -184,13 +195,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--max-degree", "36", *args)
         assert code == 0 and json.loads(out)["checks"]["quadrature_match"]
 
-    @pytest.mark.parametrize("grid", ["3", "100"])
-    def test_grid_size_without_quadrature_rejected(self, capsys, grid):
+    def test_grid_size_is_a_usage_error(self, capsys):
+        # the quadrature's grid is always max-degree + 3
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--max-degree", "3", "--grid-size", grid])
+            cli.main(["verify", "--max-degree", "3", "--with-quadrature", "--grid-size", "6"])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
-        assert "--grid-size needs --with-quadrature" in captured.err
+        assert "unrecognized arguments: --grid-size 6" in captured.err
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
@@ -214,8 +225,8 @@ class TestVerify:
         assert "verification FAILED" in out
 
     def test_quadrature_mismatch_exit_1(self, capsys, monkeypatch):
-        def shifted(max_degree, grid_size, **kw):
-            exact = molien.quadrature_coefficients(max_degree, grid_size, **kw)
+        def shifted(max_degree, memory_budget=None):
+            exact = molien.quadrature_coefficients(max_degree, memory_budget)
             return [a + 0.5 for a in exact]
 
         monkeypatch.setattr(cli, "quadrature_coefficients", shifted)
@@ -380,6 +391,16 @@ class TestInvariants:
         code, out, err = run_cli(capsys, "invariants", "--state", str(path))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and f"bad {scalar} entry (0, 1)" in err
+
+    def test_string_float_part_exit_2(self, capsys, tmp_path):
+        # float() would read "0.01" and "1e-2" as numbers
+        payload = float_state_payload(["0.01", "0"])
+        payload["matrix"][1][0] = ["1e-2", "0"]
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: bad float entry (0, 1) ['0.01', '0']: a string is not a number\n"
 
     def test_deeply_nested_state_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -687,9 +708,8 @@ HELP = {
     ),
     ("verify",): (
         "usage: luinv verify [-h] [--max-degree MAX_DEGREE] [--memory-budget BYTES]\n"
-        "                    [--format {plain,csv,json}] [--with-quadrature]\n"
-        "                    [--grid-size GRID_SIZE]",
-        ["-h, --help", *ENGINE_OPTIONS, "--with-quadrature", "--grid-size GRID_SIZE"],
+        "                    [--format {plain,csv,json}] [--with-quadrature]",
+        ["-h, --help", *ENGINE_OPTIONS, "--with-quadrature"],
     ),
     ("invariants",): (
         "usage: luinv invariants [-h] [--format {plain,csv,json}]\n"
@@ -795,9 +815,6 @@ def cli_argv(draw, state_files):
             argv += ["--memory-budget", budget]
         if sub == "verify" and draw(st.booleans()):
             argv.append("--with-quadrature")
-            grid = draw(st.one_of(st.none(), st.integers(-3, 21)))
-            if grid is not None:
-                argv += ["--grid-size", str(grid)]
     fmt = draw(st.sampled_from([None, "plain", "csv", "json"]))
     if fmt is not None:
         argv += ["--format", fmt]

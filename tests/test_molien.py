@@ -5,6 +5,7 @@ import collections
 import inspect
 import itertools
 import math
+import re
 import textwrap
 import tracemalloc
 
@@ -413,10 +414,6 @@ class TestGridPrimes:
         for d in [*range(121), 230, 500, 900]:
             primes = [p for p, _ in _crt_primes(len(WEIGHTS), d)]
             assert quadrature_grid(d)[1] not in primes, d
-            # on a larger grid the first prime can be one of the engine's: 271 pairs here
-            sizes = range(d + 4, 4 * (d + 3) + 1) if d < 60 else ()
-            for m in sizes:
-                assert quadrature_grid(d, m)[1] not in primes, (d, m)
 
 
 def compose(a, b):
@@ -585,7 +582,7 @@ class TestS3Orbits:
     def test_quadrature_names_no_engine_code(self):
         reached = names_reached("quadrature_coefficients")
         assert {"_slice_sums", "_s3_orbits", "_quadrature_bytes"} <= reached
-        engine = {"A2_MAPS", "_orbits", "_weyl_sums", "_levels", "_divide"}
+        engine = {"A2_MAPS", "_orbits", "_weyl_sums", "_levels", "_divide", "_crt_primes"}
         assert not reached & engine
 
 
@@ -671,23 +668,10 @@ class TestQuadrature:
         exact = poincare_coefficients(max_degree)
         assert expected == [c % p for c in exact]
 
-    def test_explicit_grid_size(self):
-        assert quadrature_coefficients(3, grid_size=6) == [1, 0, 3, 4]
-        exact = poincare_coefficients(6)
-        for grid in (9, 10, 16):
-            p = quadrature_grid(6, grid)[1]
-            assert p % grid == 1
-            assert quadrature_coefficients(6, grid) == [c % p for c in exact]
-
-    def test_rejects_grid_below_exactness_bound(self):
-        with pytest.raises(ValueError, match="exactness bound 9"):
-            quadrature_coefficients(6, grid_size=8)
-        with pytest.raises(ValueError, match="exactness bound"):
-            quadrature_grid(6, 8)
-
     def test_rejects_a_grid_without_a_prime(self):
-        with pytest.raises(ValueError, match="no prime"):
-            quadrature_coefficients(3, grid_size=2**31)
+        # M = 2^31: no p < 2^31 is 1 mod M
+        with pytest.raises(ValueError, match=r"no prime below 2\^31 .* grid size 2147483648"):
+            quadrature_coefficients(2**31 - 3)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
@@ -707,8 +691,8 @@ class TestQuadrature:
 
     def test_memory_budget_refuses_a_large_grid(self):
         with pytest.raises(MemoryBudgetError, match="feasible max degree is 895"):
-            quadrature_coefficients(3, grid_size=20000)
-        assert _quadrature_bytes(895, 898) <= DEFAULT_MEMORY_BUDGET < _quadrature_bytes(896, 899)
+            quadrature_coefficients(896)
+        assert _quadrature_bytes(895) <= DEFAULT_MEMORY_BUDGET < _quadrature_bytes(896)
 
     def test_memory_budget_advisory_degree_runs(self):
         budget = 2_000_000
@@ -719,17 +703,31 @@ class TestQuadrature:
             quadrature_coefficients(37, memory_budget=budget)
 
     @pytest.mark.parametrize(
-        "max_degree, grid", [(0, None), (9, None), (15, None), (36, None), (10, 100)]
+        "max_degree, budget", [(0, None), (9, None), (15, None), (36, None), (36, 2_000_000)]
     )
-    def test_estimate_bounds_the_traced_peak(self, max_degree, grid):
+    def test_estimate_bounds_the_traced_peak(self, max_degree, budget):
+        # the budget goes in second and positionally, as verify passes it
         tracemalloc.start()
         try:
-            quadrature_coefficients(max_degree, grid)
+            quadrature_coefficients(max_degree, budget)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m = max_degree + 3 if grid is None else grid
-        assert peak <= _quadrature_bytes(max_degree, m), peak
+        assert peak <= _quadrature_bytes(max_degree), peak
+
+    def test_feasible_degree_never_exceeds_the_engines(self):
+        # so verify can run the quadrature first: every degree the engine refuses,
+        # the quadrature refuses too, and no refusal follows work
+        def feasible(compute, budget):
+            with pytest.raises(MemoryBudgetError) as err:
+                compute(10**7, memory_budget=budget)
+            found = re.search(r"feasible max degree is (\d+)", str(err.value))
+            return int(found.group(1)) if found else -1
+
+        for budget in (2**e for e in range(6, 55)):
+            quadrature = feasible(quadrature_coefficients, budget)
+            engine = feasible(poincare_coefficients, budget)
+            assert quadrature <= engine, (budget, quadrature, engine)
 
 
 class TestVerifyTheorem:

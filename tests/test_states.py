@@ -434,7 +434,16 @@ class TestJsonIO:
         with pytest.raises(ValueError, match=r"bad float entry \(0, 1\)"):
             state_from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("part", [float("nan"), float("inf"), "-inf"])
+    @pytest.mark.parametrize("part", ["0.01", "1e-2", "-inf", "x"])
+    def test_rejects_string_float_part(self, part):
+        matrix = [[[1 / 6 if i == j else 0, 0] for j in range(6)] for i in range(6)]
+        matrix[2][3] = matrix[3][2] = [0, part]
+        payload = {"schema": "luinv.state.v1", "scalar": "float", "matrix": matrix}
+        with pytest.raises(ValueError, match=r"bad float entry \(2, 3\) .* a string is not"):
+            state_from_json(json.dumps(payload))
+
+    # json writes -inf as -Infinity, which it reads back as a float
+    @pytest.mark.parametrize("part", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_float_entry(self, part):
         matrix = [[[1 / 6 if i == j else 0, 0] for j in range(6)] for i in range(6)]
         matrix[2][2] = [part, 0]
