@@ -18,23 +18,27 @@ system, is the t^d coefficient of prod_w (1 - t w)^(-1) over the 35
 weights.  The Weyl factor is (1 - 1/x) times an x-free part, so the
 engine takes the x constant term in closed form and is left with a 2-D
 problem, whose grid average over a square grid of roots of unity in F_p,
-against the rest of the Weyl factor, is each dimension mod p.  Apart from
-that factor the integrand is invariant under the 12 automorphisms of the
-SU(3) roots, A2_MAPS, which permute the grid, so the engine evaluates it
-at one point per orbit, about a twelfth of the grid, and weights each
-orbit by its sum of the Weyl factor.  The engine assumes, unchecked,
-that A2_MAPS fixes each grade's weights with each x-exponent and that
-every exponent is in {-1, 0, 1}: in GRADES these weights are copies of
-the zero weight and the six roots.  There dividing by (1 - t w) is the
-update G[d] += w * G[d-1] on int64 rows.  With one grade the rows form a
-chain, and the K weights cross it as a wavefront (Lamport's hyperplane
-method): row d takes weight k at step k + d, so each of the K + n - 2
-steps is one array operation on a slice of rows.  A few primes joined by
-the Chinese remainder theorem give the integers; the primes run side by
-side, a column per (prime, orbit) pair reduced mod its own prime, in as
-few passes as keep a pass's rows within PASS_BYTES.  Giving each subspace
-its own t yields the multigraded table from the same update, one array
-operation per weight and level of rows.
+against the rest of the Weyl factor, is each dimension mod p.  The Weyl
+group of SU(2), x -> 1/x, fixes every character: in each grade the
+weights with x-exponent -1 have the (y, z) parts, with multiplicity, of
+those with +1, so the engine builds the factor P(x) of the +1 weights
+once and pairs it with its mirror P(1/x).  Apart from the Weyl factor
+the integrand is invariant under the 12 automorphisms of the SU(3)
+roots, A2_MAPS, which fix each grade's weights with each x-exponent and
+permute the grid, so the engine evaluates it at one point per orbit,
+about a twelfth of the grid, and weights each orbit by its sum of the
+Weyl factor.  The engine assumes both symmetries of its grades,
+unchecked, and every exponent in {-1, 0, 1}: in GRADES these weights are
+copies of the zero weight and the six roots.  There dividing by
+(1 - t w) is the update G[d] += w * G[d-1] on int64 rows.  With one
+grade the rows form a chain, and the K weights cross it as a wavefront
+(Lamport's hyperplane method): row d takes weight k at step k + d, so
+each of the K + n - 2 steps is one array operation on a slice of rows.
+A few primes joined by the Chinese remainder theorem give the integers;
+the primes run side by side, a column per (prime, orbit) pair reduced
+mod its own prime, in as few passes as keep a pass's rows within
+PASS_BYTES.  Giving each subspace its own t yields the multigraded table
+from the same update, one array operation per weight and level of rows.
 
 An exact quadrature, with no x constant-term identity, root maps or
 Chinese remainder theorem, cross-checks the engine mod one prime, with
@@ -203,17 +207,12 @@ def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
 def _row_bytes(k: int, d: int) -> int:
     """Bytes of one prime's rows for k grades to degree d: an int64 per orbit
     of A2_MAPS on the M^2 grid, M = d + 3, for each row of E (one per
-    multidegree), of P and Q (one per multidegree of at most half the total
+    multidegree), of P (one per multidegree of at most half the total
     degree), and of the slab temporaries of one division level or one
     pairing, with the grid values, at most four times the rows of total
     degree d and eight more."""
-    rows = (
-        math.comb(d + k, k)
-        + 2 * math.comb((d + 1) // 2 + k, k)
-        + 4 * math.comb(d + k - 1, k - 1)
-        + 8
-    )
-    return 8 * _orbit_count(d + 3) * rows
+    rows = math.comb(d + k, k) + math.comb((d + 1) // 2 + k, k) + 4 * math.comb(d + k - 1, k - 1)
+    return 8 * _orbit_count(d + 3) * (rows + 8)
 
 
 def _pass_size(k: int, d: int, primes: int, memory_budget: Optional[int]) -> int:
@@ -233,8 +232,8 @@ def _estimated_bytes(k: int, d: int, per_pass: int) -> int:
 
     Each prime of a pass holds its _row_bytes.  Enumerating the orbits and
     summing the Weyl factor over them hold at most twelve int64 per grid
-    point and prime of a pass.  The pairing stores a row of E per (P row, Q
-    row) pair, at most twice the P rows times the rows of total degree
+    point and prime of a pass.  The pairing stores a row of E per pair of P
+    rows, at most twice the P rows times the rows of total degree
     (d + 1) // 2; the multidegrees are looked up in an int64 per point of
     the cube [0, d]^k; the multidegree tables and the residues take a few
     hundred bytes per multidegree.  A wavefront step on a chain holds a
@@ -352,20 +351,22 @@ def _dimensions(
     """CT(weyl * G[delta]) for each multidegree delta of total degree at most
     max_degree, where G = prod_g prod_{w in grades[g]} (1 - t_g w)^(-1).
 
-    P(x) and Q(1/x), the factors of the weights with x-exponent +1 and -1,
-    pair as CT_x[(1 - 1/x) P(x) Q(1/x)] = sum_a P_a Q_a - sum_a P_(a+1) Q_a.
-    The rest has (y, z)-exponents in [-max_degree - 2, max_degree], so its
-    average over the grid of M-th roots of unity in F_p, M = max_degree +
-    3, is its constant term mod p, and enough primes fix it by the Chinese
-    remainder theorem.  Apart from the Weyl factor, that rest is invariant
-    under A2_MAPS, so it is evaluated at one point per orbit of _orbits and
-    weighted by the orbit's sum of the Weyl factor.  The primes run in
-    passes of _pass_size: a pass's columns are its (prime, orbit) pairs,
-    each reduced mod its own prime, so one array operation serves every
-    prime of the pass.  Unchecked: A2_MAPS fixes each grade's weights with
-    each x-exponent, and every weight exponent is in {-1, 0, 1}.  Raises
-    MemoryBudgetError, before allocating, if the estimated bytes held with
-    one prime per pass exceed the budget.
+    With P(x) the factor of the weights with x-exponent +1, and P(1/x) that
+    of those with -1, CT_x[(1 - 1/x) P(x) P(1/x)] =
+    sum_a P_a P_a - sum_a P_(a+1) P_a.  The rest has (y, z)-exponents in
+    [-max_degree - 2, max_degree], so its average over the grid of M-th
+    roots of unity in F_p, M = max_degree + 3, is its constant term mod p,
+    and enough primes fix it by the Chinese remainder theorem.  Apart from
+    the Weyl factor, that rest is invariant under A2_MAPS, so it is
+    evaluated at one point per orbit of _orbits and weighted by the orbit's
+    sum of the Weyl factor.  The primes run in passes of _pass_size: a
+    pass's columns are its (prime, orbit) pairs, each reduced mod its own
+    prime, so one array operation serves every prime of the pass.
+    Unchecked: every weight exponent is in {-1, 0, 1}, A2_MAPS fixes each
+    grade's weights with each x-exponent, and in each grade the weights with
+    x-exponent -1 have the (y, z) parts, with multiplicity, of those with
+    +1.  Raises MemoryBudgetError, before allocating, if the estimated bytes
+    held with one prime per pass exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -393,12 +394,11 @@ def _dimensions(
     levels = [_levels(degrees[:, g], sources[g]) for g in range(k)]
     # the rows of total degree at most (max_degree + 1) // 2 come first
     half_levels = [_levels(degrees[:half, g], sources[g][:half]) for g in range(k)]
-    split = [  # (grade, weight) by x-exponent +1, -1 and 0
-        [(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, -1, 0)
-    ]
-    pairs = []  # (P row, its Q rows, how many of them pair with sign -1, their rows of E)
+    # (grade, weight) with x-exponent +1 and 0; those with -1 mirror those with +1
+    x_up, x_free = ([(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, 0))
+    pairs = []  # (P row, the P rows it pairs with, how many with sign -1, their rows of E)
     for a, alpha in enumerate(order[:half]):
-        # the Q rows of total sum(alpha) - 1, sign -1, and sum(alpha), sign +1, in range
+        # the P rows of total sum(alpha) - 1, sign -1, and sum(alpha), sign +1, in range
         first = math.comb(max(sum(alpha) - 2, -1) + k, k)
         middle = math.comb(sum(alpha) - 1 + k, k)
         last = math.comb(min(sum(alpha), max_degree - sum(alpha)) + k, k)
@@ -409,9 +409,9 @@ def _dimensions(
     primes = _crt_primes(sum(map(len, grades)), max_degree)
     size = _pass_size(k, max_degree, len(primes), memory_budget)
     values, modulus = [0] * len(order), 1
-    # E, P and Q for a pass of size primes; a shorter last pass takes their first columns
+    # E and P for a pass of size primes; a shorter last pass takes their first columns
     e_rows = np.zeros((cells, size * len(reps)), dtype=np.int64)
-    pq_rows = np.zeros((2, half, size * len(reps)), dtype=np.int64)
+    p_rows = np.zeros((half, size * len(reps)), dtype=np.int64)
     for chunk in (primes[i : i + size] for i in range(0, len(primes), size)):
         p = np.array([q for q, _ in chunk], dtype=np.int64)
         moduli = np.repeat(p, len(reps))  # the prime of each (prime, orbit) column
@@ -422,22 +422,21 @@ def _dimensions(
         def at(w):  # y^w[1] z^w[2] at the orbit representatives, prime by prime
             return powers[:, exponents[w[1:]]].ravel()
 
-        pq = pq_rows[:, :, : len(moduli)]
-        pq.fill(0)
-        pq[:, 0] = 1
-        for i in range(2):
-            _divide(pq[i], ((g, at(w)) for g, w in split[i]), half_levels, moduli)
+        px = p_rows[:, : len(moduli)]
+        px.fill(0)
+        px[0] = 1
+        _divide(px, ((g, at(w)) for g, w in x_up), half_levels, moduli)
         e = e_rows[:, : len(moduli)]
         e.fill(0)
         # within one P row the targets are distinct, so each pairing is one update; a
         # term is below 2^31 in size and a row takes fewer than 2^32 of them
         for a, betas, negative, targets in pairs:
-            block = pq[1, betas] * pq[0, a]
+            block = px[betas] * px[a]
             block %= moduli
             block[:negative] *= -1
             e[targets] += block
         e %= moduli
-        _divide(e, ((g, at(w)) for g, w in split[2]), levels, moduli)
+        _divide(e, ((g, at(w)) for g, w in x_free), levels, moduli)
         e *= _weyl_sums(powers, perm, starts, p[:, None]).ravel()
         e %= moduli
         # a row sums fewer than 2^32 values below 2^31 per prime, which int64 holds

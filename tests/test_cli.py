@@ -97,7 +97,7 @@ class TestSeries:
         code, out, err = run_cli(capsys, "series", "--max-degree", "10000000")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "feasible max degree is 900" in err
+        assert "feasible max degree is 985" in err
 
     def test_huge_degree_and_budget_exit_2_quickly(self, capsys):
         start = time.perf_counter()
@@ -660,6 +660,13 @@ class TestMultigraded:
 
     def test_memory_budget_exit_2_with_advisory(self, capsys):
         assert_advised_degree_runs(capsys, "multigraded", 12, 20000)
+
+    def test_huge_degree_over_default_budget_exit_2_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "multigraded", "--max-degree", "10000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "feasible max degree is 85\n" in err
 
     def test_row_sum_mismatch_exit_1(self, capsys, monkeypatch):
         def bumped(max_total_degree, **kw):

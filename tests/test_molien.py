@@ -97,12 +97,13 @@ class TestWeightSystem:
 
 ROOTS = {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)}
 #: A grade that meets the engine's precondition: with each x-exponent s, 0-2
-#: zero weights (s, 0, 0) and 0-1 copies of the six roots at s.
+#: zero weights (s, 0, 0) and 0-1 copies of the six roots at s, one count for
+#: s = +1 and s = -1 together, so that the weights at -1 mirror those at +1.
 A2_CLOSED_GRADES = st.lists(
-    st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 1))] * 3).map(
+    st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 1))] * 2).map(
         lambda counts: [
             w
-            for s, (zeros, roots) in zip((1, -1, 0), counts)
+            for s, (zeros, roots) in zip((1, -1, 0), counts[:1] + counts)
             for w in [(s, 0, 0)] * zeros + [(s, *r) for r in sorted(ROOTS)] * roots
         ]
     ),
@@ -270,7 +271,7 @@ class TestCharacters:
         "grades",
         [
             [[(1, 0, 0), (-1, 0, 0)] + [(0, *r) for r in sorted(ROOTS)]],
-            [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)] + [(1, 0, 0)]],
+            [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)] + [(1, 0, 0), (-1, 0, 0)]],
         ],
     )
     def test_x_elimination_at_depth(self, grades):
@@ -281,11 +282,12 @@ class TestCharacters:
         assert _dimensions(grades, max_degree, None) == expected
 
     def test_orbit_reduction_matches_brute_force(self):
-        # roots at x and at x^0, fixed by all twelve maps, so the engine
-        # evaluates one point per orbit of the whole group
+        # roots at x, 1/x and x^0, fixed by all twelve maps, so the engine
+        # evaluates one point per orbit of the whole group; x and 1/x sit
+        # in the second grade, which keeps the enumeration at twelve weights
         grades = [
-            [(1, *r) for r in sorted(ROOTS)] + [(-1, 0, 0)],
-            [(0, *r) for r in sorted(ROOTS)],
+            [(s, *r) for s in (1, -1) for r in sorted(ROOTS)],
+            [(0, *r) for r in sorted(ROOTS)] + [(1, 0, 0), (-1, 0, 0)],
         ]
         max_degree = 10
         expected = brute_force_dimensions(grades, max_degree)
@@ -336,6 +338,28 @@ class TestDivide:
         _divide(expected, ((0, np.full(5, 2)) for _ in range(k)), [per_depth_levels(n)], p)
         assert (np.asarray(series) == expected).all()
 
+    @pytest.mark.parametrize("grades, d", [([WEIGHTS], 22), (list(GRADES.values()), 6)])
+    def test_one_division_of_p_and_one_of_e_per_pass(self, monkeypatch, grades, d):
+        # P(1/x), the factor of the weights with x-exponent -1, is P(x) mirrored,
+        # so no pass divides by those weights
+        calls, passes = [], []
+
+        def spy(series, weights, levels, p):
+            weights = list(weights)
+            calls.append(len(weights))
+            return _divide(series, weights, levels, p)
+
+        def count(*args):
+            passes.append(args)
+            return _weyl_sums(*args)
+
+        monkeypatch.setattr(molien, "_divide", spy)
+        monkeypatch.setattr(molien, "_weyl_sums", count)
+        _dimensions(grades, d, None)
+        up = sum(w[0] == 1 for ws in grades for w in ws)
+        free = sum(w[0] == 0 for ws in grades for w in ws)
+        assert calls == [up, free] * len(passes)
+
     def test_one_grade_divides_chains(self, monkeypatch):
         kinds = []
 
@@ -346,7 +370,7 @@ class TestDivide:
 
         monkeypatch.setattr(molien, "_levels", spy)
         _dimensions([WEIGHTS], 22, None)
-        assert kinds == [int, int]  # E, then the half rows of P and Q
+        assert kinds == [int, int]  # E, then the half rows of P
         kinds.clear()
         _dimensions(list(GRADES.values()), 6, None)
         assert kinds == [list] * 6
@@ -411,7 +435,7 @@ class TestGridPrimes:
     def test_quadrature_prime_is_none_of_the_engines(self):
         # a shared prime would let an error in the engine's other residues or
         # its lift agree with the quadrature
-        for d in [*range(121), 230, 500, 900]:
+        for d in [*range(121), 230, 500, 900, 985]:
             primes = [p for p, _ in _crt_primes(len(WEIGHTS), d)]
             assert quadrature_grid(d)[1] not in primes, d
 
@@ -464,11 +488,13 @@ class TestOrbits:
 
     def test_grades_meet_the_engine_precondition(self):
         # the engine does not check its grades: the maps fix each grade's
-        # weights with each x-exponent, and every exponent is -1, 0 or 1
+        # weights with each x-exponent, those with x-exponent -1 have the
+        # (y, z) parts of those with +1, and every exponent is -1, 0 or 1
         for weights in [WEIGHTS, *GRADES.values()]:
             assert {e for w in weights for e in w} <= {-1, 0, 1}
-            for s in (1, -1, 0):
-                part = collections.Counter(w[1:] for w in weights if w[0] == s)
+            parts = {s: collections.Counter(w[1:] for w in weights if w[0] == s) for s in (1, -1, 0)}
+            assert parts[1] == parts[-1]
+            for s, part in parts.items():
                 for a in A2_MAPS:
                     image = collections.Counter(apply_map(a, w) for w in part.elements())
                     assert image == part, (a, s)
