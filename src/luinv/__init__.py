@@ -31,7 +31,6 @@ from luinv.invariants import (
     InvariantVector,
     eval_basis_form,
     eval_matrix_form,
-    independence_rank,
     invariance_battery,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "InvariantVector",
     "eval_basis_form",
     "eval_matrix_form",
-    "independence_rank",
     "invariance_battery",
 ]
 

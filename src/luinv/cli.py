@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="evaluate the seven invariants")
     p.add_argument("--format", choices=formats, default="plain")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--state", metavar="FILE", help="JSON state file")
     source.add_argument("--random", action="store_true", help="random state (needs --seed)")
     source.add_argument("--battery", action="store_true", help="invariance trials (needs --seed)")
@@ -250,12 +250,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "invariants":
-        if not (args.state or args.random or args.battery):
-            parser.error("pick one of --state, --random, --battery")
         if (args.random or args.battery) and args.seed is None:
             parser.error("randomized modes require --seed")
-        if args.battery and args.trials < 1:
-            parser.error("--trials must be positive")
         if args.battery and args.scalar == "exact":
             parser.error("--battery runs in floats only; drop --scalar exact")
     try:

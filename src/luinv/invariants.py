@@ -9,9 +9,14 @@ invariants of degree two and three are spanned by
 
 matching the series coefficients 3 and 4 at those degrees.  Each
 invariant is homogeneous in (X, Y, Z) separately; the multidegrees are
-recorded in MULTIDEGREES and checked by scaling the components.  Since
-det X = -tr X^2 / 2 and det Y = tr Y^3 / 3 for traceless X and Y, all
-seven are traces of products.
+recorded in MULTIDEGREES and checked by scaling the components.  Within
+each degree they are pairwise distinct, and each invariant is nonzero at
+some state, so the invariants of one degree are linearly independent: if
+sum l_i f_i = 0, scaling (X, Y, Z) by (a, b, c) gives
+sum l_i f_i a^d1 b^d2 c^d3 = 0 for all a, b, c, and the distinct
+monomials force each l_i f_i = 0.  Since det X = -tr X^2 / 2 and
+det Y = tr Y^3 / 3 for traceless X and Y, all seven are traces of
+products.
 
 Two evaluation routes are provided.  The matrix form works directly on
 X, Y, Z.  The basis form rewrites everything through Pauli traces and
@@ -41,8 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -69,9 +73,6 @@ MULTIDEGREES: Dict[str, Tuple[int, int, int]] = {
     "i6": (1, 1, 1),
     "i7": (0, 1, 2),
 }
-
-DEGREE_TWO = ("i1", "i2", "i3")
-DEGREE_THREE = ("i4", "i5", "i6", "i7")
 
 Value = Union[Fraction, float, np.ndarray]
 
@@ -273,50 +274,3 @@ def invariance_battery(
         worst_component=worst_component,
         passed=max_dev <= tolerance,
     )
-
-
-def _integer_rank(rows: List[List[int]]) -> int:
-    # Bareiss fraction-free elimination; all divisions are exact.
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    n, m = len(mat), len(mat[0])
-    rank, prev = 0, 1
-    for col in range(m):
-        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(rank + 1, n):
-            for c in range(col + 1, m):
-                mat[r][c] = (mat[rank][col] * mat[r][c] - mat[r][col] * mat[rank][c]) // prev
-            mat[r][col] = 0
-        prev = mat[rank][col]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
-def independence_rank(states: Sequence[np.ndarray], degree: int) -> int:
-    """Exact rank of the evaluation matrix of one degree's invariants.
-
-    Rows are exact states, columns the invariants of the given degree
-    (2 or 3).  Full column rank certifies linear independence; by the
-    series the expected ranks are 3 and 4.
-    """
-    if degree == 2:
-        names = DEGREE_TWO
-    elif degree == 3:
-        names = DEGREE_THREE
-    else:
-        raise ValueError("degree must be 2 or 3")
-    rows: List[List[int]] = []
-    for rho in states:
-        if rho.dtype != object:
-            raise ValueError("independence_rank needs exact states")
-        vec = eval_matrix_form(decompose_state(rho))
-        values = [getattr(vec, name) for name in names]
-        scale = lcm(*(v.denominator for v in values))
-        rows.append([int(v * scale) for v in values])
-    return _integer_rank(rows)

@@ -284,6 +284,8 @@ def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
     The element is the first c^((p - 1)/m), c = 2, 3, ..., whose (m/q)-th
     power is not 1 for any prime q dividing m.
     """
+    if m > 2**31 - 2:  # no such p, and factoring m would take sqrt(m) steps
+        return
     root = math.isqrt(m)  # a divisor of m above its root is the cofactor of one below
     factors = {q for d in range(1, root + 1) if m % d == 0 for q in (d, m // d) if _is_prime(q)}
     for p in range((2**31 - 2) // m * m + 1, m, -m):

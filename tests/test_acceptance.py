@@ -18,7 +18,6 @@ from luinv.invariants import (
     MULTIDEGREES,
     eval_basis_form,
     eval_matrix_form,
-    independence_rank,
     invariance_battery,
 )
 from luinv.molien import (
@@ -404,17 +403,29 @@ def test_criterion_7_multidegree_homogeneity(rational_states):
 
 
 def test_criterion_8_dimension_cross_checks(rational_states, coeffs19):
-    sample = rational_states[:12]
-    rank2 = independence_rank(sample, 2)
-    rank3 = independence_rank(sample, 3)
+    # Linear independence from the multidegrees.  If sum l_i f_i = 0 over the
+    # invariants f_i of one degree, scaling (X, Y, Z) by (a, b, c) gives
+    # sum l_i f_i a^d1 b^d2 c^d3 = 0 for all a, b, c.  Distinct monomials
+    # a^d1 b^d2 c^d3 then force each l_i f_i = 0, so l_i = 0 where f_i is
+    # nonzero at some state.
+    values = [eval_matrix_form(decompose_state(rho)).as_dict() for rho in rational_states]
+    counts = []
+    ok = True
+    for d in (2, 3):
+        names = [name for name in COMPONENTS if sum(MULTIDEGREES[name]) == d]
+        counts.append(len(names))
+        ok = ok and len(names) == coeffs19[d]
+        ok = ok and len({MULTIDEGREES[name] for name in names}) == len(names)
+        ok = ok and all(any(v[name] != 0 for v in values) for name in names)
+    ok = ok and counts == [3, 4]
     table = poincare_multigraded(6)
-    ok = rank2 == 3 == coeffs19[2]
-    ok = ok and rank3 == 4 == coeffs19[3]
     ok = ok and table.row_sums() == coeffs19[:7]
     _criterion(
         8,
-        f"evaluation ranks ({rank2}, {rank3}) equal the series coefficients "
-        "at t^2, t^3; multigraded row sums match through degree 6",
+        f"{counts[0]} and {counts[1]} invariants of degrees 2 and 3, with distinct "
+        "multidegrees and each nonzero at an exact state, are linearly independent and "
+        "equal the series coefficients at t^2, t^3; multigraded row sums match through "
+        "degree 6",
         ok,
     )
 

@@ -187,6 +187,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: no prime below 2^31 is 1 mod the grid size 2147483648\n"
 
+    def test_huge_degree_with_quadrature_exit_2_quickly(self, capsys):
+        # the quadrature's prime search is refused before it factors M = 10^18 + 3
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--max-degree", str(10**18), "--with-quadrature")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: no prime below 2^31 is 1 mod the grid size {10**18 + 3}\n"
+
     def test_quadrature_memory_budget_advisory_degree_runs(self, capsys):
         args = ("--with-quadrature", "--memory-budget", "2000000", "--format", "json")
         code, _, err = run_cli(capsys, "verify", "--max-degree", "40", *args)
@@ -592,6 +600,11 @@ class TestInvariants:
             cli.main(["invariants"])
         assert exc.value.code == 2
 
+    def test_battery_without_trials_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "invariants", "--battery", "--trials", "0", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: need at least one trial\n"
+
     def test_seed_required_for_random(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["invariants", "--random"])
@@ -720,7 +733,7 @@ HELP = {
     ),
     ("invariants",): (
         "usage: luinv invariants [-h] [--format {plain,csv,json}]\n"
-        "                        [--state FILE | --random | --battery]\n"
+        "                        (--state FILE | --random | --battery)\n"
         "                        [--scalar {exact,float}] [--seed SEED]\n"
         "                        [--trials TRIALS]",
         [

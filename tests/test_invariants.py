@@ -1,4 +1,4 @@
-"""Invariant evaluation: dual routes, stacks, invariance, homogeneity, ranks."""
+"""Invariant evaluation: dual routes, stacks, invariance, homogeneity, independence."""
 
 import math
 import random
@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 from luinv import invariants, states
 from luinv.invariants import (
     COMPONENTS,
-    DEGREE_THREE,
-    DEGREE_TWO,
     MULTIDEGREES,
     InvarianceReport,
     InvariantVector,
-    _integer_rank,
     eval_basis_form,
     eval_matrix_form,
-    independence_rank,
     invariance_battery,
 )
 from luinv.states import (
@@ -71,11 +67,10 @@ class TestInvariantVector:
 
     def test_multidegree_table_is_complete(self):
         assert set(MULTIDEGREES) == set(COMPONENTS)
-        assert set(DEGREE_TWO) | set(DEGREE_THREE) == set(COMPONENTS)
-        for name in DEGREE_TWO:
-            assert sum(MULTIDEGREES[name]) == 2
-        for name in DEGREE_THREE:
-            assert sum(MULTIDEGREES[name]) == 3
+        by_degree = {}
+        for name in COMPONENTS:
+            by_degree.setdefault(sum(MULTIDEGREES[name]), []).append(name)
+        assert by_degree == {2: ["i1", "i2", "i3"], 3: ["i4", "i5", "i6", "i7"]}
 
 
 class TestEvaluation:
@@ -419,31 +414,12 @@ class TestInt64Route:
 
 
 class TestIndependence:
-    def test_integer_rank_known_cases(self):
-        assert _integer_rank([[1, 0], [0, 1]]) == 2
-        assert _integer_rank([[1, 2], [2, 4]]) == 1
-        assert _integer_rank([[0, 0], [0, 0]]) == 0
-        assert _integer_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
-
-    def test_expected_ranks(self, rational_states):
-        sample = rational_states[:12]
-        assert independence_rank(sample, 2) == 3
-        assert independence_rank(sample, 3) == 4
-
     def test_degenerate_family_has_lower_rank(self):
-        # states with only a qubit part: every Y- or Z-dependent
-        # invariant vanishes identically
+        # a state with only a qubit part: every Y- or Z-dependent
+        # invariant vanishes identically, and det X does not
         x = exact([[Fraction(1, 12), 0], [0, Fraction(-1, 12)]])
         rho = exact_identity(6) * Fraction(1, 6) + kron(x, exact_identity(3))
-        states = [rho]
-        assert independence_rank(states, 2) == 1
-        assert independence_rank(states, 3) == 0
-        assert independence_rank([], 2) == 0
-
-    def test_rejects_bad_degree(self):
-        with pytest.raises(ValueError):
-            independence_rank([], 4)
-
-    def test_rejects_float_states(self):
-        with pytest.raises(ValueError, match="exact"):
-            independence_rank([random_state(0, "psd_float")], 2)
+        values = eval_matrix_form(decompose_state(rho)).as_dict()
+        dependent = [name for name, (_, d2, d3) in MULTIDEGREES.items() if d2 or d3]
+        assert len(dependent) == 6 and values["i1"] != 0
+        assert all(values[name] == 0 for name in dependent)

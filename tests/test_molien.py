@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import textwrap
+import time
 import tracemalloc
 
 import numpy as np
@@ -698,6 +699,18 @@ class TestQuadrature:
         # M = 2^31: no p < 2^31 is 1 mod M
         with pytest.raises(ValueError, match=r"no prime below 2\^31 .* grid size 2147483648"):
             quadrature_coefficients(2**31 - 3)
+
+    def test_huge_grid_is_refused_before_factoring(self):
+        # M = 10^18 + 3 is past 2^31 - 2, so no p = k*M + 1 < 2^31 exists; factoring M
+        # by trial division first would take sqrt(M) steps, over a minute
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"no prime below 2\^31 .* grid size 10{17}3$"):
+            quadrature_grid(10**18)
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_grid_with_a_prime(self):
+        # M = 2^31 - 2 is the last grid with such a p: 2^31 - 1 itself
+        assert next(_grid_primes(2**31 - 2))[0] == 2**31 - 1
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
