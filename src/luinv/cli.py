@@ -31,7 +31,7 @@ from luinv.molien import (
     quadrature_grid,
     verify_theorem,
 )
-from luinv.states import _fraction_str, decompose_state, random_state, state_from_json
+from luinv.states import decompose_state, random_state, state_from_json
 
 
 def _emit(fmt: str, payload: dict, table: List[Sequence], plain: List[str]) -> None:
@@ -127,7 +127,11 @@ def _load_state(args) -> np.ndarray:
 
 
 def cmd_invariants(args) -> int:
+    if (args.random or args.battery) and args.seed is None:
+        raise ValueError("randomized modes require --seed")
     if args.battery:
+        if args.scalar == "exact":
+            raise ValueError("--battery runs in floats only; drop --scalar exact")
         report = invariance_battery(args.trials, args.seed)
         fields = dataclasses.asdict(report)
         _emit(
@@ -147,10 +151,7 @@ def cmd_invariants(args) -> int:
     # a huge float state overflows quietly: _realize rejects the non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
         vec = eval_matrix_form(decompose_state(rho))
-    values = {
-        name: _fraction_str(v) if isinstance(v, Fraction) else v
-        for name, v in vec.as_dict().items()
-    }
+    values = {name: str(v) if isinstance(v, Fraction) else v for name, v in vec.as_dict().items()}
     _emit(
         args.format,
         {
@@ -247,13 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "invariants":
-        if (args.random or args.battery) and args.seed is None:
-            parser.error("randomized modes require --seed")
-        if args.battery and args.scalar == "exact":
-            parser.error("--battery runs in floats only; drop --scalar exact")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     # MemoryError covers MemoryBudgetError and an allocation refused outright

@@ -36,9 +36,10 @@ traces the basis form contracts with are built once, at import.
 The matrix form also takes a decomposed stack of float states and returns
 (N,) arrays, bit for bit each state's values alone; the battery uses it,
 one stack of states and their conjugates per chunk of trials.  The
-battery draws its normals from one stdlib random.Random(seed) stream by
-Box-Muller, so it never imports numpy.random.  Exact values are scalars:
-both forms take one exact state, not a stack.
+battery draws its normals from one stdlib random.Random(seed) stream
+through states._normals, the package's one source of normals, so it
+never imports numpy's random module.  Exact values are scalars: both
+forms take one exact state, not a stack.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from luinv.states import (
     _ginibre,
     _gram_state,
     _local_unitary,
+    _normals,
     apply_local_unitary,
     decompose_state,
     kron,
@@ -216,29 +218,13 @@ class InvarianceReport:
 _TRIAL_NORMALS = 98
 
 
-def _battery_normals(rng: random.Random, trials: int) -> np.ndarray:
-    """(trials, 98) standard normals from the next 8 * 98 * trials bytes of rng.
-
-    Each 8 bytes, little-endian, give a 53-bit uniform u in [0, 1); each
-    pair (u, v) in turn gives the Box-Muller normals r cos(2 pi v) and
-    r sin(2 pi v), r = sqrt(-2 log(1 - u)), finite since 1 - u > 0.  Bytes
-    split into consecutive calls come out as one call's, so the normals of
-    a trial do not depend on how trials are grouped into calls.
-    """
-    raw = np.frombuffer(rng.randbytes(8 * _TRIAL_NORMALS * trials), dtype="<u8")
-    u = (raw >> np.uint64(11)) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    angle = 2 * np.pi * u[1::2]
-    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1).reshape(trials, _TRIAL_NORMALS)
-
-
 def invariance_battery(
     trials: int, seed: int, tolerance: float = 1e-9
 ) -> InvarianceReport:
     """Check invariance under random SU(2) x SU(3) conjugations.
 
     One random.Random(seed) stream feeds the whole battery: trial t takes
-    the t-th block of 98 normals from _battery_normals, draws a Ginibre
+    the t-th block of 98 normals from states._normals, draws a Ginibre
     state from the first 72 and a Haar local unitary from the other 26,
     evaluates the invariants before and after conjugation, and records the
     relative deviation |v' - v| / max(1, |v|).  Passes if the worst
@@ -257,9 +243,9 @@ def invariance_battery(
     max_dev, worst_trial, worst_component = 0.0, 0, COMPONENTS[0]
     for start in range(0, trials, BATTERY_CHUNK):
         n = min(BATTERY_CHUNK, trials - start)
-        normals = _battery_normals(rng, n)
+        normals = _normals(rng, _TRIAL_NORMALS * n).reshape(n, _TRIAL_NORMALS)
         rho = _gram_state(_ginibre(normals[:, :72], 6))
-        both = np.concatenate([rho, apply_local_unitary(rho, _local_unitary(normals[:, 72:]))])
+        both = np.concatenate([rho, apply_local_unitary(rho, *_local_unitary(normals[:, 72:]))])
         values = np.stack(eval_matrix_form(decompose_state(both)).as_tuple(), axis=-1)
         v, w = values[:n], values[n:]
         dev = abs(w - v) / np.maximum(1.0, abs(v))  # (trial, component)

@@ -310,8 +310,8 @@ def _levels(depth: np.ndarray, source: np.ndarray) -> Union[int, List[tuple]]:
     return levels
 
 
-def _divide(series: np.ndarray, weights: Iterable, levels: Sequence, p: int) -> None:
-    """Divide series by prod (1 - t_g w) in place, mod p.
+def _divide(series: np.ndarray, weights: Iterable, levels: Sequence, p: np.ndarray) -> None:
+    """Divide series by prod (1 - t_g w) in place, mod p, the modulus of each column.
 
     Row i of series holds a multidegree's values at the grid points, and
     levels[g] is _levels of grade g's degrees and sources: the row of each

@@ -28,7 +28,10 @@ denominator, so exact pieces are integer arrays, int64 while the integer
 form's entries are within INT64_LIMIT and Python ints beyond it.  Exact
 random states come from A A^dagger / tr(A A^dagger) with Gaussian-integer
 A, float ones from the Ginibre ensemble, and Haar special unitaries from
-QR with the standard phase fix.
+QR with the phase fix of Mezzadri (Notices AMS 54, 2007).  Every random
+draw comes from one stdlib random.Random(seed) stream: the integers of A
+directly, the normals by Box-Muller from its bytes (_normals), so numpy's
+random module is never imported.
 
 The array functions act on the last two axes, so a stack (N, 12, 12) of
 float states takes the same code as one state, checked state by state.
@@ -210,6 +213,22 @@ def decompose_state(rho: np.ndarray) -> StateDecomposition:
     return StateDecomposition(local_a, local_b, corr, 12 * den)
 
 
+def _normals(rng: random.Random, count: int) -> np.ndarray:
+    """count standard normals, count even, from the next 8 * count bytes of rng.
+
+    Each 8 bytes, little-endian, give a 53-bit uniform u in [0, 1); each
+    pair (u, v) in turn gives the Box-Muller normals r cos(2 pi v) and
+    r sin(2 pi v), r = sqrt(-2 log(1 - u)), finite since 1 - u > 0.  Bytes
+    split into consecutive calls come out as one call's, so the normals
+    do not depend on how the draws are grouped into calls.
+    """
+    raw = np.frombuffer(rng.randbytes(8 * count), dtype="<u8")
+    u = (raw >> np.uint64(11)) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2 * np.pi * u[1::2]
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1).reshape(count)
+
+
 def _ginibre(normals: np.ndarray, n: int) -> np.ndarray:
     """Complex n x n Gaussian matrices from 2n^2 normals on the last axis, real parts first."""
     return (normals[..., : n * n] + 1j * normals[..., n * n :]).reshape(*normals.shape[:-1], n, n)
@@ -223,14 +242,14 @@ def _gram_state(g: np.ndarray) -> np.ndarray:
 
 
 def random_state(seed: int, kind: str = "rational") -> np.ndarray:
-    """Deterministic random density matrix.
+    """Deterministic random density matrix from the stream random.Random(seed).
 
     kind="rational": A A^dagger / tr(A A^dagger) with a Gaussian-integer
     A, so the result is exactly positive semidefinite with unit trace.
     kind="psd_float": the same construction from a complex Ginibre draw.
     """
+    rng = random.Random(seed)
     if kind == "rational":
-        rng = random.Random(seed)
         while True:
             draws = [rng.randint(-3, 3) for _ in range(72)]  # (re, im) of each entry in turn
             pairs = np.array(draws, dtype=object).reshape(6, 6, 2)
@@ -240,16 +259,8 @@ def random_state(seed: int, kind: str = "rational") -> np.ndarray:
             if tr != 0:
                 return gram * Fraction(1, tr)
     if kind == "psd_float":
-        return _gram_state(_ginibre(np.random.default_rng(seed).normal(size=72), 6))
+        return _gram_state(_ginibre(_normals(rng, 72), 6))
     raise ValueError(f"unknown state kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class LocalUnitaryPair:
-    """An element (u2, u3) of SU(2) x SU(3), complex128 arrays; leading axes stack."""
-
-    u2: np.ndarray
-    u3: np.ndarray
 
 
 def _haar_special_unitary(g: np.ndarray) -> np.ndarray:
@@ -260,25 +271,16 @@ def _haar_special_unitary(g: np.ndarray) -> np.ndarray:
     return q / np.power(np.linalg.det(q), 1.0 / g.shape[-1])[..., None, None]
 
 
-def _local_unitary(normals: np.ndarray) -> LocalUnitaryPair:
-    """The pair made of 26 normals on the last axis: u2's 8, then u3's 18."""
+def _local_unitary(normals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Haar (u2, u3) in SU(2) x SU(3), complex128, from 26 normals on the last axis: 8, then 18."""
     u2 = _haar_special_unitary(_ginibre(normals[..., :8], 2))
-    return LocalUnitaryPair(u2, _haar_special_unitary(_ginibre(normals[..., 8:], 3)))
+    return u2, _haar_special_unitary(_ginibre(normals[..., 8:], 3))
 
 
-def random_local_unitary(seed: int) -> LocalUnitaryPair:
-    """Haar-distributed SU(2) x SU(3) pair from a seed."""
-    return _local_unitary(np.random.default_rng(seed).normal(size=26))
-
-
-def apply_local_unitary(rho: np.ndarray, pair: LocalUnitaryPair) -> np.ndarray:
+def apply_local_unitary(rho: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
     """Conjugate a state by u2 (x) u3, in float arithmetic; leading axes broadcast."""
-    ju = kron(embed(pair.u2.real, pair.u2.imag), embed(pair.u3.real, pair.u3.imag))
+    ju = kron(embed(u2.real, u2.imag), embed(u3.real, u3.imag))
     return ju @ rho.astype(float, copy=False) @ ju.swapaxes(-1, -2)
-
-
-def _fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
 def _digit_limit() -> int:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from luinv.molien import poincare_coefficients
-from luinv.states import STATE_SCHEMA, StateDecomposition, _fraction_str, random_state
+from luinv.states import (
+    STATE_SCHEMA,
+    StateDecomposition,
+    _local_unitary,
+    _normals,
+    random_state,
+)
 
 settings.register_profile(
     "ci",
@@ -28,6 +35,11 @@ def coeffs19():
 @pytest.fixture(scope="session")
 def rational_states():
     return [random_state(seed, "rational") for seed in range(100)]
+
+
+def random_local_unitary(seed: int):
+    """A Haar pair (u2, u3) in SU(2) x SU(3) from the first 26 normals of random.Random(seed)."""
+    return _local_unitary(_normals(random.Random(seed), 26))
 
 
 def scale_components(dec: StateDecomposition, a, b, c) -> StateDecomposition:
@@ -58,7 +70,7 @@ def state_to_json(rho: np.ndarray) -> str:
         raise ValueError("expected the 12x12 embedding of a 6x6 matrix")
     pairs = np.stack([rho[:6, :6], rho[6:, :6]], axis=-1).tolist()
     if rho.dtype == object:
-        matrix = [[[_fraction_str(Fraction(v)) for v in pair] for pair in row] for row in pairs]
+        matrix = [[[str(Fraction(v)) for v in pair] for pair in row] for row in pairs]
         scalar = "rational"
     else:
         matrix = pairs

@@ -49,6 +49,7 @@ def test_tracer_misses_only_the_stale_spans():
         "luinv.molien.CharacterCache.character",
         "luinv.molien._ct_against_weyl",
         "luinv.laurent.LaurentPoly3.mul",
+        "luinv.states.random_local_unitary",
     ]
     saved = {name: dict(vars(m)) for name, m in sys.modules.items() if name.startswith("luinv")}
     tracer = tracing.Tracer()

@@ -506,21 +506,23 @@ class TestInvariants:
         assert out.startswith("PASS")
 
     def test_battery_does_not_import_numpy_random(self):
-        # a fresh process: importing numpy.random alone takes about 12 ms and 5 MB
+        # a fresh process: importing numpy.random alone takes about 12 ms and 5 MB;
+        # the random float state and the battery both draw from random.Random
         script = (
             "import contextlib, io, sys\n"
             "import luinv, luinv.cli\n"
             "print('numpy.random' in sys.modules)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = luinv.cli.main(['invariants', '--battery', '--trials', '5', '--seed', '1'])\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
+            "for mode in (['--random', '--scalar', 'float'], ['--battery', '--trials', '5']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = luinv.cli.main(['invariants', *mode, '--seed', '7'])\n"
+            "    print(code, 'numpy.random' in sys.modules)\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert result.stdout.split() == ["False", "0", "False"], result.stderr
+        assert result.stdout.split() == ["False", "0", "False", "0", "False"], result.stderr
 
     def test_battery_json_deterministic(self, capsys):
         args = (
@@ -589,11 +591,11 @@ class TestInvariants:
         assert dict(rows) == {name: str(payload[name]) for name, _ in rows}
 
     def test_battery_with_exact_scalar_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["invariants", "--battery", "--seed", "1", "--scalar", "exact"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
-        assert "--battery" in captured.err and "--scalar exact" in captured.err
+        code, out, err = run_cli(
+            capsys, "invariants", "--battery", "--seed", "1", "--scalar", "exact"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --battery runs in floats only; drop --scalar exact\n"
 
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -606,14 +608,26 @@ class TestInvariants:
         assert err == "error: need at least one trial\n"
 
     def test_seed_required_for_random(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["invariants", "--random"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "invariants", "--random")
+        assert code == 2 and out == ""
+        assert err == "error: randomized modes require --seed\n"
 
     def test_seed_required_for_battery(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["invariants", "--battery"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "invariants", "--battery")
+        assert code == 2 and out == ""
+        assert err == "error: randomized modes require --seed\n"
+
+    @pytest.mark.parametrize("argv", [["--random"], ["--battery", "--seed", "1", "--scalar", "exact"]])
+    def test_randomized_mode_errors_are_one_line_without_the_root_usage(self, argv):
+        # a separate process, as a user runs it: the exit code, both streams, no traceback
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "luinv.cli", "invariants", *argv],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr and "usage: luinv [-h]" not in result.stderr
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     @pytest.mark.parametrize(

@@ -20,17 +20,16 @@ from luinv.invariants import (
     invariance_battery,
 )
 from luinv.states import (
-    LocalUnitaryPair,
     StateDecomposition,
+    _normals,
     apply_local_unitary,
     decompose_state,
     embed,
     kron,
-    random_local_unitary,
     random_state,
 )
 
-from conftest import scale_components
+from conftest import random_local_unitary, scale_components
 
 PURE_PRODUCT_VALUES = (
     Fraction(-1, 36),
@@ -183,9 +182,9 @@ class TestInvarianceBattery:
     def test_different_seeds_give_different_worst_cases(self):
         # the seeds differ in what they draw; max_deviation itself is quantised
         # at a few ulp, so two seeds can share it
-        a = invariants._battery_normals(random.Random(1), 10)
-        b = invariants._battery_normals(random.Random(2), 10)
-        assert a.shape == b.shape == (10, 98)
+        a = _normals(random.Random(1), 980)
+        b = _normals(random.Random(2), 980)
+        assert a.shape == b.shape == (980,)
         assert not np.isin(a, b).any()
 
     def test_rejects_zero_trials(self):
@@ -199,7 +198,7 @@ class TestInvarianceBattery:
 
     def test_normals_are_standard(self):
         # 300 trials of 98 normals; each bound is 5 standard errors
-        z = invariants._battery_normals(random.Random(12345), 300).ravel()
+        z = _normals(random.Random(12345), 300 * 98)
         assert z.size == 29400 and np.isfinite(z).all()
         assert abs(z.mean()) <= 5 * math.sqrt(1 / z.size)
         assert abs(z.var() - 1) <= 5 * math.sqrt(2 / z.size)
@@ -221,8 +220,8 @@ class TestInvarianceBattery:
             normals = np.array(normals)
             rho = states._gram_state(states._ginibre(normals[:72], 6))
             before = eval_matrix_form(decompose_state(rho))
-            pair = states._local_unitary(normals[72:])
-            after = eval_matrix_form(decompose_state(apply_local_unitary(rho, pair)))
+            u2, u3 = states._local_unitary(normals[72:])
+            after = eval_matrix_form(decompose_state(apply_local_unitary(rho, u2, u3)))
             for name in COMPONENTS:
                 v, w = before.as_dict()[name], after.as_dict()[name]
                 dev = abs(w - v) / max(1.0, abs(v))
@@ -297,12 +296,9 @@ class TestStacks:
     def test_conjugated_stack_equals_each_state_alone(self):
         stack = float_stack(5, seed=2)
         pairs = [random_local_unitary(seed) for seed in range(5)]
-        stacked_pair = LocalUnitaryPair(
-            np.stack([p.u2 for p in pairs]), np.stack([p.u3 for p in pairs])
-        )
-        conjugated = apply_local_unitary(stack, stacked_pair)
+        conjugated = apply_local_unitary(stack, *map(np.stack, zip(*pairs)))
         for i, pair in enumerate(pairs):
-            assert np.array_equal(conjugated[i], apply_local_unitary(stack[i], pair))
+            assert np.array_equal(conjugated[i], apply_local_unitary(stack[i], *pair))
 
     @pytest.mark.parametrize(
         "spoil, error, message",

@@ -10,19 +10,21 @@ import pytest
 
 from luinv.states import (
     PAULIS,
+    _ginibre,
+    _gram_state,
+    _normals,
     apply_local_unitary,
     decompose_state,
     embed,
     kron,
     partial_trace_qubit,
     partial_trace_qutrit,
-    random_local_unitary,
     random_state,
     state_from_json,
     validate_state,
 )
 
-from conftest import scale_components, state_to_json
+from conftest import random_local_unitary, scale_components, state_to_json
 
 
 def exact(re_rows, im_rows=None) -> np.ndarray:
@@ -353,6 +355,16 @@ class TestRandomStates:
         validate_state(rho)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
+    def test_float_states_take_the_first_72_normals_of_the_seed_stream(self):
+        rho = _gram_state(_ginibre(_normals(random.Random(9), 72), 6))
+        assert np.array_equal(random_state(9, "psd_float"), rho)
+
+    def test_normals_split_across_calls_equal_one_call(self):
+        # the battery draws chunk by chunk; a trial's normals must not depend on the chunking
+        rng = random.Random(5)
+        parts = [_normals(rng, count) for count in (2, 98, 26, 72)]
+        assert np.array_equal(np.concatenate(parts), _normals(random.Random(5), 198))
+
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(random_state(1, "rational"), random_state(2, "rational"))
 
@@ -363,28 +375,28 @@ class TestRandomStates:
 
 class TestLocalUnitaries:
     def test_special_unitarity(self):
-        pair = random_local_unitary(31)
-        for mat, n in ((pair.u2, 2), (pair.u3, 3)):
+        for mat, n in zip(random_local_unitary(31), (2, 3)):
             assert np.allclose(mat.conj().T @ mat, np.eye(n), atol=1e-12)
             assert abs(np.linalg.det(mat) - 1) < 1e-12
 
     def test_determinism(self):
-        assert np.array_equal(random_local_unitary(8).u3, random_local_unitary(8).u3)
+        for a, b in zip(random_local_unitary(8), random_local_unitary(8)):
+            assert np.array_equal(a, b)
 
     def test_conjugation_preserves_state_properties(self):
         rho = random_state(17, "psd_float")
-        moved = apply_local_unitary(rho, random_local_unitary(18))
+        moved = apply_local_unitary(rho, *random_local_unitary(18))
         validate_state(moved)
         # spectrum is preserved by conjugation
         assert np.allclose(np.linalg.eigvalsh(moved), np.linalg.eigvalsh(rho), atol=1e-10)
 
     def test_exact_state_is_conjugated_in_floats(self):
         rho = random_state(17, "rational")
-        pair = random_local_unitary(18)
-        moved = apply_local_unitary(rho, pair)
+        u2, u3 = random_local_unitary(18)
+        moved = apply_local_unitary(rho, u2, u3)
         assert moved.dtype == np.float64
-        assert np.array_equal(moved, apply_local_unitary(rho.astype(float), pair))
-        u = np.kron(pair.u2, pair.u3)
+        assert np.array_equal(moved, apply_local_unitary(rho.astype(float), u2, u3))
+        u = np.kron(u2, u3)
         expected = u @ as_complex(rho) @ u.conj().T
         assert np.allclose(as_complex(moved), expected, atol=1e-14)
 
