@@ -34,11 +34,10 @@ copies of the zero weight and the six roots.  There dividing by
 grade the rows form a chain, and the K weights cross it as a wavefront
 (Lamport's hyperplane method): row d takes weight k at step k + d, so
 each of the K + n - 2 steps is one array operation on a slice of rows.
-A few primes joined by the Chinese remainder theorem give the integers;
-the primes run side by side, a column per (prime, orbit) pair reduced
-mod its own prime, in as few passes as keep a pass's rows within
-PASS_BYTES.  Giving each subspace its own t yields the multigraded table
-from the same update, one array operation per weight and level of rows.
+A few primes joined by the Chinese remainder theorem give the integers,
+one prime per pass, a column per orbit.  Giving each subspace its own t
+yields the multigraded table from the same update, one array operation
+per weight and level of rows.
 
 An exact quadrature, with no x constant-term identity, root maps or
 Chinese remainder theorem, cross-checks the engine mod one prime, with
@@ -85,8 +84,8 @@ WEIGHTS: Tuple[Weight, ...] = sum(GRADES.values(), ())
 
 #: Default cap on the engine's estimated bytes held (1 GiB).
 DEFAULT_MEMORY_BUDGET = 1 << 30
-#: Bytes of rows one pass may hold (4 MiB): the engine puts as many CRT primes
-#: in a pass, the quadrature as many x values in a block, as fit in it.
+#: Bytes of rows one quadrature block may hold (4 MiB): a block takes as many
+#: x values as fit in it.
 PASS_BYTES = 1 << 22
 
 MULTIGRADED_NOTE = (
@@ -166,26 +165,18 @@ def _orbits(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return reps, perm, starts
 
 
-def _weyl_sums(
-    powers: np.ndarray, perm: np.ndarray, starts: np.ndarray, p: Union[int, np.ndarray]
-) -> np.ndarray:
+def _weyl_sums(powers: np.ndarray, perm: np.ndarray, starts: np.ndarray, p: int) -> np.ndarray:
     """(1 - 1/y)(1 - 1/z)(1 - 1/(yz)), the x-free part of the Weyl factor,
-    summed over each orbit of _orbits mod p, in int64.
-
-    powers[..., a] is omega^a for the grid's m-th root of unity omega: one
-    row for one prime p, or a row per prime of a pass, with p the column of
-    those primes, which gives a row of sums per prime.
-    """
-    m = powers.shape[-1]
+    summed over each orbit of _orbits mod p, in int64; powers[a] is omega^a
+    for the grid's m-th root of unity omega mod p."""
+    m = len(powers)
     grid = np.arange(m)
-    q = np.expand_dims(p, -1)  # p for each (y, z) point
-    inverse = 1 - powers[..., -grid % m]
-    weyl = inverse[..., :, None] * inverse[..., None, :] % q
-    weyl *= 1 - powers[..., -(grid[:, None] + grid) % m]
-    weyl %= q
+    inverse = 1 - powers[-grid % m]
+    weyl = inverse[:, None] * inverse % p
+    weyl *= 1 - powers[-(grid[:, None] + grid) % m]
+    weyl %= p
     # an orbit sums at most 12 values below 2^31
-    flat = weyl.reshape(*powers.shape[:-1], m * m)[..., perm]
-    return np.add.reduceat(flat, starts, axis=-1) % p
+    return np.add.reduceat(weyl.ravel()[perm], starts) % p
 
 
 def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
@@ -207,50 +198,31 @@ def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
 def _row_bytes(k: int, d: int) -> int:
     """Bytes of one prime's rows for k grades to degree d: an int64 per orbit
     of A2_MAPS on the M^2 grid, M = d + 3, for each row of E (one per
-    multidegree), of P (one per multidegree of at most half the total
-    degree), and of the slab temporaries of one division level or one
+    multidegree), of P (at most one per multidegree of at most half the
+    total degree), and of the slab temporaries of one division level or one
     pairing, with the grid values, at most four times the rows of total
     degree d and eight more."""
     rows = math.comb(d + k, k) + math.comb((d + 1) // 2 + k, k) + 4 * math.comb(d + k - 1, k - 1)
     return 8 * _orbit_count(d + 3) * (rows + 8)
 
 
-def _pass_size(k: int, d: int, primes: int, memory_budget: Optional[int]) -> int:
-    """Primes per pass of the engine: as many of the primes as keep their rows
-    within PASS_BYTES and _estimated_bytes within the memory budget, and at
-    least one.  The estimate is affine in the pass size, so the largest size
-    within the budget is one division."""
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    fixed = _estimated_bytes(k, d, 0)
-    per_prime = _estimated_bytes(k, d, 1) - fixed
-    return max(1, min(primes, PASS_BYTES // _row_bytes(k, d), (budget - fixed) // per_prime))
+def _estimated_bytes(k: int, d: int) -> int:
+    """Bytes the engine holds at its peak for k grades to degree d, with one
+    prime per pass and _orbit_count(d + 3) points.
 
-
-def _estimated_bytes(k: int, d: int, per_pass: int) -> int:
-    """Bytes the engine holds at its peak for k grades to degree d, with
-    per_pass primes in a pass, and _orbit_count(d + 3) points per prime.
-
-    Each prime of a pass holds its _row_bytes.  Enumerating the orbits and
-    summing the Weyl factor over them hold at most twelve int64 per grid
-    point and prime of a pass.  The pairing stores a row of E per pair of P
-    rows, at most twice the P rows times the rows of total degree
-    (d + 1) // 2; the multidegrees are looked up in an int64 per point of
-    the cube [0, d]^k; the multidegree tables and the residues take a few
-    hundred bytes per multidegree.  A wavefront step on a chain holds a
-    grade's K weights and a slice of at most K rows, at most 70 rows for 35
-    weights, which fit in the space the orbit enumeration has freed by
-    then.  A pass holds more than one prime only while their rows fit in
-    PASS_BYTES, so from moderate degrees on a pass is one prime.  The
-    estimate is affine in per_pass.
+    A pass holds its _row_bytes.  Enumerating the orbits and summing the
+    Weyl factor over them hold at most twelve int64 per grid point.  The
+    pairing stores a row of E per pair of P rows, at most twice the P rows
+    times the rows of total degree (d + 1) // 2; the multidegrees are looked
+    up in an int64 per point of the cube [0, d]^k; the multidegree tables
+    and the residues take a few hundred bytes per multidegree.  A wavefront
+    step on a chain holds a grade's K weights and a slice of at most K rows,
+    at most 70 rows for 35 weights, which fit in the space the orbit
+    enumeration has freed by then.
     """
     m, cells, half = d + 3, math.comb(d + k, k), math.comb((d + 1) // 2 + k, k)
     pairs = 2 * half * math.comb((d + 1) // 2 + k - 1, k - 1)
-    return (
-        per_pass * (_row_bytes(k, d) + 96 * m * m)
-        + 8 * (pairs + (d + 1) ** k)
-        + 500 * cells
-        + 16384
-    )
+    return _row_bytes(k, d) + 96 * m * m + 8 * (pairs + (d + 1) ** k) + 500 * cells + 16384
 
 
 def _check_budget(
@@ -310,8 +282,8 @@ def _levels(depth: np.ndarray, source: np.ndarray) -> Union[int, List[tuple]]:
     return levels
 
 
-def _divide(series: np.ndarray, weights: Iterable, levels: Sequence, p: np.ndarray) -> None:
-    """Divide series by prod (1 - t_g w) in place, mod p, the modulus of each column.
+def _divide(series: np.ndarray, weights: Iterable, levels: Sequence, p: int) -> None:
+    """Divide series by prod (1 - t_g w) in place, mod p.
 
     Row i of series holds a multidegree's values at the grid points, and
     levels[g] is _levels of grade g's degrees and sources: the row of each
@@ -355,27 +327,28 @@ def _dimensions(
 
     With P(x) the factor of the weights with x-exponent +1, and P(1/x) that
     of those with -1, CT_x[(1 - 1/x) P(x) P(1/x)] =
-    sum_a P_a P_a - sum_a P_(a+1) P_a.  The rest has (y, z)-exponents in
-    [-max_degree - 2, max_degree], so its average over the grid of M-th
-    roots of unity in F_p, M = max_degree + 3, is its constant term mod p,
-    and enough primes fix it by the Chinese remainder theorem.  Apart from
-    the Weyl factor, that rest is invariant under A2_MAPS, so it is
-    evaluated at one point per orbit of _orbits and weighted by the orbit's
-    sum of the Weyl factor.  The primes run in passes of _pass_size: a
-    pass's columns are its (prime, orbit) pairs, each reduced mod its own
-    prime, so one array operation serves every prime of the pass.
-    Unchecked: every weight exponent is in {-1, 0, 1}, A2_MAPS fixes each
-    grade's weights with each x-exponent, and in each grade the weights with
-    x-exponent -1 have the (y, z) parts, with multiplicity, of those with
-    +1.  Raises MemoryBudgetError, before allocating, if the estimated bytes
-    held with one prime per pass exceed the budget.
+    sum_a P_a P_a - sum_a P_(a+1) P_a, where P_a, the x^a coefficient, has
+    total degree a.  A grade without x-exponent +1 weights contributes
+    nothing to P, so P is held on the multidegrees of total at most
+    (max_degree + 1) // 2 that are 0 in every such grade.  The rest has
+    (y, z)-exponents in [-max_degree - 2, max_degree], so its average over
+    the grid of M-th roots of unity in F_p, M = max_degree + 3, is its
+    constant term mod p, and enough primes fix it by the Chinese remainder
+    theorem, one prime per pass.  Apart from the Weyl factor, that rest is
+    invariant under A2_MAPS, so it is evaluated at one point per orbit of
+    _orbits, a column per orbit, and weighted by the orbit's sum of the
+    Weyl factor.  Unchecked: every weight exponent is in {-1, 0, 1},
+    A2_MAPS fixes each grade's weights with each x-exponent, and in each
+    grade the weights with x-exponent -1 have the (y, z) parts, with
+    multiplicity, of those with +1.  Raises MemoryBudgetError, before
+    allocating, if the estimated bytes held exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     k, m = len(grades), max_degree + 3
 
-    def estimate(d: int) -> int:  # a pass takes more primes only where they fit
-        return _estimated_bytes(k, d, 1)
+    def estimate(d: int) -> int:
+        return _estimated_bytes(k, d)
 
     _check_budget(f"max degree {max_degree}", estimate(max_degree), memory_budget, estimate)
     reps, perm, starts = _orbits(m)
@@ -383,8 +356,7 @@ def _dimensions(
     # the exponent of omega in each weight's (y, z) part at the orbit representatives
     exponents = {w[1:]: (w[1] * rep_y + w[2] * rep_z) % m for ws in grades for w in ws}
     del rep_y, rep_z
-    cells, half = math.comb(max_degree + k, k), math.comb((max_degree + 1) // 2 + k, k)
-    # multidegrees by total degree; those of total t start at row comb(t + k - 1, k)
+    # multidegrees by total degree
     cube = itertools.product(range(max_degree + 1), repeat=k)
     order = sorted((d for d in cube if sum(d) <= max_degree), key=sum)
     degrees = np.array(order).reshape(len(order), k)
@@ -394,60 +366,50 @@ def _dimensions(
     # a row's depth along grade g is d_g; where d_g = 0 the source wraps around, unread
     sources = [row[degrees @ strides - strides[g]] for g in range(k)]
     levels = [_levels(degrees[:, g], sources[g]) for g in range(k)]
-    # the rows of total degree at most (max_degree + 1) // 2 come first
-    half_levels = [_levels(degrees[:half, g], sources[g][:half]) for g in range(k)]
     # (grade, weight) with x-exponent +1 and 0; those with -1 mirror those with +1
     x_up, x_free = ([(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, 0))
+    # P's rows, in E's order: half the total degree at most, 0 in each grade P is free of
+    totals = degrees.sum(axis=1)
+    free_of_p = [g for g in range(k) if all(w[0] != 1 for w in grades[g])]
+    live = np.flatnonzero((totals <= (max_degree + 1) // 2) & ~degrees[:, free_of_p].any(axis=1))
+    position = np.zeros(len(order), dtype=np.int64)  # of each live row in P
+    position[live] = np.arange(len(live))
+    half_levels = [_levels(degrees[live, g], position[sources[g][live]]) for g in range(k)]
+    # P's rows of total s - 1, sign -1, and s, sign +1, in range of P's row of total s
+    p_totals = totals[live]
+    first = np.searchsorted(p_totals, p_totals - 1)
+    middle = np.searchsorted(p_totals, p_totals)
+    last = np.searchsorted(p_totals, np.minimum(p_totals, max_degree - p_totals), side="right")
     pairs = []  # (P row, the P rows it pairs with, how many with sign -1, their rows of E)
-    for a, alpha in enumerate(order[:half]):
-        # the P rows of total sum(alpha) - 1, sign -1, and sum(alpha), sign +1, in range
-        first = math.comb(max(sum(alpha) - 2, -1) + k, k)
-        middle = math.comb(sum(alpha) - 1 + k, k)
-        last = math.comb(min(sum(alpha), max_degree - sum(alpha)) + k, k)
-        if first < last:
-            targets = row[(degrees[first:last] + degrees[a]) @ strides]
-            pairs.append((a, slice(first, last), min(middle, last) - first, targets))
+    for a, (lo, mid, hi) in enumerate(zip(first.tolist(), middle.tolist(), last.tolist())):
+        targets = row[(degrees[live[lo:hi]] + degrees[live[a]]) @ strides]
+        pairs.append((a, slice(lo, hi), mid - lo, targets))
     del row, degrees, sources  # before the passes allocate their rows
-    primes = _crt_primes(sum(map(len, grades)), max_degree)
-    size = _pass_size(k, max_degree, len(primes), memory_budget)
     values, modulus = [0] * len(order), 1
-    # E and P for a pass of size primes; a shorter last pass takes their first columns
-    e_rows = np.zeros((cells, size * len(reps)), dtype=np.int64)
-    p_rows = np.zeros((half, size * len(reps)), dtype=np.int64)
-    for chunk in (primes[i : i + size] for i in range(0, len(primes), size)):
-        p = np.array([q for q, _ in chunk], dtype=np.int64)
-        moduli = np.repeat(p, len(reps))  # the prime of each (prime, orbit) column
-        powers = np.array(
-            [[pow(omega, a, q) for a in range(m)] for q, omega in chunk], dtype=np.int64
-        )
-
-        def at(w):  # y^w[1] z^w[2] at the orbit representatives, prime by prime
-            return powers[:, exponents[w[1:]]].ravel()
-
-        px = p_rows[:, : len(moduli)]
+    e = np.empty((len(order), len(reps)), dtype=np.int64)
+    px = np.empty((len(live), len(reps)), dtype=np.int64)
+    for q, omega in _crt_primes(sum(map(len, grades)), max_degree):
+        powers = np.array([pow(omega, a, q) for a in range(m)], dtype=np.int64)
         px.fill(0)
         px[0] = 1
-        _divide(px, ((g, at(w)) for g, w in x_up), half_levels, moduli)
-        e = e_rows[:, : len(moduli)]
+        _divide(px, ((g, powers[exponents[w[1:]]]) for g, w in x_up), half_levels, q)
         e.fill(0)
         # within one P row the targets are distinct, so each pairing is one update; a
         # term is below 2^31 in size and a row takes fewer than 2^32 of them
         for a, betas, negative, targets in pairs:
             block = px[betas] * px[a]
-            block %= moduli
+            block %= q
             block[:negative] *= -1
             e[targets] += block
-        e %= moduli
-        _divide(e, ((g, at(w)) for g, w in x_free), levels, moduli)
-        e *= _weyl_sums(powers, perm, starts, p[:, None]).ravel()
-        e %= moduli
-        # a row sums fewer than 2^32 values below 2^31 per prime, which int64 holds
-        sums = e.reshape(cells, len(chunk), len(reps)).sum(axis=2) % p
-        scale = np.array([pow(m * m, -1, q) for q, _ in chunk], dtype=np.int64)
-        for q, residues in zip(p.tolist(), (sums * scale % p).T.tolist()):
-            inverse = pow(modulus, -1, q)
-            values = [v + (r - v) * inverse % q * modulus for v, r in zip(values, residues)]
-            modulus *= q
+        e %= q
+        _divide(e, ((g, powers[exponents[w[1:]]]) for g, w in x_free), levels, q)
+        e *= _weyl_sums(powers, perm, starts, q)
+        e %= q
+        # a row sums fewer than 2^32 values below 2^31, which int64 holds
+        residues = e.sum(axis=1) % q * pow(m * m, -1, q) % q
+        inverse = pow(modulus, -1, q)
+        values = [v + (r - v) * inverse % q * modulus for v, r in zip(values, residues.tolist())]
+        modulus *= q
     return {d: v - modulus if 2 * v > modulus else v for d, v in zip(order, values)}
 
 
@@ -526,9 +488,10 @@ def _s3_orbits(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return reps, position[label]
 
 
-def _quadrature_block(max_degree: int, m: int) -> int:
-    """x values per block: as many as hold h_0..h_max_degree at the S3 orbits in PASS_BYTES, at
-    least one."""
+def _quadrature_block(max_degree: int) -> int:
+    """x values per block: as many as hold h_0..h_max_degree at the S3 orbits of the grid of M =
+    max_degree + 3 in PASS_BYTES, at least one."""
+    m = max_degree + 3
     return max(1, min(m // 2, PASS_BYTES // (8 * (max_degree + 1) * _s3_orbit_count(m))))
 
 
@@ -544,7 +507,7 @@ def _quadrature_bytes(max_degree: int) -> int:
     8192 int64 each, and the small tables take under 128 KiB.
     """
     d, m = max_degree, max_degree + 3
-    b = _quadrature_block(d, m)
+    b = _quadrature_block(d)
     return 8 * (d + 3) * b * _s3_orbit_count(m) + 16 * (d + 1) * b + 128 * m * m + (1 << 17)
 
 
@@ -564,15 +527,16 @@ def quadrature_grid(max_degree: int) -> Tuple[int, int, int]:
     return (m, *found)
 
 
-def _slice_sums(max_degree: int, m: int, p: int, omega: int, exponents: np.ndarray) -> np.ndarray:
-    """For each a in exponents, a row of the sums over the M x M grid of (y, z) of
-    (1 - 1/y)(1 - 1/z)(1 - 1/(yz)) h_d(omega^a, y, z) mod p, d = 0..max_degree.  h_d is a
+def _slice_sums(max_degree: int, p: int, omega: int, exponents: np.ndarray) -> np.ndarray:
+    """For each a in exponents, a row of the sums over the M x M grid of (y, z), M = max_degree +
+    3, of (1 - 1/y)(1 - 1/z)(1 - 1/(yz)) h_d(omega^a, y, z) mod p, d = 0..max_degree.  h_d is a
     character, so S3 fixes it: it is evaluated at one point per orbit of _s3_orbits, and
     each orbit weighs its sum of the Weyl part.  A block of x values at a time, dividing 1
     by (1 - t w) for each of the 35 weights, h_d += w h_(d-1) for increasing d, builds
     h_0..h_max_degree at the block's points.  The 17 weights with x-exponent 0 give the same
     values on every x slice, so they divide the block's first slice only, which is then
     copied into the others."""
+    m = max_degree + 3
     # the grid first, so that a grid too large to hold fails before the rest
     reps, inverse = _s3_orbits(m)
     powers = np.array([pow(omega, a, p) for a in range(m)], dtype=np.int64)
@@ -584,7 +548,7 @@ def _slice_sums(max_degree: int, m: int, p: int, omega: int, exponents: np.ndarr
     del i, j, weyl, inverse
     i, j = np.divmod(reps, m)
     yz = {u[1:]: powers[(u[1] * i + u[2] * j) % m] for u in WEIGHTS}
-    size = _quadrature_block(max_degree, m)
+    size = _quadrature_block(max_degree)
     x_free = [u for u in WEIGHTS if u[0] == 0]
     x_weights = [u for u in WEIGHTS if u[0] != 0]
     out = np.empty((len(exponents), max_degree + 1), dtype=np.int64)
@@ -633,7 +597,7 @@ def quadrature_coefficients(max_degree: int, memory_budget: Optional[int] = None
         _quadrature_bytes,
     )
     half = np.arange(1, m // 2 + 1)
-    sums = _slice_sums(max_degree, m, p, omega, half)
+    sums = _slice_sums(max_degree, p, omega, half)
     weights = [2 - pow(omega, a, p) - pow(omega, -a, p) if 2 * a != m else 2 for a in half.tolist()]
     residues = (np.array(weights)[:, None] % p * sums % p).sum(axis=0) % p
     return (residues * pow(m**3, -1, p) % p).tolist()

@@ -32,7 +32,6 @@ from luinv.molien import (
     _levels,
     _orbit_count,
     _orbits,
-    _pass_size,
     _s3_orbit_count,
     _s3_orbits,
     _taylor_head,
@@ -273,10 +272,12 @@ class TestCharacters:
         [
             [[(1, 0, 0), (-1, 0, 0)] + [(0, *r) for r in sorted(ROOTS)]],
             [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)] + [(1, 0, 0), (-1, 0, 0)]],
+            [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)]],
         ],
     )
     def test_x_elimination_at_depth(self, grades):
-        # x-exponents +1, -1 and 0 in every system, far past the hypothesis depth
+        # x-exponents +1, -1 and 0 in every system, far past the hypothesis depth; in the
+        # last the second grade has no weight with x-exponent +1, so P is free of its t
         max_degree = 12
         expected = brute_force_dimensions(grades, max_degree)
         assert len(set(expected.values())) >= 5  # not a trivial answer
@@ -339,10 +340,13 @@ class TestDivide:
         _divide(expected, ((0, np.full(5, 2)) for _ in range(k)), [per_depth_levels(n)], p)
         assert (np.asarray(series) == expected).all()
 
-    @pytest.mark.parametrize("grades, d", [([WEIGHTS], 22), (list(GRADES.values()), 6)])
+    @pytest.mark.parametrize(
+        "grades, d",
+        [([WEIGHTS], 22), (list(GRADES.values()), 6), ([WEIGHTS], 60), (list(GRADES.values()), 12)],
+    )
     def test_one_division_of_p_and_one_of_e_per_pass(self, monkeypatch, grades, d):
         # P(1/x), the factor of the weights with x-exponent -1, is P(x) mirrored,
-        # so no pass divides by those weights
+        # so no pass divides by those weights; a pass is one CRT prime
         calls, passes = [], []
 
         def spy(series, weights, levels, p):
@@ -359,7 +363,23 @@ class TestDivide:
         _dimensions(grades, d, None)
         up = sum(w[0] == 1 for ws in grades for w in ws)
         free = sum(w[0] == 0 for ws in grades for w in ws)
+        assert [p for *_, p in passes] == [q for q, _ in _crt_primes(len(WEIGHTS), d)]
         assert calls == [up, free] * len(passes)
+
+    @pytest.mark.parametrize("d, p_rows", [(0, 1), (1, 3), (12, 28), (13, 36)])
+    def test_p_holds_only_the_rows_free_of_the_qutrit_degree(self, monkeypatch, d, p_rows):
+        # the qutrit grade has no weight with x-exponent +1, so P's rows are the
+        # (qubit, corr) degrees of total at most (d + 1) // 2, comb((d + 1) // 2 + 2, 2)
+        rows = []
+
+        def spy(series, weights, levels, p):
+            rows.append(len(series))
+            return _divide(series, weights, levels, p)
+
+        monkeypatch.setattr(molien, "_divide", spy)
+        poincare_multigraded(d)
+        assert p_rows == math.comb((d + 1) // 2 + 2, 2)
+        assert rows == [p_rows, math.comb(d + 3, 3)] * (len(rows) // 2)
 
     def test_one_grade_divides_chains(self, monkeypatch):
         kinds = []
@@ -375,31 +395,6 @@ class TestDivide:
         kinds.clear()
         _dimensions(list(GRADES.values()), 6, None)
         assert kinds == [list] * 6
-
-
-class TestPasses:
-    @pytest.mark.parametrize("tags, d", [(None, 22), (None, 60), (tuple(GRADES), 12)])
-    def test_one_pass_equals_a_prime_per_pass(self, monkeypatch, tags, d):
-        grades = [WEIGHTS] if tags is None else [GRADES[t] for t in tags]
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return _weyl_sums(*args)
-
-        monkeypatch.setattr(molien, "_weyl_sums", spy)
-        primes = len(_crt_primes(len(WEIGHTS), d))
-        assert primes > 1
-        batched = _dimensions(grades, d, None)
-        assert len(calls) == 1  # every prime in one pass under the default budget
-        for size in range(1, primes):
-            # a budget that holds a pass of size primes and no more; at size 1 every
-            # prime runs alone, and a shorter last pass takes the first columns
-            budget = _estimated_bytes(len(grades), d, size)
-            assert _estimated_bytes(len(grades), d, size + 1) > budget
-            calls.clear()
-            assert _dimensions(grades, d, budget) == batched
-            assert len(calls) == -(-primes // size)
 
 
 #: The primes up to the square root of 2^31, for trial division.
@@ -662,8 +657,7 @@ class TestSeries:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            size = _pass_size(len(grades), d, len(_crt_primes(len(WEIGHTS), d)), None)
-            assert peak <= _estimated_bytes(len(grades), d, size), (d, peak)
+            assert peak <= _estimated_bytes(len(grades), d), (d, peak)
 
 
 class TestQuadrature:
@@ -687,7 +681,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("max_degree", [4, 5])  # grids 7 and 8: odd and even
     def test_folded_slices_equal_the_full_x_grid(self, max_degree):
         m, p, omega = quadrature_grid(max_degree)
-        sums = _slice_sums(max_degree, m, p, omega, np.arange(m))
+        sums = _slice_sums(max_degree, p, omega, np.arange(m))
         assert (sums[1:] == sums[:0:-1]).all()  # slice M - a equals slice a
         full = sum((1 - pow(omega, -a, p)) * sums[a].astype(object) for a in range(m))
         expected = [v * pow(m**3, -1, p) % p for v in full]
