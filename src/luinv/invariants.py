@@ -44,7 +44,6 @@ forms take one exact state, not a stack.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -58,6 +57,7 @@ from luinv.states import (
     _gram_state,
     _local_unitary,
     _normals,
+    _seeded,
     apply_local_unitary,
     decompose_state,
     kron,
@@ -236,10 +236,7 @@ def invariance_battery(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if seed < 0:
-        # random.Random would fold a negative seed onto its absolute value
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     max_dev, worst_trial, worst_component = 0.0, 0, COMPONENTS[0]
     for start in range(0, trials, BATTERY_CHUNK):
         n = min(BATTERY_CHUNK, trials - start)

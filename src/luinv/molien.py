@@ -55,6 +55,7 @@ against the tabulated closed form in luinv.reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,9 +85,8 @@ WEIGHTS: Tuple[Weight, ...] = sum(GRADES.values(), ())
 
 #: Default cap on the engine's estimated bytes held (1 GiB).
 DEFAULT_MEMORY_BUDGET = 1 << 30
-#: Bytes of rows one quadrature block may hold (4 MiB): a block takes as many
-#: x values as fit in it.
-PASS_BYTES = 1 << 22
+#: Bytes of h_0..h_max_degree one quadrature block of x values may hold (4 MiB).
+BLOCK_BYTES = 1 << 22
 
 MULTIGRADED_NOTE = (
     "multigraded dimensions are engine output only; unlike the single-graded "
@@ -195,42 +195,46 @@ def _crt_primes(weights: int, max_degree: int) -> List[Tuple[int, int]]:
     return primes
 
 
-def _row_bytes(k: int, d: int) -> int:
-    """Bytes of one prime's rows for k grades to degree d: an int64 per orbit
-    of A2_MAPS on the M^2 grid, M = d + 3, for each row of E (one per
-    multidegree), of P (at most one per multidegree of at most half the
-    total degree), and of the slab temporaries of one division level or one
-    pairing, with the grid values, at most four times the rows of total
-    degree d and eight more."""
-    rows = math.comb(d + k, k) + math.comb((d + 1) // 2 + k, k) + 4 * math.comb(d + k - 1, k - 1)
-    return 8 * _orbit_count(d + 3) * (rows + 8)
+def _free_of_p(grades: Sequence[Sequence[Weight]]) -> List[int]:
+    """The grades without a weight of x-exponent +1: P, the factor of those, is free of their t."""
+    return [g for g, ws in enumerate(grades) if all(w[0] != 1 for w in ws)]
 
 
-def _estimated_bytes(k: int, d: int) -> int:
-    """Bytes the engine holds at its peak for k grades to degree d, with one
-    prime per pass and _orbit_count(d + 3) points.
+def _p_rows(grades: Sequence[Sequence[Weight]], d: int) -> int:
+    """P's rows to degree d: comb((d + 1) // 2 + u, u), u the grades outside _free_of_p."""
+    u = len(grades) - len(_free_of_p(grades))
+    return math.comb((d + 1) // 2 + u, u)
 
-    A pass holds its _row_bytes.  Enumerating the orbits and summing the
-    Weyl factor over them hold at most twelve int64 per grid point.  The
-    pairing stores a row of E per pair of P rows, at most twice the P rows
-    times the rows of total degree (d + 1) // 2; the multidegrees are looked
-    up in an int64 per point of the cube [0, d]^k; the multidegree tables
-    and the residues take a few hundred bytes per multidegree.  A wavefront
-    step on a chain holds a grade's K weights and a slice of at most K rows,
-    at most 70 rows for 35 weights, which fit in the space the orbit
-    enumeration has freed by then.
+
+def _estimated_bytes(grades: Sequence[Sequence[Weight]], d: int) -> int:
+    """Bytes the engine holds at its peak for grades to degree d, with one prime per pass and
+    _orbit_count(d + 3) points.
+
+    A pass holds an int64 per point for each row of E (one per multidegree), of P (_p_rows) and
+    of the slab temporaries of one division level or one pairing, with the grid values, at most
+    four times the rows of total degree d and eight more.  Enumerating the orbits and summing
+    the Weyl factor over them hold at most twelve int64 per grid point.  The pairing stores a
+    row of E per pair: a P row pairs with those of its total and one less, at most twice the P
+    rows of total (d + 1) // 2, or, if it is P's only row, with itself.  The multidegrees are
+    looked up in an int64 per point of the cube [0, d]^k; the multidegree tables and the
+    residues take a few hundred bytes per multidegree.  A wavefront step on a chain holds a
+    grade's K weights and a slice of at most K rows, at most 70 rows for 35 weights, which fit
+    in the space the orbit enumeration has freed by then.
     """
-    m, cells, half = d + 3, math.comb(d + k, k), math.comb((d + 1) // 2 + k, k)
-    pairs = 2 * half * math.comb((d + 1) // 2 + k - 1, k - 1)
-    return _row_bytes(k, d) + 96 * m * m + 8 * (pairs + (d + 1) ** k) + 500 * cells + 16384
+    k, m, p_rows = len(grades), d + 3, _p_rows(grades, d)
+    u, cells = k - len(_free_of_p(grades)), math.comb(d + k, k)
+    pairs = 2 * p_rows * math.comb((d + 1) // 2 + u - 1, u - 1) if u else 1
+    rows = cells + p_rows + 4 * math.comb(d + k - 1, k - 1) + 8
+    return 8 * (_orbit_count(m) * rows + pairs + (d + 1) ** k) + 96 * m * m + 500 * cells + 16384
 
 
 def _check_budget(
-    what: str, need: int, memory_budget: Optional[int], estimate: Callable[[int], int]
+    what: str, max_degree: int, memory_budget: Optional[int], estimate: Callable[[int], int]
 ) -> None:
-    """Raise MemoryBudgetError if need bytes exceed the budget, naming the largest max degree
-    whose estimate fits (they fit up to some degree): double it until it fails, then bisect."""
+    """Raise MemoryBudgetError if estimate(max_degree) bytes exceed the budget, naming the largest
+    max degree whose estimate fits (they fit up to some degree): doubling, then bisection."""
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    need = estimate(max_degree)
     if need <= budget:
         return
     lo, hi = -1, 1
@@ -346,11 +350,8 @@ def _dimensions(
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     k, m = len(grades), max_degree + 3
-
-    def estimate(d: int) -> int:
-        return _estimated_bytes(k, d)
-
-    _check_budget(f"max degree {max_degree}", estimate(max_degree), memory_budget, estimate)
+    estimate = functools.partial(_estimated_bytes, grades)
+    _check_budget(f"max degree {max_degree}", max_degree, memory_budget, estimate)
     reps, perm, starts = _orbits(m)
     rep_y, rep_z = np.divmod(reps, m)
     # the exponent of omega in each weight's (y, z) part at the orbit representatives
@@ -370,7 +371,7 @@ def _dimensions(
     x_up, x_free = ([(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, 0))
     # P's rows, in E's order: half the total degree at most, 0 in each grade P is free of
     totals = degrees.sum(axis=1)
-    free_of_p = [g for g in range(k) if all(w[0] != 1 for w in grades[g])]
+    free_of_p = _free_of_p(grades)
     live = np.flatnonzero((totals <= (max_degree + 1) // 2) & ~degrees[:, free_of_p].any(axis=1))
     position = np.zeros(len(order), dtype=np.int64)  # of each live row in P
     position[live] = np.arange(len(live))
@@ -489,10 +490,10 @@ def _s3_orbits(m: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _quadrature_block(max_degree: int) -> int:
-    """x values per block: as many as hold h_0..h_max_degree at the S3 orbits of the grid of M =
-    max_degree + 3 in PASS_BYTES, at least one."""
+    """x values per quadrature block: as many as hold h_0..h_max_degree at the S3 orbits of the
+    grid of M = max_degree + 3 in BLOCK_BYTES, at least one."""
     m = max_degree + 3
-    return max(1, min(m // 2, PASS_BYTES // (8 * (max_degree + 1) * _s3_orbit_count(m))))
+    return max(1, min(m // 2, BLOCK_BYTES // (8 * (max_degree + 1) * _s3_orbit_count(m))))
 
 
 def _quadrature_bytes(max_degree: int) -> int:
@@ -590,12 +591,8 @@ def quadrature_coefficients(max_degree: int, memory_budget: Optional[int] = None
     weighs 0).  Raises MemoryBudgetError, before allocating, over the
     budget."""
     m, p, omega = quadrature_grid(max_degree)
-    _check_budget(
-        f"quadrature at max degree {max_degree} on a grid of size {m}",
-        _quadrature_bytes(max_degree),
-        memory_budget,
-        _quadrature_bytes,
-    )
+    what = f"quadrature at max degree {max_degree} on a grid of size {m}"
+    _check_budget(what, max_degree, memory_budget, _quadrature_bytes)
     half = np.arange(1, m // 2 + 1)
     sums = _slice_sums(max_degree, p, omega, half)
     weights = [2 - pow(omega, a, p) - pow(omega, -a, p) if 2 * a != m else 2 for a in half.tolist()]

@@ -241,6 +241,13 @@ def _gram_state(g: np.ndarray) -> np.ndarray:
     return embed(gram.real, gram.imag)
 
 
+def _seeded(seed: int) -> random.Random:
+    """random.Random(seed), refusing a negative seed, which it folds, or a non-integer one."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return random.Random(seed)
+
+
 def random_state(seed: int, kind: str = "rational") -> np.ndarray:
     """Deterministic random density matrix from the stream random.Random(seed).
 
@@ -248,7 +255,7 @@ def random_state(seed: int, kind: str = "rational") -> np.ndarray:
     A, so the result is exactly positive semidefinite with unit trace.
     kind="psd_float": the same construction from a complex Ginibre draw.
     """
-    rng = random.Random(seed)
+    rng = _seeded(seed)
     if kind == "rational":
         while True:
             draws = [rng.randint(-3, 3) for _ in range(72)]  # (re, im) of each entry in turn

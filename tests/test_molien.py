@@ -32,6 +32,7 @@ from luinv.molien import (
     _levels,
     _orbit_count,
     _orbits,
+    _p_rows,
     _s3_orbit_count,
     _s3_orbits,
     _taylor_head,
@@ -381,6 +382,25 @@ class TestDivide:
         assert p_rows == math.comb((d + 1) // 2 + 2, 2)
         assert rows == [p_rows, math.comb(d + 3, 3)] * (len(rows) // 2)
 
+    @pytest.mark.parametrize(
+        "grades", [[WEIGHTS], list(GRADES.values()), [[]]], ids=["weights", "grades", "empty"]
+    )
+    @pytest.mark.parametrize("d", [0, 1, 12, 13])
+    def test_each_pass_divides_the_estimated_p_rows(self, monkeypatch, grades, d):
+        # each pass divides P first, on exactly the rows _estimated_bytes counts for P:
+        # every half-degree row of one grade, the qutrit-free ones of GRADES, and the
+        # single row 1 of a grade with no weights
+        rows = []
+
+        def spy(series, weights, levels, p):
+            rows.append(len(series))
+            return _divide(series, weights, levels, p)
+
+        monkeypatch.setattr(molien, "_divide", spy)
+        _dimensions(grades, d, None)
+        passes = len(_crt_primes(sum(map(len, grades)), d))
+        assert rows[::2] == [_p_rows(grades, d)] * passes
+
     def test_one_grade_divides_chains(self, monkeypatch):
         kinds = []
 
@@ -646,7 +666,7 @@ class TestSeries:
         assert verify_theorem(poincare_coefficients(230)).checks["theorem_match"]
 
     @pytest.mark.parametrize(
-        "tags, degrees", [(None, (0, 3, 12, 35, 110)), (tuple(GRADES), (0, 3, 8, 20))]
+        "tags, degrees", [(None, (0, 3, 12, 35, 110)), (tuple(GRADES), (0, 3, 8, 20, 30))]
     )
     def test_estimate_bounds_the_traced_peak(self, tags, degrees):
         grades = [WEIGHTS] if tags is None else [GRADES[t] for t in tags]
@@ -657,7 +677,7 @@ class TestSeries:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= _estimated_bytes(len(grades), d), (d, peak)
+            assert peak <= _estimated_bytes(grades, d), (d, peak)
 
 
 class TestQuadrature:

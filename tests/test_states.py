@@ -368,6 +368,13 @@ class TestRandomStates:
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(random_state(1, "rational"), random_state(2, "rational"))
 
+    @pytest.mark.parametrize("kind", ["rational", "psd_float"])
+    @pytest.mark.parametrize("seed", [-3, 3.0, "3"])
+    def test_negative_or_non_integer_seed_rejected(self, kind, seed):
+        # random.Random(-3) would draw the stream of seed 3, and it hashes 3.0 and "3"
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            random_state(seed, kind)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             random_state(0, "bogus")
