@@ -5,8 +5,9 @@ modes require an explicit seed) and follows one exit-code contract: 0
 for success or all checks passing, 1 for a verification failure, 2 for
 usage or resource errors.  Each builds its result once, and ``_emit``,
 the one place that reads ``--format``, prints it: json is the whole
-payload with a versioned "schema" field, csv one table with its header
-(verify's leaves out first_mismatch and max_residual), plain a few lines.
+payload on one line with a versioned "schema" field, csv one table with
+its header (verify's leaves out first_mismatch and max_residual), plain a
+few lines; multigraded builds its csv rows or plain lines only when printed.
 verify --with-quadrature runs the quadrature before the series engine, so
 a degree over the memory budget is refused before any work.
 """
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,12 +36,13 @@ from luinv.molien import (
 from luinv.states import decompose_state, random_state, state_from_json
 
 
-def _emit(fmt: str, payload: dict, table: List[Sequence], plain: List[str]) -> None:
-    """Print the payload as json, the table as csv, or the plain lines."""
+def _emit(fmt: str, payload: dict, table: Iterable[Sequence], plain: Iterable[str]) -> None:
+    """Print the payload as compact json, the table as csv, or the plain lines; of table and
+    plain, only the chosen one is read."""
     if fmt == "json":
-        lines = [json.dumps(payload, sort_keys=True, indent=2)]
+        lines: Iterable[str] = [json.dumps(payload, sort_keys=True)]
     elif fmt == "csv":
-        lines = [",".join(str(v) for v in row) for row in table]
+        lines = (",".join(str(v) for v in row) for row in table)
     else:
         lines = plain
     print("\n".join(lines))
@@ -180,12 +183,14 @@ def cmd_multigraded(args) -> int:
             "row_sums_match": consistent,
             "note": MULTIGRADED_NOTE,
         },
-        [("d1", "d2", "d3", "dimension"), *((*k, v) for k, v in entries)],
-        [
-            *(f"{d1} {d2} {d3} {value}" for (d1, d2, d3), value in entries),
-            f"row sums consistent with series: {'yes' if consistent else 'NO'}",
-            f"note: {MULTIGRADED_NOTE}",
-        ],
+        itertools.chain([("d1", "d2", "d3", "dimension")], ((*k, v) for k, v in entries)),
+        itertools.chain(
+            (f"{d1} {d2} {d3} {value}" for (d1, d2, d3), value in entries),
+            [
+                f"row sums consistent with series: {'yes' if consistent else 'NO'}",
+                f"note: {MULTIGRADED_NOTE}",
+            ],
+        ),
     )
     return 0 if consistent else 1
 

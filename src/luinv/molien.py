@@ -30,14 +30,19 @@ about a twelfth of the grid, and weights each orbit by its sum of the
 Weyl factor.  The engine assumes both symmetries of its grades,
 unchecked, and every exponent in {-1, 0, 1}: in GRADES these weights are
 copies of the zero weight and the six roots.  There dividing by
-(1 - t w) is the update G[d] += w * G[d-1] on int64 rows.  With one
-grade the rows form a chain, and the K weights cross it as a wavefront
-(Lamport's hyperplane method): row d takes weight k at step k + d, so
-each of the K + n - 2 steps is one array operation on a slice of rows.
-A few primes joined by the Chinese remainder theorem give the integers,
-one prime per pass, a column per orbit.  Giving each subspace its own t
-yields the multigraded table from the same update, one array operation
-per weight and level of rows.
+(1 - t w) is the update G[d] += w * G[d-1] on int64 rows, and the K
+weights of one grade cross the rows as a wavefront (Lamport's hyperplane
+method): a row at depth L along that grade takes weight k at step k + L,
+so each of the K + L - 1 steps is one array operation, on a slice of
+rows where they form a chain and on index arrays otherwise.  A few
+primes joined by the Chinese remainder theorem give the integers, one
+prime per pass, a column per orbit.  Giving each subspace its own t
+yields the multigraded table from the same update.  A grade with no
+weight of x-exponent +1, such as the qutrit part, has none of -1 either,
+so its factor F is free of x: the engine holds E, the paired P times the
+x-exponent 0 weights of the other grades, on those grades' multidegrees
+only, F on the free grades' multidegrees, and sums E F against the Weyl
+factor at the end.  With one grade F is the row 1.
 
 An exact quadrature, with no x constant-term identity, root maps or
 Chinese remainder theorem, cross-checks the engine mod one prime, with
@@ -58,6 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -210,22 +216,38 @@ def _estimated_bytes(grades: Sequence[Sequence[Weight]], d: int) -> int:
     """Bytes the engine holds at its peak for grades to degree d, with one prime per pass and
     _orbit_count(d + 3) points.
 
-    A pass holds an int64 per point for each row of E (one per multidegree), of P (_p_rows) and
-    of the slab temporaries of one division level or one pairing, with the grid values, at most
-    four times the rows of total degree d and eight more.  Enumerating the orbits and summing
-    the Weyl factor over them hold at most twelve int64 per grid point.  The pairing stores a
-    row of E per pair: a P row pairs with those of its total and one less, at most twice the P
-    rows of total (d + 1) // 2, or, if it is P's only row, with itself.  The multidegrees are
-    looked up in an int64 per point of the cube [0, d]^k; the multidegree tables and the
-    residues take a few hundred bytes per multidegree.  A wavefront step on a chain holds a
-    grade's K weights and a slice of at most K rows, at most 70 rows for 35 weights, which fit
-    in the space the orbit enumeration has freed by then.
+    With u grades outside _free_of_p and f in it, a pass holds an int64 per point for each row
+    of E (comb(d + u, u)), of P (_p_rows) and of F (comb(d + f, f)), for the temporaries of one
+    pairing, three times the most P rows a P row pairs with, and for five more: the
+    contraction's limbs and the Weyl sums.  A P row pairs with those of its total and one
+    less, at most twice the P rows of total (d + 1) // 2, or, if it is P's only row, with
+    itself, and the pairing stores a row of E per pair.  A wavefront step on index arrays,
+    when E's or F's multidegrees span two grades or more, holds three temporaries of at most
+    one run of weights' depths, each with at most as many rows as the multidegrees of total
+    d - 1 in the other grades, and its index arrays take three int64 per row and weight of
+    the run.  A step on a chain holds a run's stacked weights and a slice of at most as many
+    rows, at most 70 rows for 35 weights, which with the nine (y, z) parts' exponents and
+    values fit in the space that enumerating the orbits, and summing the Weyl factor over
+    them, frees: twelve int64 per grid point.  The multidegrees are looked up in an int64 per
+    point of the cube [0, d]^k; their tables and the residues take a few hundred bytes per
+    multidegree.
     """
     k, m, p_rows = len(grades), d + 3, _p_rows(grades, d)
-    u, cells = k - len(_free_of_p(grades)), math.comb(d + k, k)
-    pairs = 2 * p_rows * math.comb((d + 1) // 2 + u - 1, u - 1) if u else 1
-    rows = cells + p_rows + 4 * math.comb(d + k - 1, k - 1) + 8
-    return 8 * (_orbit_count(m) * rows + pairs + (d + 1) ** k) + 96 * m * m + 500 * cells + 16384
+    free = _free_of_p(grades)
+    u, f, cells = k - len(free), len(free), math.comb(d + k, k)
+    partners = 2 * math.comb((d + 1) // 2 + u - 1, u - 1) if u else 1
+    rows = math.comb(d + u, u) + p_rows + math.comb(d + f, f) + 3 * partners + 5
+    steps = 0  # bytes of the steps' index arrays
+    for j, side in ((u, [g for g in range(k) if g not in free]), (f, free)):
+        if j > 1:
+            weights = [w for g in side for w in grades[g] if w[0] != -1]
+            run = max(sum(w[0] == s for w in grades[g]) for g in side for s in (1, 0))
+            rows += 3 * run * math.comb(d + j - 2, j - 1)
+            steps += 24 * len(weights) * math.comb(d + j, j)
+    return (
+        8 * (_orbit_count(m) * rows + p_rows * partners + (d + 1) ** k)
+        + steps + 96 * m * m + 500 * cells + 16384
+    )
 
 
 def _check_budget(
@@ -258,16 +280,39 @@ def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
     """Primes p = k*m + 1 < 2^31, largest first, each with an element of order m.
 
     The element is the first c^((p - 1)/m), c = 2, 3, ..., whose (m/q)-th
-    power is not 1 for any prime q dividing m.
+    power is not 1 for any prime q dividing m.  Each is searched for once per
+    m in a process: the quadrature's grid, its check and the engine's primes
+    all read one list, which grows only when a reader needs the next prime.
     """
-    if m > 2**31 - 2:  # no such p, and factoring m would take sqrt(m) steps
-        return
-    root = math.isqrt(m)  # a divisor of m above its root is the cofactor of one below
-    factors = {q for d in range(1, root + 1) if m % d == 0 for q in (d, m // d) if _is_prime(q)}
-    for p in range((2**31 - 2) // m * m + 1, m, -m):
-        if _is_prime(p):
-            roots = (pow(c, (p - 1) // m, p) for c in range(2, p))
-            yield p, next(w for w in roots if all(pow(w, m // q, p) != 1 for q in factors))
+    found, search = _prime_list(m)
+    for i in itertools.count():
+        with _PRIME_LOCK:  # two threads must not advance one search at once
+            if i == len(found):
+                prime = next(search, None)
+                if prime is None:
+                    return
+                found.append(prime)
+        yield found[i]
+
+
+_PRIME_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_list(m: int) -> Tuple[List[Tuple[int, int]], Iterator[Tuple[int, int]]]:
+    """The grid primes of m found so far, and the search for the rest."""
+
+    def search() -> Iterator[Tuple[int, int]]:
+        if m > 2**31 - 2:  # no such p, and factoring m would take sqrt(m) steps
+            return
+        root = math.isqrt(m)  # a divisor of m above its root is the cofactor of one below
+        factors = {q for d in range(1, root + 1) if m % d == 0 for q in (d, m // d) if _is_prime(q)}
+        for p in range((2**31 - 2) // m * m + 1, m, -m):
+            if _is_prime(p):
+                roots = (pow(c, (p - 1) // m, p) for c in range(2, p))
+                yield p, next(w for w in roots if all(pow(w, m // q, p) != 1 for q in factors))
+
+    return [], search()
 
 
 def _levels(depth: np.ndarray, source: np.ndarray) -> Union[int, List[tuple]]:
@@ -286,39 +331,82 @@ def _levels(depth: np.ndarray, source: np.ndarray) -> Union[int, List[tuple]]:
     return levels
 
 
-def _divide(series: np.ndarray, weights: Iterable, levels: Sequence, p: int) -> None:
+def _steps(levels: Union[int, List[tuple]], k: int) -> List[tuple]:
+    """The wavefront of a run of k weights along one grade, levels its _levels: (rows, sources,
+    weights) for each step, slices on a chain and index arrays otherwise.
+
+    The update series[i] += w * series[source], for increasing i, only adds, and a row at depth
+    L reads only a row at depth L - 1, so a row at depth L takes weight j at step j + L, from
+    values of the step before (Lamport's hyperplane method): each of the k + L - 1 steps, L the
+    deepest depth, updates the rows of at most k consecutive depths.  weights index the run's
+    values stacked last first.
+    """
+    chain = isinstance(levels, int)
+    depths = levels - 1 if chain else len(levels)
+    if not chain and depths:
+        # the rows and sources of depths lo..hi run from bounds[lo - 1] to bounds[hi]
+        sizes = [len(rows) for rows, _ in levels]
+        rows, sources = (np.concatenate(part) for part in zip(*levels))
+        depth = np.repeat(np.arange(1, depths + 1), sizes)
+        bounds = np.cumsum([0, *sizes]).tolist()
+    steps = []
+    for step in range(1, k + depths if depths > 0 else 1):
+        lo, hi = max(1, step - k + 1), min(depths, step)
+        if chain:
+            # rows lo..hi take weights step - lo down to step - hi
+            steps.append(
+                (slice(lo, hi + 1), slice(lo - 1, hi), slice(k - 1 - step + lo, k - step + hi))
+            )
+        else:
+            run = slice(bounds[lo - 1], bounds[hi])
+            steps.append((rows[run], sources[run], depth[run] + (k - 1 - step)))
+    return steps
+
+
+def _divide(series: np.ndarray, runs: Iterable[Tuple[np.ndarray, List[tuple]]], p: int) -> None:
     """Divide series by prod (1 - t_g w) in place, mod p.
 
-    Row i of series holds a multidegree's values at the grid points, and
-    levels[g] is _levels of grade g's degrees and sources: the row of each
-    multidegree less one in grade g.  weights yields (g, values of w at the
-    points).  The update series[i] += w * series[source], for increasing
-    i, only adds; a row at depth L along grade g's chain reads only a row
-    at depth L - 1, so on index-array levels each depth is one update of
-    all its rows, weight by weight.  On a chain of n rows, the K weights of
-    a run of one grade go as a wavefront: row r takes weight k at step
-    k + r, from values of the step before, so each of the K + n - 2 steps
-    is one update of a slice of rows.
+    Row i of series holds a multidegree's values at the grid points.  runs yields, for each run
+    of weights of one grade, their values at the points stacked last first and the run's _steps
+    along that grade; each step is one update of its rows, slices and index arrays alike.
     """
-    for g, run in itertools.groupby(weights, key=lambda gw: gw[0]):
-        if isinstance(levels[g], int):
-            stack = np.stack([w for _, w in run][::-1])  # the last weight first
-            k, n = len(stack), levels[g]
-            for step in range(1, k + n - 1 if n > 1 else 1):
-                lo, hi = max(1, step - k + 1), min(n - 1, step)
-                # stack[i] is weight k - 1 - i: rows lo..hi take weights step - lo down to step - hi
-                block = stack[k - 1 - step + lo : k - step + hi] * series[lo - 1 : hi]
-                block += series[lo : hi + 1]
-                block %= p
-                series[lo : hi + 1] = block
-        else:
-            for _, w in run:
-                for rows, src in levels[g]:
-                    block = series[src]
-                    block *= w
-                    block += series[rows]
-                    block %= p
-                    series[rows] = block
+    for values, steps in runs:
+        for rows, src, take in steps:
+            block = values[take] * series[src]
+            block += series[rows]
+            block %= p
+            series[rows] = block
+
+
+def _contract(e: np.ndarray, f: np.ndarray, counts: Sequence[int], p: int) -> np.ndarray:
+    """e[:counts[j]] @ f[j] mod p for each row j of f, one after another in one array, exactly,
+    for int64 entries in [0, p), p < 2^31.  f goes in limbs of b = 32 - bit_length(n) bits, n
+    its columns, most significant first, so that a sum of n products, below n 2^31 2^b <= 2^63,
+    fits int64; no temporary has e's size."""
+    bits = 32 - f.shape[1].bit_length()
+    ends = np.cumsum(counts).tolist()
+    out = np.zeros(ends[-1], dtype=np.int64)
+    limb = np.empty_like(out)
+    for shift in range(30 // bits * bits, -1, -bits):
+        part = f >> shift & (1 << bits) - 1
+        for j, (end, count) in enumerate(zip(ends, counts)):
+            np.matmul(e[:count], part[j], out=limb[end - count : end])
+        out <<= bits  # below 2^(31 + b) <= 2^62
+        out += limb % p
+        out %= p
+    return out
+
+
+def _multidegrees(k: int, max_degree: int) -> List[Tuple[int, ...]]:
+    """The multidegrees of k grades of total at most max_degree, by total degree and
+    lexicographically within one."""
+    by_total = [[(s,)] for s in range(max_degree + 1)] if k else [[()]]
+    for _ in range(k - 1):
+        by_total = [
+            [(a, *rest) for a in range(s + 1) for rest in by_total[s - a]]
+            for s in range(max_degree + 1)
+        ]
+    return list(itertools.chain.from_iterable(by_total))
 
 
 def _dimensions(
@@ -332,20 +420,25 @@ def _dimensions(
     With P(x) the factor of the weights with x-exponent +1, and P(1/x) that
     of those with -1, CT_x[(1 - 1/x) P(x) P(1/x)] =
     sum_a P_a P_a - sum_a P_(a+1) P_a, where P_a, the x^a coefficient, has
-    total degree a.  A grade without x-exponent +1 weights contributes
-    nothing to P, so P is held on the multidegrees of total at most
-    (max_degree + 1) // 2 that are 0 in every such grade.  The rest has
-    (y, z)-exponents in [-max_degree - 2, max_degree], so its average over
-    the grid of M-th roots of unity in F_p, M = max_degree + 3, is its
-    constant term mod p, and enough primes fix it by the Chinese remainder
-    theorem, one prime per pass.  Apart from the Weyl factor, that rest is
-    invariant under A2_MAPS, so it is evaluated at one point per orbit of
-    _orbits, a column per orbit, and weighted by the orbit's sum of the
-    Weyl factor.  Unchecked: every weight exponent is in {-1, 0, 1},
-    A2_MAPS fixes each grade's weights with each x-exponent, and in each
-    grade the weights with x-exponent -1 have the (y, z) parts, with
-    multiplicity, of those with +1.  Raises MemoryBudgetError, before
-    allocating, if the estimated bytes held exceed the budget.
+    total degree a.  A grade without x-exponent +1 weights, one of
+    _free_of_p, has no x-exponent -1 weight either, so its factor F is free
+    of x and G = E F at every point: E, the pairing times the other grades'
+    x-exponent 0 weights, is held on the multidegrees of total at most
+    max_degree in those other grades, by total degree, P on E's prefix of
+    total at most (max_degree + 1) // 2, and F on the free grades'
+    multidegrees.  The rest has (y, z)-exponents in [-max_degree - 2,
+    max_degree], so its average over the grid of M-th roots of unity in
+    F_p, M = max_degree + 3, is its constant term mod p, and enough primes
+    fix it by the Chinese remainder theorem, one prime per pass.  Apart
+    from the Weyl factor, that rest is invariant under A2_MAPS, so it is
+    evaluated at one point per orbit of _orbits, a column per orbit, and
+    each residue is sum_orbits weyl E[delta_E] F[delta_F] over E's prefix
+    of total at most max_degree - |delta_F|.  Unchecked: every weight
+    exponent is in {-1, 0, 1}, A2_MAPS fixes each grade's weights with
+    each x-exponent, and in each grade the weights with x-exponent -1 have
+    the (y, z) parts, with multiplicity, of those with +1.  Raises
+    MemoryBudgetError, before allocating, if the estimated bytes held
+    exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -354,46 +447,65 @@ def _dimensions(
     _check_budget(f"max degree {max_degree}", max_degree, memory_budget, estimate)
     reps, perm, starts = _orbits(m)
     rep_y, rep_z = np.divmod(reps, m)
-    # the exponent of omega in each weight's (y, z) part at the orbit representatives
-    exponents = {w[1:]: (w[1] * rep_y + w[2] * rep_z) % m for ws in grades for w in ws}
+    # the exponent of omega in each distinct (y, z) part of a weight at the orbit representatives
+    parts = list(dict.fromkeys(w[1:] for ws in grades for w in ws))
+    exponents = np.array([(y * rep_y + z * rep_z) % m for y, z in parts], dtype=np.int64)
     del rep_y, rep_z
-    # multidegrees by total degree
-    cube = itertools.product(range(max_degree + 1), repeat=k)
-    order = sorted((d for d in cube if sum(d) <= max_degree), key=sum)
-    degrees = np.array(order).reshape(len(order), k)
+    free = _free_of_p(grades)
+    keys = _multidegrees(k, max_degree)
+    degrees = np.array(keys, dtype=np.int64).reshape(len(keys), k)
+    # E's multidegrees are 0 in the free grades and F's in the others, each by total degree; they
+    # meet only at 0, row 0 of both, so one lookup over the cube [0, max_degree]^k finds either
     strides = (max_degree + 1) ** np.arange(k - 1, -1, -1)
+    cube = degrees @ strides
     row = np.zeros((max_degree + 1) ** k, dtype=np.int64)  # by index in the cube
-    row[degrees @ strides] = np.arange(len(order))
-    # a row's depth along grade g is d_g; where d_g = 0 the source wraps around, unread
-    sources = [row[degrees @ strides - strides[g]] for g in range(k)]
-    levels = [_levels(degrees[:, g], sources[g]) for g in range(k)]
-    # (grade, weight) with x-exponent +1 and 0; those with -1 mirror those with +1
-    x_up, x_free = ([(g, w) for g in range(k) for w in grades[g] if w[0] == s] for s in (1, 0))
-    # P's rows, in E's order: half the total degree at most, 0 in each grade P is free of
-    totals = degrees.sum(axis=1)
-    free_of_p = _free_of_p(grades)
-    live = np.flatnonzero((totals <= (max_degree + 1) // 2) & ~degrees[:, free_of_p].any(axis=1))
-    position = np.zeros(len(order), dtype=np.int64)  # of each live row in P
-    position[live] = np.arange(len(live))
-    half_levels = [_levels(degrees[live, g], position[sources[g][live]]) for g in range(k)]
-    # P's rows of total s - 1, sign -1, and s, sign +1, in range of P's row of total s
-    p_totals = totals[live]
-    first = np.searchsorted(p_totals, p_totals - 1)
-    middle = np.searchsorted(p_totals, p_totals)
-    last = np.searchsorted(p_totals, np.minimum(p_totals, max_degree - p_totals), side="right")
+    up = [g for g in range(k) if g not in free]
+    e_deg, f_deg = (degrees[~degrees[:, other].any(axis=1)] for other in (free, up))
+    for part in (e_deg, f_deg):
+        row[part @ strides] = np.arange(len(part))
+    e_tot, f_tot = e_deg.sum(axis=1), f_deg.sum(axis=1)
+    p_rows = int(np.searchsorted(e_tot, (max_degree + 1) // 2, side="right"))
+
+    def runs(part: np.ndarray, rows: int, side: List[int], s: int) -> List[tuple]:
+        """(parts last first, steps) of the weights with x-exponent s of each grade of side, on
+        the first rows rows of part."""
+        found = []
+        for g in side:
+            ws = [parts.index(w[1:]) for w in grades[g] if w[0] == s]
+            if ws:
+                # where the degree is 0 the source wraps around, unread
+                source = row[part[:rows] @ strides - strides[g]]
+                found.append((ws[::-1], _steps(_levels(part[:rows, g], source), len(ws))))
+        return found
+
+    p_runs, e_runs = runs(e_deg, p_rows, up, 1), runs(e_deg, len(e_deg), up, 0)
+    f_runs = runs(f_deg, len(f_deg), free, 0)
+    # E's rows of total s - 1, sign -1, and s, sign +1, in range of P's row of total s
+    half = e_tot[:p_rows]
+    first = np.searchsorted(e_tot, half - 1)
+    middle = np.searchsorted(e_tot, half)
+    last = np.searchsorted(e_tot, np.minimum(half, max_degree - half), side="right")
     pairs = []  # (P row, the P rows it pairs with, how many with sign -1, their rows of E)
     for a, (lo, mid, hi) in enumerate(zip(first.tolist(), middle.tolist(), last.tolist())):
-        targets = row[(degrees[live[lo:hi]] + degrees[live[a]]) @ strides]
+        targets = row[(e_deg[lo:hi] + e_deg[a]) @ strides]
         pairs.append((a, slice(lo, hi), mid - lo, targets))
-    del row, degrees, sources  # before the passes allocate their rows
-    values, modulus = [0] * len(order), 1
-    e = np.empty((len(order), len(reps)), dtype=np.int64)
-    px = np.empty((len(live), len(reps)), dtype=np.int64)
+    # F's row j meets E's prefix of total at most max_degree - |F_j|: the residues go by F's
+    # row, then E's, and position finds each multidegree's
+    counts = np.searchsorted(e_tot, max_degree - f_tot, side="right")
+    f_cube = degrees[:, free] @ strides[free]
+    position = (np.cumsum(counts) - counts)[row[f_cube]] + row[cube - f_cube]
+    counts = counts.tolist()
+    del row, degrees, cube, f_cube, e_deg, f_deg  # before the passes allocate their rows
+    values, modulus = [0] * len(keys), 1
+    px = np.empty((p_rows, len(reps)), dtype=np.int64)
+    e = np.empty((len(e_tot), len(reps)), dtype=np.int64)
+    f = np.empty((len(f_tot), len(reps)), dtype=np.int64)
     for q, omega in _crt_primes(sum(map(len, grades)), max_degree):
         powers = np.array([pow(omega, a, q) for a in range(m)], dtype=np.int64)
+        at = powers[exponents]  # each part's values at the orbits
         px.fill(0)
         px[0] = 1
-        _divide(px, ((g, powers[exponents[w[1:]]]) for g, w in x_up), half_levels, q)
+        _divide(px, ((at[ws], steps) for ws, steps in p_runs), q)
         e.fill(0)
         # within one P row the targets are distinct, so each pairing is one update; a
         # term is below 2^31 in size and a row takes fewer than 2^32 of them
@@ -403,15 +515,18 @@ def _dimensions(
             block[:negative] *= -1
             e[targets] += block
         e %= q
-        _divide(e, ((g, powers[exponents[w[1:]]]) for g, w in x_free), levels, q)
-        e *= _weyl_sums(powers, perm, starts, q)
-        e %= q
-        # a row sums fewer than 2^32 values below 2^31, which int64 holds
-        residues = e.sum(axis=1) % q * pow(m * m, -1, q) % q
+        _divide(e, ((at[ws], steps) for ws, steps in e_runs), q)
+        f.fill(0)
+        f[0] = 1
+        _divide(f, ((at[ws], steps) for ws, steps in f_runs), q)
+        # the orbits' Weyl sums over the M^2 points of the grid
+        f *= _weyl_sums(powers, perm, starts, q) * pow(m * m, -1, q) % q
+        f %= q
         inverse = pow(modulus, -1, q)
-        values = [v + (r - v) * inverse % q * modulus for v, r in zip(values, residues.tolist())]
+        ordered = _contract(e, f, counts, q)[position].tolist()
+        values = [v + (r - v) * inverse % q * modulus for v, r in zip(values, ordered)]
         modulus *= q
-    return {d: v - modulus if 2 * v > modulus else v for d, v in zip(order, values)}
+    return {d: v - modulus if 2 * v > modulus else v for d, v in zip(keys, values)}
 
 
 def poincare_coefficients(
@@ -497,19 +612,25 @@ def _quadrature_block(max_degree: int) -> int:
 
 
 def _quadrature_bytes(max_degree: int) -> int:
-    """Bytes the quadrature holds at its peak, estimated before allocating.
+    """Bytes the quadrature holds at its peak, estimated before allocating; never less at a
+    higher degree.
 
     With n the number of S3 orbits on the M^2 grid, M = max_degree + 3, a block
     of b x values holds h_0..h_max_degree, a weight and a product, an int64 per
-    point of b n each, and two int64 per orbit sum.  Labelling the orbits, the
-    Weyl factor on the grid and their temporaries hold at most sixteen int64
-    per point of the M^2 grid, more than the orbit tables and the seven (y, z)
-    parts of the weights that stay; numpy's buffers for the broadcast products,
-    8192 int64 each, and the small tables take under 128 KiB.
+    point of b n each, and two int64 per orbit sum, (8 (max_degree + 3) n + 16
+    (max_degree + 1)) b bytes.  _quadrature_block shrinks b as the degree grows,
+    so the estimate takes that at b = M // 2, all the slices, or, if less, the
+    larger of 3 BLOCK_BYTES and its value at b = 1: a block of more than one x
+    value holds h in BLOCK_BYTES, so the rest in under 1.5 BLOCK_BYTES.
+    Labelling the orbits, the Weyl factor on the grid and their temporaries
+    hold at most sixteen int64 per point of the M^2 grid, more than the orbit
+    tables and the seven (y, z) parts of the weights that stay; numpy's buffers
+    for the broadcast products, 8192 int64 each, and the small tables take
+    under 128 KiB.
     """
     d, m = max_degree, max_degree + 3
-    b = _quadrature_block(d)
-    return 8 * (d + 3) * b * _s3_orbit_count(m) + 16 * (d + 1) * b + 128 * m * m + (1 << 17)
+    block = 8 * (d + 3) * _s3_orbit_count(m) + 16 * (d + 1)  # bytes per x value
+    return min(block * (m // 2), max(3 * BLOCK_BYTES, block)) + 128 * m * m + (1 << 17)
 
 
 def quadrature_grid(max_degree: int) -> Tuple[int, int, int]:
@@ -548,7 +669,8 @@ def _slice_sums(max_degree: int, p: int, omega: int, exponents: np.ndarray) -> n
     orbit_weyl %= p
     del i, j, weyl, inverse
     i, j = np.divmod(reps, m)
-    yz = {u[1:]: powers[(u[1] * i + u[2] * j) % m] for u in WEIGHTS}
+    parts = dict.fromkeys(u[1:] for u in WEIGHTS)  # the seven distinct (y, z) parts
+    yz = {(ey, ez): powers[(ey * i + ez * j) % m] for ey, ez in parts}
     size = _quadrature_block(max_degree)
     x_free = [u for u in WEIGHTS if u[0] == 0]
     x_weights = [u for u in WEIGHTS if u[0] != 0]

@@ -26,6 +26,7 @@ from luinv.molien import (
     _grid_primes,
     _levels,
     _palindromic,
+    _steps,
     _taylor_head,
     poincare_coefficients,
     poincare_multigraded,
@@ -120,8 +121,8 @@ def test_criterion_4_brute_force_character_oracle():
     points = np.indices((m, m, m)).reshape(3, -1)
     series = np.zeros((4, m**3), dtype=np.int64)
     series[0] = 1
-    levels = [_levels(np.arange(4), np.arange(-1, 3))]
-    _divide(series, ((0, powers[np.dot(w, points) % m]) for w in weights), levels, p)
+    values = np.stack([powers[np.dot(w, points) % m] for w in weights][::-1])
+    _divide(series, [(values, _steps(_levels(np.arange(4), np.arange(-1, 3)), 35))], p)
     for d in range(4):
         expected = np.zeros((2 * d + 1,) * 3, dtype=object)
         for combo in itertools.combinations_with_replacement(range(35), d):

@@ -693,7 +693,7 @@ class TestMultigraded:
         code, out, err = run_cli(capsys, "multigraded", "--max-degree", "10000000")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "feasible max degree is 91\n" in err
+        assert "feasible max degree is 175\n" in err
 
     def test_row_sum_mismatch_exit_1(self, capsys, monkeypatch):
         def bumped(max_total_degree, **kw):

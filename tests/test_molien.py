@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import functools
 import inspect
 import itertools
 import math
@@ -23,16 +24,19 @@ from luinv.molien import (
     GRADES,
     WEIGHTS,
     MemoryBudgetError,
+    _contract,
     _crt_primes,
     _dimensions,
     _divide,
     _estimated_bytes,
+    _free_of_p,
     _grid_primes,
     _is_prime,
     _levels,
     _orbit_count,
     _orbits,
     _p_rows,
+    _steps,
     _s3_orbit_count,
     _s3_orbits,
     _taylor_head,
@@ -185,8 +189,8 @@ def engine_character(weights, d: int) -> np.ndarray:
     points = np.indices((m, m, m)).reshape(3, -1)
     series = np.zeros((d + 1, m**3), dtype=np.int64)
     series[0] = 1
-    levels = [_levels(np.arange(d + 1), np.arange(-1, d))]
-    _divide(series, ((0, powers[np.dot(w, points) % m]) for w in weights), levels, p)
+    values = np.stack([powers[np.dot(w, points) % m] for w in weights][::-1])
+    _divide(series, [(values, _steps(_levels(np.arange(d + 1), np.arange(-1, d)), len(weights)))], p)
     inverse = np.array(
         [[pow(omega, -e * a, p) for a in range(m)] for e in range(-d, d + 1)], dtype=object
     )
@@ -274,11 +278,14 @@ class TestCharacters:
             [[(1, 0, 0), (-1, 0, 0)] + [(0, *r) for r in sorted(ROOTS)]],
             [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)] + [(1, 0, 0), (-1, 0, 0)]],
             [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)]],
+            [[(0, *r) for r in sorted(ROOTS)], [(1, 0, 0), (-1, 0, 0)] + [(0, *r) for r in sorted(ROOTS)]],
+            [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)], [(0, *r) for r in sorted(ROOTS)]],
         ],
     )
     def test_x_elimination_at_depth(self, grades):
         # x-exponents +1, -1 and 0 in every system, far past the hypothesis depth; in the
-        # last the second grade has no weight with x-exponent +1, so P is free of its t
+        # last three a grade has no weight with x-exponent +1, so P and E are free of its t
+        # and F holds it: that grade last, first, and two such grades
         max_degree = 12
         expected = brute_force_dimensions(grades, max_degree)
         assert len(set(expected.values())) >= 5  # not a trivial answer
@@ -303,29 +310,55 @@ def per_depth_levels(n: int) -> list:
     return [(np.array([r]), np.array([r - 1])) for r in range(1, n)]
 
 
+def divide_row_by_row(series: np.ndarray, stacks: list, p: int) -> np.ndarray:
+    """series divided by each weight of each stack (stored last first) in turn, one row of
+    the chain after another (oracle)."""
+    out = series.copy()
+    for stack in stacks:
+        for w in stack[::-1]:
+            for r in range(1, len(out)):
+                out[r] = (out[r] + w * out[r - 1]) % p
+    return out
+
+
+#: Weight systems with no, one and two grades free of P, as (grades, u, f): u of their
+#: grades are outside _free_of_p and f inside.
+GROUPED = {
+    "weights": ([WEIGHTS], 1, 0),
+    "grades": (list(GRADES.values()), 2, 1),
+    "free-first": ([[(0, *r) for r in sorted(ROOTS)], [(1, 0, 0), (-1, 0, 0)]], 1, 1),
+    "two-free": (
+        [[(1, 0, 0), (-1, 0, 0)], [(0, *r) for r in sorted(ROOTS)], [(0, 0, 0), (0, 0, 0)]], 1, 2
+    ),
+    "empty": ([[]], 0, 1),
+}
+
+
 class TestDivide:
     @given(
         n=st.integers(1, 30),
-        runs=st.lists(st.tuples(st.sampled_from((0, 1)), st.integers(1, 40)), min_size=1, max_size=3),
+        runs=st.lists(st.integers(1, 40), min_size=1, max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_wavefront_matches_per_depth_levels(self, n, runs, seed):
-        # runs of weights of two grades, each grade dividing the same chain;
-        # K > n, K < n and n = 1 all occur
+        # runs of weights dividing one chain, whose steps are slices, or index arrays on
+        # its per-depth levels; K > n, K < n and n = 1 all occur
         p = next(_grid_primes(7))[0]
         rng = np.random.default_rng(seed)
         start = rng.integers(0, p, size=(n, 5))
-        weights = [(g, rng.integers(0, p, size=5)) for g, k in runs for _ in range(k)]
+        stacks = [rng.integers(0, p, size=(k, 5)) for k in runs]
         chain = _levels(np.arange(n), np.arange(-1, n - 1))
         assert chain == n
         wavefront, per_depth = start.copy(), start.copy()
-        _divide(wavefront, weights, [chain, chain], p)
-        _divide(per_depth, weights, [per_depth_levels(n)] * 2, p)
+        _divide(wavefront, [(s, _steps(chain, len(s))) for s in stacks], p)
+        _divide(per_depth, [(s, _steps(per_depth_levels(n), len(s))) for s in stacks], p)
         assert (wavefront == per_depth).all()
+        assert (wavefront == divide_row_by_row(start, stacks, p)).all()
 
     @pytest.mark.parametrize("k, n", [(1, 1), (9, 1), (1, 2), (1, 30), (5, 3), (17, 23), (40, 2)])
     def test_wavefront_writes_once_per_step(self, k, n):
-        # K + n - 2 slice writes for one grade on a chain of n >= 2 rows, not K (n - 1)
+        # K + n - 2 writes for one grade on a chain of n >= 2 rows, not K (n - 1), whether the
+        # steps are slices or index arrays
         class Counting(np.ndarray):
             writes = 0
 
@@ -334,26 +367,29 @@ class TestDivide:
                 super().__setitem__(key, value)
 
         p = next(_grid_primes(7))[0]
-        series = np.ones((n, 5), dtype=np.int64).view(Counting)
-        _divide(series, ((0, np.full(5, 2)) for _ in range(k)), [n], p)
-        assert Counting.writes == (k + n - 2 if n > 1 else 0)
-        expected = np.ones((n, 5), dtype=np.int64)
-        _divide(expected, ((0, np.full(5, 2)) for _ in range(k)), [per_depth_levels(n)], p)
-        assert (np.asarray(series) == expected).all()
+        stack = np.full((k, 5), 2)
+        expected = divide_row_by_row(np.ones((n, 5), dtype=np.int64), [stack], p)
+        for levels in (n, per_depth_levels(n)):
+            Counting.writes = 0
+            series = np.ones((n, 5), dtype=np.int64).view(Counting)
+            _divide(series, [(stack, _steps(levels, k))], p)
+            assert Counting.writes == (k + n - 2 if n > 1 else 0)
+            assert (np.asarray(series) == expected).all()
 
     @pytest.mark.parametrize(
         "grades, d",
         [([WEIGHTS], 22), (list(GRADES.values()), 6), ([WEIGHTS], 60), (list(GRADES.values()), 12)],
     )
     def test_one_division_of_p_and_one_of_e_per_pass(self, monkeypatch, grades, d):
-        # P(1/x), the factor of the weights with x-exponent -1, is P(x) mirrored,
-        # so no pass divides by those weights; a pass is one CRT prime
+        # P(1/x), the factor of the weights with x-exponent -1, is P(x) mirrored, so no pass
+        # divides by those weights; a pass is one CRT prime and divides P, E and F once each,
+        # E by the x-exponent 0 weights of the grades with x-weights, F by the free grades'
         calls, passes = [], []
 
-        def spy(series, weights, levels, p):
-            weights = list(weights)
-            calls.append(len(weights))
-            return _divide(series, weights, levels, p)
+        def spy(series, runs, p):
+            runs = list(runs)
+            calls.append(sum(len(values) for values, _ in runs))
+            return _divide(series, runs, p)
 
         def count(*args):
             passes.append(args)
@@ -362,25 +398,28 @@ class TestDivide:
         monkeypatch.setattr(molien, "_divide", spy)
         monkeypatch.setattr(molien, "_weyl_sums", count)
         _dimensions(grades, d, None)
+        free = _free_of_p(grades)
         up = sum(w[0] == 1 for ws in grades for w in ws)
-        free = sum(w[0] == 0 for ws in grades for w in ws)
+        e_free = sum(w[0] == 0 for g, ws in enumerate(grades) if g not in free for w in ws)
+        f_free = sum(len(grades[g]) for g in free)
         assert [p for *_, p in passes] == [q for q, _ in _crt_primes(len(WEIGHTS), d)]
-        assert calls == [up, free] * len(passes)
+        assert calls == [up, e_free, f_free] * len(passes)
 
     @pytest.mark.parametrize("d, p_rows", [(0, 1), (1, 3), (12, 28), (13, 36)])
     def test_p_holds_only_the_rows_free_of_the_qutrit_degree(self, monkeypatch, d, p_rows):
         # the qutrit grade has no weight with x-exponent +1, so P's rows are the
-        # (qubit, corr) degrees of total at most (d + 1) // 2, comb((d + 1) // 2 + 2, 2)
+        # (qubit, corr) degrees of total at most (d + 1) // 2, comb((d + 1) // 2 + 2, 2),
+        # E's those of total at most d, and F's the qutrit degrees 0..d
         rows = []
 
-        def spy(series, weights, levels, p):
+        def spy(series, runs, p):
             rows.append(len(series))
-            return _divide(series, weights, levels, p)
+            return _divide(series, runs, p)
 
         monkeypatch.setattr(molien, "_divide", spy)
         poincare_multigraded(d)
         assert p_rows == math.comb((d + 1) // 2 + 2, 2)
-        assert rows == [p_rows, math.comb(d + 3, 3)] * (len(rows) // 2)
+        assert rows == [p_rows, math.comb(d + 2, 2), d + 1] * (len(rows) // 3)
 
     @pytest.mark.parametrize(
         "grades", [[WEIGHTS], list(GRADES.values()), [[]]], ids=["weights", "grades", "empty"]
@@ -392,14 +431,32 @@ class TestDivide:
         # single row 1 of a grade with no weights
         rows = []
 
-        def spy(series, weights, levels, p):
+        def spy(series, runs, p):
             rows.append(len(series))
-            return _divide(series, weights, levels, p)
+            return _divide(series, runs, p)
 
         monkeypatch.setattr(molien, "_divide", spy)
         _dimensions(grades, d, None)
         passes = len(_crt_primes(sum(map(len, grades)), d))
-        assert rows[::2] == [_p_rows(grades, d)] * passes
+        assert rows[::3] == [_p_rows(grades, d)] * passes
+
+    @pytest.mark.parametrize("name", list(GROUPED))
+    @pytest.mark.parametrize("d", [0, 5, 12])
+    def test_e_and_f_divide_the_multidegrees_of_their_grades(self, monkeypatch, name, d):
+        # E is held on the multidegrees of the u grades with x-weights, comb(d + u, u) rows,
+        # and F on those of the f free grades, comb(d + f, f) rows; one grade's F is the row 1
+        grades, u, f = GROUPED[name]
+        assert len(grades) - len(_free_of_p(grades)) == u
+        rows = []
+
+        def spy(series, runs, p):
+            rows.append(len(series))
+            return _divide(series, runs, p)
+
+        monkeypatch.setattr(molien, "_divide", spy)
+        _dimensions(grades, d, None)
+        passes = len(_crt_primes(sum(map(len, grades)), d))
+        assert rows == [_p_rows(grades, d), math.comb(d + u, u), math.comb(d + f, f)] * passes
 
     def test_one_grade_divides_chains(self, monkeypatch):
         kinds = []
@@ -411,10 +468,11 @@ class TestDivide:
 
         monkeypatch.setattr(molien, "_levels", spy)
         _dimensions([WEIGHTS], 22, None)
-        assert kinds == [int, int]  # E, then the half rows of P
+        assert kinds == [int, int]  # the half rows of P, then E
         kinds.clear()
         _dimensions(list(GRADES.values()), 6, None)
-        assert kinds == [list] * 6
+        # P and E span the qubit and correlation degrees; F, the qutrit degrees, is a chain
+        assert kinds == [list] * 4 + [int]
 
 
 #: The primes up to the square root of 2^31, for trial division.
@@ -447,6 +505,25 @@ class TestGridPrimes:
         for m in range(2, 121):
             got = list(itertools.islice(_grid_primes(m), 3))
             assert got == list(itertools.islice(trial_division_grid_primes(m), 3)), m
+
+    def test_grid_primes_are_searched_once_per_grid(self, monkeypatch):
+        # verify --with-quadrature at degree 15 reads M = 18's first prime three times (the
+        # quadrature, its check and the engine's skip) and the engine reads more; the
+        # search tests each candidate once
+        tested = []
+
+        def counting(n):
+            tested.append(n)
+            return _is_prime(n)
+
+        monkeypatch.setattr(molien, "_is_prime", counting)
+        if hasattr(molien, "_prime_list"):
+            molien._prime_list.cache_clear()
+        first = quadrature_grid(15)[1:]
+        engine = _crt_primes(len(WEIGHTS), 15)
+        assert quadrature_grid(15)[1:] == first and _crt_primes(len(WEIGHTS), 15) == engine
+        assert list(itertools.islice(_grid_primes(18), len(engine) + 1)) == [first, *engine]
+        assert len(tested) == len(set(tested))
 
     def test_quadrature_prime_is_none_of_the_engines(self):
         # a shared prime would let an error in the engine's other residues or
@@ -666,7 +743,7 @@ class TestSeries:
         assert verify_theorem(poincare_coefficients(230)).checks["theorem_match"]
 
     @pytest.mark.parametrize(
-        "tags, degrees", [(None, (0, 3, 12, 35, 110)), (tuple(GRADES), (0, 3, 8, 20, 30))]
+        "tags, degrees", [(None, (0, 3, 12, 35, 110)), (tuple(GRADES), (0, 3, 8, 20, 30, 40, 60))]
     )
     def test_estimate_bounds_the_traced_peak(self, tags, degrees):
         grades = [WEIGHTS] if tags is None else [GRADES[t] for t in tags]
@@ -678,6 +755,45 @@ class TestSeries:
             finally:
                 tracemalloc.stop()
             assert peak <= _estimated_bytes(grades, d), (d, peak)
+
+
+    @pytest.mark.parametrize("n", [1, 27, 65535, 65536, 70000])
+    def test_contraction_is_exact(self, n):
+        # products of entries up to p - 1 summed over n columns overflow int64 from n = 3 on;
+        # 2 limbs hold below 2^16 columns and 3 from there, against Python's integers
+        p = 2**31 - 1
+        rng = np.random.default_rng(n)
+        e = rng.integers(p - 2**20, p, size=(4, n))
+        f = rng.integers(p - 2**20, p, size=(3, n))
+        e[0], f[0] = p - 1, p - 1
+        counts = [4, 2, 1]
+        expected = [
+            sum(int(a) * int(b) for a, b in zip(e[i], f[j])) % p
+            for j, count in enumerate(counts)
+            for i in range(count)
+        ]
+        assert _contract(e, f, counts, p).tolist() == expected
+
+    def test_series_estimate_and_feasible_degrees(self):
+        # one grade: F is the row 1 and E a chain, so the series keeps its estimate and 985;
+        # the multigraded engine holds E on two grades and F on one
+        assert [_estimated_bytes([WEIGHTS], d) for d in (0, 3, 22, 985, 986)] == [
+            18108, 22984, 112700, 1071077240, 1073893020
+        ]
+        for grades, feasible in (([WEIGHTS], 985), (list(GRADES.values()), 175)):
+            assert _estimated_bytes(grades, feasible) <= DEFAULT_MEMORY_BUDGET
+            assert _estimated_bytes(grades, feasible + 1) > DEFAULT_MEMORY_BUDGET
+
+    def test_estimates_never_decrease_with_the_degree(self):
+        # _check_budget bisects on them, which names the largest feasible degree only if
+        # no higher degree has a smaller estimate
+        for estimate in (
+            _quadrature_bytes,
+            functools.partial(_estimated_bytes, [WEIGHTS]),
+            functools.partial(_estimated_bytes, list(GRADES.values())),
+        ):
+            values = [estimate(d) for d in range(1001)]
+            assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestQuadrature:
