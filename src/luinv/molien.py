@@ -63,9 +63,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -280,60 +279,23 @@ def _grid_primes(m: int) -> Iterator[Tuple[int, int]]:
     """Primes p = k*m + 1 < 2^31, largest first, each with an element of order m.
 
     The element is the first c^((p - 1)/m), c = 2, 3, ..., whose (m/q)-th
-    power is not 1 for any prime q dividing m.  Each is searched for once per
-    m in a process: the quadrature's grid, its check and the engine's primes
-    all read one list, which grows only when a reader needs the next prime.
+    power is not 1 for any prime q dividing m.
     """
-    found, search = _prime_list(m)
-    for i in itertools.count():
-        with _PRIME_LOCK:  # two threads must not advance one search at once
-            if i == len(found):
-                prime = next(search, None)
-                if prime is None:
-                    return
-                found.append(prime)
-        yield found[i]
+    if m > 2**31 - 2:  # no such p, and factoring m would take sqrt(m) steps
+        return
+    root = math.isqrt(m)  # a divisor of m above its root is the cofactor of one below
+    factors = {q for d in range(1, root + 1) if m % d == 0 for q in (d, m // d) if _is_prime(q)}
+    for p in range((2**31 - 2) // m * m + 1, m, -m):
+        if _is_prime(p):
+            roots = (pow(c, (p - 1) // m, p) for c in range(2, p))
+            yield p, next(w for w in roots if all(pow(w, m // q, p) != 1 for q in factors))
 
 
-_PRIME_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=None)
-def _prime_list(m: int) -> Tuple[List[Tuple[int, int]], Iterator[Tuple[int, int]]]:
-    """The grid primes of m found so far, and the search for the rest."""
-
-    def search() -> Iterator[Tuple[int, int]]:
-        if m > 2**31 - 2:  # no such p, and factoring m would take sqrt(m) steps
-            return
-        root = math.isqrt(m)  # a divisor of m above its root is the cofactor of one below
-        factors = {q for d in range(1, root + 1) if m % d == 0 for q in (d, m // d) if _is_prime(q)}
-        for p in range((2**31 - 2) // m * m + 1, m, -m):
-            if _is_prime(p):
-                roots = (pow(c, (p - 1) // m, p) for c in range(2, p))
-                yield p, next(w for w in roots if all(pow(w, m // q, p) != 1 for q in factors))
-
-    return [], search()
-
-
-def _levels(depth: np.ndarray, source: np.ndarray) -> Union[int, List[tuple]]:
-    """The rows at each depth >= 1 with their sources, which lie one depth lower.
-
-    On a chain, where row r has depth r and source r - 1, this is the chain's
-    length n, an int; otherwise a list of (rows, src) index arrays, one per depth.
-    """
-    n = len(depth)
-    if np.array_equal(depth, np.arange(n)) and np.array_equal(source[1:], np.arange(n - 1)):
-        return n
-    levels = []
-    for level in range(1, depth.max() + 1):
-        rows = np.flatnonzero(depth == level)
-        levels.append((rows, source[rows]))
-    return levels
-
-
-def _steps(levels: Union[int, List[tuple]], k: int) -> List[tuple]:
-    """The wavefront of a run of k weights along one grade, levels its _levels: (rows, sources,
-    weights) for each step, slices on a chain and index arrays otherwise.
+def _steps(depth: np.ndarray, source: np.ndarray, k: int) -> List[tuple]:
+    """The wavefront of a run of k weights along one grade: (rows, sources, weights) for each
+    step, slices on a chain, where row r has depth r and source r - 1, and index arrays
+    otherwise.  Row r lies at depth depth[r] and reads row source[r], one depth lower; source
+    is unread at depth 0.
 
     The update series[i] += w * series[source], for increasing i, only adds, and a row at depth
     L reads only a row at depth L - 1, so a row at depth L takes weight j at step j + L, from
@@ -341,14 +303,14 @@ def _steps(levels: Union[int, List[tuple]], k: int) -> List[tuple]:
     deepest depth, updates the rows of at most k consecutive depths.  weights index the run's
     values stacked last first.
     """
-    chain = isinstance(levels, int)
-    depths = levels - 1 if chain else len(levels)
-    if not chain and depths:
-        # the rows and sources of depths lo..hi run from bounds[lo - 1] to bounds[hi]
-        sizes = [len(rows) for rows, _ in levels]
-        rows, sources = (np.concatenate(part) for part in zip(*levels))
-        depth = np.repeat(np.arange(1, depths + 1), sizes)
-        bounds = np.cumsum([0, *sizes]).tolist()
+    n = len(depth)
+    chain = np.array_equal(depth, np.arange(n)) and np.array_equal(source[1:], np.arange(n - 1))
+    depths = n - 1 if chain else int(depth.max())
+    if not chain:
+        # the rows by depth; those of depths lo..hi run from bounds[lo - 1] to bounds[hi]
+        rows = np.argsort(depth, kind="stable")
+        sources, depth = source[rows], depth[rows]
+        bounds = np.searchsorted(depth, np.arange(depths + 1), side="right").tolist()
     steps = []
     for step in range(1, k + depths if depths > 0 else 1):
         lo, hi = max(1, step - k + 1), min(depths, step)
@@ -475,7 +437,7 @@ def _dimensions(
             if ws:
                 # where the degree is 0 the source wraps around, unread
                 source = row[part[:rows] @ strides - strides[g]]
-                found.append((ws[::-1], _steps(_levels(part[:rows, g], source), len(ws))))
+                found.append((ws[::-1], _steps(part[:rows, g], source, len(ws))))
         return found
 
     p_runs, e_runs = runs(e_deg, p_rows, up, 1), runs(e_deg, len(e_deg), up, 0)

@@ -24,7 +24,6 @@ from luinv.molien import (
     WEIGHTS,
     _divide,
     _grid_primes,
-    _levels,
     _palindromic,
     _steps,
     _taylor_head,
@@ -122,7 +121,7 @@ def test_criterion_4_brute_force_character_oracle():
     series = np.zeros((4, m**3), dtype=np.int64)
     series[0] = 1
     values = np.stack([powers[np.dot(w, points) % m] for w in weights][::-1])
-    _divide(series, [(values, _steps(_levels(np.arange(4), np.arange(-1, 3)), 35))], p)
+    _divide(series, [(values, _steps(np.arange(4), np.arange(-1, 3), 35))], p)
     for d in range(4):
         expected = np.zeros((2 * d + 1,) * 3, dtype=object)
         for combo in itertools.combinations_with_replacement(range(35), d):

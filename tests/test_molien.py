@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from luinv import molien, reference
@@ -32,7 +32,7 @@ from luinv.molien import (
     _free_of_p,
     _grid_primes,
     _is_prime,
-    _levels,
+    _multidegrees,
     _orbit_count,
     _orbits,
     _p_rows,
@@ -190,7 +190,7 @@ def engine_character(weights, d: int) -> np.ndarray:
     series = np.zeros((d + 1, m**3), dtype=np.int64)
     series[0] = 1
     values = np.stack([powers[np.dot(w, points) % m] for w in weights][::-1])
-    _divide(series, [(values, _steps(_levels(np.arange(d + 1), np.arange(-1, d)), len(weights)))], p)
+    _divide(series, [(values, _steps(np.arange(d + 1), np.arange(-1, d), len(weights)))], p)
     inverse = np.array(
         [[pow(omega, -e * a, p) for a in range(m)] for e in range(-d, d + 1)], dtype=object
     )
@@ -305,11 +305,6 @@ class TestCharacters:
         assert _dimensions(grades, max_degree, None) == expected
 
 
-def per_depth_levels(n: int) -> list:
-    """The chain of n rows as per-depth index arrays, one row per depth."""
-    return [(np.array([r]), np.array([r - 1])) for r in range(1, n)]
-
-
 def divide_row_by_row(series: np.ndarray, stacks: list, p: int) -> np.ndarray:
     """series divided by each weight of each stack (stored last first) in turn, one row of
     the chain after another (oracle)."""
@@ -341,18 +336,21 @@ class TestDivide:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_wavefront_matches_per_depth_levels(self, n, runs, seed):
-        # runs of weights dividing one chain, whose steps are slices, or index arrays on
-        # its per-depth levels; K > n, K < n and n = 1 all occur
+        # runs of weights dividing one chain, whose steps are slices, or index arrays on the
+        # same chain stored last first; K > n, K < n and n = 1 all occur
         p = next(_grid_primes(7))[0]
         rng = np.random.default_rng(seed)
         start = rng.integers(0, p, size=(n, 5))
         stacks = [rng.integers(0, p, size=(k, 5)) for k in runs]
-        chain = _levels(np.arange(n), np.arange(-1, n - 1))
-        assert chain == n
-        wavefront, per_depth = start.copy(), start.copy()
-        _divide(wavefront, [(s, _steps(chain, len(s))) for s in stacks], p)
-        _divide(per_depth, [(s, _steps(per_depth_levels(n), len(s))) for s in stacks], p)
-        assert (wavefront == per_depth).all()
+        chain = np.arange(n), np.arange(-1, n - 1)
+        last_first = np.arange(n)[::-1], np.arange(1, n + 1)
+        if n > 1:
+            assert {type(rows) for rows, _, _ in _steps(*chain, 2)} == {slice}
+            assert {type(rows) for rows, _, _ in _steps(*last_first, 2)} == {np.ndarray}
+        wavefront, reversed_ = start.copy(), start[::-1].copy()
+        _divide(wavefront, [(s, _steps(*chain, len(s))) for s in stacks], p)
+        _divide(reversed_, [(s, _steps(*last_first, len(s))) for s in stacks], p)
+        assert (wavefront == reversed_[::-1]).all()
         assert (wavefront == divide_row_by_row(start, stacks, p)).all()
 
     @pytest.mark.parametrize("k, n", [(1, 1), (9, 1), (1, 2), (1, 30), (5, 3), (17, 23), (40, 2)])
@@ -369,12 +367,16 @@ class TestDivide:
         p = next(_grid_primes(7))[0]
         stack = np.full((k, 5), 2)
         expected = divide_row_by_row(np.ones((n, 5), dtype=np.int64), [stack], p)
-        for levels in (n, per_depth_levels(n)):
+        # the chain, then the same chain stored last first
+        for depth, source, order in (
+            (np.arange(n), np.arange(-1, n - 1), slice(None)),
+            (np.arange(n)[::-1], np.arange(1, n + 1), slice(None, None, -1)),
+        ):
             Counting.writes = 0
             series = np.ones((n, 5), dtype=np.int64).view(Counting)
-            _divide(series, [(stack, _steps(levels, k))], p)
+            _divide(series, [(stack, _steps(depth, source, k))], p)
             assert Counting.writes == (k + n - 2 if n > 1 else 0)
-            assert (np.asarray(series) == expected).all()
+            assert (np.asarray(series)[order] == expected).all()
 
     @pytest.mark.parametrize(
         "grades, d",
@@ -461,18 +463,54 @@ class TestDivide:
     def test_one_grade_divides_chains(self, monkeypatch):
         kinds = []
 
-        def spy(depth, source):
-            levels = _levels(depth, source)
-            kinds.append(type(levels))
-            return levels
+        def spy(depth, source, k):
+            steps = _steps(depth, source, k)
+            kinds.append({type(rows) for rows, _, _ in steps})
+            return steps
 
-        monkeypatch.setattr(molien, "_levels", spy)
+        monkeypatch.setattr(molien, "_steps", spy)
         _dimensions([WEIGHTS], 22, None)
-        assert kinds == [int, int]  # the half rows of P, then E
+        assert kinds == [{slice}, {slice}]  # the half rows of P, then E
         kinds.clear()
         _dimensions(list(GRADES.values()), 6, None)
         # P and E span the qubit and correlation degrees; F, the qutrit degrees, is a chain
-        assert kinds == [list] * 4 + [int]
+        assert kinds == [{np.ndarray}] * 4 + [{slice}]
+
+    @given(
+        counts=st.lists(st.integers(1, 4), min_size=1, max_size=7),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(counts=[1], k=3, seed=0)  # n = 1
+    @example(counts=[2, 3, 1, 2], k=9, seed=1)  # k above the deepest depth
+    @example(counts=[1, 2, 4, 3, 2, 1, 3], k=2, seed=2)  # k below it
+    def test_steps_group_shuffled_rows_by_depth(self, counts, k, seed):
+        # several rows per depth, stored in shuffled order, each reading a row one depth lower;
+        # the depth-0 rows' sources lie out of range, so reading one would raise
+        p = next(_grid_primes(7))[0]
+        rng = np.random.default_rng(seed)
+        depth = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        source = np.full(len(depth), len(depth) + 10)
+        for level in range(1, len(counts)):
+            rows = np.flatnonzero(depth == level)
+            source[rows] = rng.choice(np.flatnonzero(depth == level - 1), size=len(rows))
+        start = rng.integers(0, p, size=(len(depth), 5))
+        stack = rng.integers(0, p, size=(k, 5))
+        series = start.copy()
+        _divide(series, [(stack, _steps(depth, source, k))], p)
+        expected = start.copy()
+        for w in stack[::-1]:  # depth by depth, one weight after another (oracle)
+            for level in range(1, len(counts)):
+                for r in np.flatnonzero(depth == level):
+                    expected[r] = (expected[r] + w * expected[source[r]]) % p
+        assert (series == expected).all()
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_multidegrees_by_total_then_lexicographic(self, k):
+        # P is E's prefix of low totals, and _contract's counts cut E by total, in this order
+        for d in range(9):
+            cube = [c for c in itertools.product(range(d + 1), repeat=k) if sum(c) <= d]
+            assert _multidegrees(k, d) == sorted(cube, key=lambda c: (sum(c), c)), d
 
 
 #: The primes up to the square root of 2^31, for trial division.
@@ -505,25 +543,6 @@ class TestGridPrimes:
         for m in range(2, 121):
             got = list(itertools.islice(_grid_primes(m), 3))
             assert got == list(itertools.islice(trial_division_grid_primes(m), 3)), m
-
-    def test_grid_primes_are_searched_once_per_grid(self, monkeypatch):
-        # verify --with-quadrature at degree 15 reads M = 18's first prime three times (the
-        # quadrature, its check and the engine's skip) and the engine reads more; the
-        # search tests each candidate once
-        tested = []
-
-        def counting(n):
-            tested.append(n)
-            return _is_prime(n)
-
-        monkeypatch.setattr(molien, "_is_prime", counting)
-        if hasattr(molien, "_prime_list"):
-            molien._prime_list.cache_clear()
-        first = quadrature_grid(15)[1:]
-        engine = _crt_primes(len(WEIGHTS), 15)
-        assert quadrature_grid(15)[1:] == first and _crt_primes(len(WEIGHTS), 15) == engine
-        assert list(itertools.islice(_grid_primes(18), len(engine) + 1)) == [first, *engine]
-        assert len(tested) == len(set(tested))
 
     def test_quadrature_prime_is_none_of_the_engines(self):
         # a shared prime would let an error in the engine's other residues or
@@ -701,7 +720,7 @@ class TestS3Orbits:
     def test_quadrature_names_no_engine_code(self):
         reached = names_reached("quadrature_coefficients")
         assert {"_slice_sums", "_s3_orbits", "_quadrature_bytes"} <= reached
-        engine = {"A2_MAPS", "_orbits", "_weyl_sums", "_levels", "_divide", "_crt_primes"}
+        engine = {"A2_MAPS", "_orbits", "_weyl_sums", "_steps", "_divide", "_crt_primes"}
         assert not reached & engine
 
 
@@ -851,7 +870,7 @@ class TestQuadrature:
             raise AssertionError("the quadrature must not call the exact engine")
 
         exact = poincare_coefficients(6)
-        for name in ("_dimensions", "_divide", "_orbits", "_weyl_sums", "_levels"):
+        for name in ("_dimensions", "_divide", "_orbits", "_weyl_sums", "_steps"):
             monkeypatch.setattr(molien, name, engine)
         with pytest.raises(AssertionError, match="exact engine"):
             poincare_coefficients(6)
