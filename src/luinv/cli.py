@@ -3,8 +3,9 @@
 Every subcommand is deterministic for a fixed command line (randomized
 modes require an explicit seed) and follows one exit-code contract: 0
 for success or all checks passing, 1 for a verification failure, 2 for
-usage or resource errors.  Each builds its result once, and ``_emit``,
-the one place that reads ``--format``, prints it: json is the whole
+usage or resource errors, a closed stdout among them.  Each builds its
+result once, and ``_emit``, the one place that reads ``--format``,
+prints it: json is the whole
 payload on one line with a versioned "schema" field, csv one table with
 its header (verify's leaves out first_mismatch and max_residual), plain a
 few lines; multigraded builds its csv rows or plain lines only when printed.
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
@@ -45,7 +47,7 @@ def _emit(fmt: str, payload: dict, table: Iterable[Sequence], plain: Iterable[st
         lines = (",".join(str(v) for v in row) for row in table)
     else:
         lines = plain
-    print("\n".join(lines))
+    print("\n".join(lines), flush=True)  # a closed stdout fails here, not at exit
 
 
 def cmd_series(args) -> int:
@@ -259,6 +261,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     # MemoryError covers MemoryBudgetError and an allocation refused outright
     except (MemoryError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes to devnull, so the last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return 2
 
 

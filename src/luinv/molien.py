@@ -51,8 +51,8 @@ engine skips the first prime of that M, the quadrature's, so the check
 covers every residue of the engine and its lift.  h_d is a character, so
 the Weyl group S3 of SU(3), which permutes the eigenvalues of a torus
 element, fixes it: the quadrature builds h_d by the same additive update
-at one (y, z) point per S3 orbit and at each of a block of x values at a
-time, weights each orbit by its sum of the rest of the Weyl factor, and
+at one (y, z) point per S3 orbit, a block of orbits at a time at every x
+value, weights each orbit by its sum of the rest of the Weyl factor, and
 sums over the 3-D torus grid in F_p.  It derives its orbits from the
 eigenvalues, not from A2_MAPS.  verify_theorem compares the whole series
 against the tabulated closed form in luinv.reference.
@@ -90,7 +90,8 @@ WEIGHTS: Tuple[Weight, ...] = sum(GRADES.values(), ())
 
 #: Default cap on the engine's estimated bytes held (1 GiB).
 DEFAULT_MEMORY_BUDGET = 1 << 30
-#: Bytes of h_0..h_max_degree one quadrature block of x values may hold (4 MiB).
+#: Bytes of h_0..h_max_degree, at every x value, that one quadrature block of S3
+#: orbits may hold (4 MiB).
 BLOCK_BYTES = 1 << 22
 
 MULTIGRADED_NOTE = (
@@ -566,29 +567,24 @@ def _s3_orbits(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return reps, position[label]
 
 
-def _quadrature_block(max_degree: int) -> int:
-    """x values per quadrature block: as many as hold h_0..h_max_degree at the S3 orbits of the
-    grid of M = max_degree + 3 in BLOCK_BYTES, at least one."""
-    m = max_degree + 3
-    return max(1, min(m // 2, BLOCK_BYTES // (8 * (max_degree + 1) * _s3_orbit_count(m))))
-
-
 def _quadrature_bytes(max_degree: int) -> int:
     """Bytes the quadrature holds at its peak, estimated before allocating; never less at a
     higher degree.
 
-    With n the number of S3 orbits on the M^2 grid, M = max_degree + 3, a block
-    of b x values holds h_0..h_max_degree, a weight and a product, an int64 per
-    point of b n each, and two int64 per orbit sum, (8 (max_degree + 3) n + 16
-    (max_degree + 1)) b bytes.  _quadrature_block shrinks b as the degree grows,
-    so the estimate takes that at b = M // 2, all the slices, or, if less, the
-    larger of 3 BLOCK_BYTES and its value at b = 1: a block of more than one x
-    value holds h in BLOCK_BYTES, so the rest in under 1.5 BLOCK_BYTES.
-    Labelling the orbits, the Weyl factor on the grid and their temporaries
-    hold at most sixteen int64 per point of the M^2 grid, more than the orbit
-    tables and the seven (y, z) parts of the weights that stay; numpy's buffers
-    for the broadcast products, 8192 int64 each, and the small tables take
-    under 128 KiB.
+    With n the number of S3 orbits on the M^2 grid, M = max_degree + 3, and s = M // 2 x
+    values, a block of c orbits holds h_0..h_max_degree, (max_degree + 1) s c int64; while it
+    divides, a weight and a product, s c int64 each, or before its repeat the base, whose
+    (max_degree + 1) c is less as 2 s > max_degree + 1; and the running sums over the orbits,
+    with at the end of the block its own, (max_degree + 1) s int64 each.  That is at most
+    (8 (max_degree + 3) c + 16 (max_degree + 1)) s bytes, so never more than B s, B the bytes
+    per x value at c = n.  From max degree 1 on, a block whose h fits in BLOCK_BYTES, as it
+    does unless the block is one orbit, holds the rest in 2 BLOCK_BYTES: the weight and the
+    product in 2 / (max_degree + 1) of h, beside the running sums, and each sum in h / c.
+    One orbit whose h does not fit holds under B, as n > 3 s from M = 6 on.  So the estimate
+    takes B s, or, if less, the larger of 3 BLOCK_BYTES and B.  Labelling the orbits, the
+    Weyl factor on the grid and their temporaries hold at most sixteen int64 per point of
+    the M^2 grid, more than the orbit tables and the seven (y, z) parts of the weights that
+    stay; numpy's buffers and the small tables take under 128 KiB.
     """
     d, m = max_degree, max_degree + 3
     block = 8 * (d + 3) * _s3_orbit_count(m) + 16 * (d + 1)  # bytes per x value
@@ -615,11 +611,10 @@ def _slice_sums(max_degree: int, p: int, omega: int, exponents: np.ndarray) -> n
     """For each a in exponents, a row of the sums over the M x M grid of (y, z), M = max_degree +
     3, of (1 - 1/y)(1 - 1/z)(1 - 1/(yz)) h_d(omega^a, y, z) mod p, d = 0..max_degree.  h_d is a
     character, so S3 fixes it: it is evaluated at one point per orbit of _s3_orbits, and
-    each orbit weighs its sum of the Weyl part.  A block of x values at a time, dividing 1
-    by (1 - t w) for each of the 35 weights, h_d += w h_(d-1) for increasing d, builds
-    h_0..h_max_degree at the block's points.  The 17 weights with x-exponent 0 give the same
-    values on every x slice, so they divide the block's first slice only, which is then
-    copied into the others."""
+    each orbit weighs its sum of the Weyl part.  A block of orbits at a time, at every x slice,
+    dividing 1 by (1 - t w) for each of the 35 weights, h_d += w h_(d-1) for increasing d,
+    builds h_0..h_max_degree at the block's points.  The 17 weights with x-exponent 0 give the
+    same values on every x slice, so they divide one slice, which is then repeated to all."""
     m = max_degree + 3
     # the grid first, so that a grid too large to hold fails before the rest
     reps, inverse = _s3_orbits(m)
@@ -633,34 +628,34 @@ def _slice_sums(max_degree: int, p: int, omega: int, exponents: np.ndarray) -> n
     i, j = np.divmod(reps, m)
     parts = dict.fromkeys(u[1:] for u in WEIGHTS)  # the seven distinct (y, z) parts
     yz = {(ey, ez): powers[(ey * i + ez * j) % m] for ey, ez in parts}
-    size = _quadrature_block(max_degree)
-    x_free = [u for u in WEIGHTS if u[0] == 0]
-    x_weights = [u for u in WEIGHTS if u[0] != 0]
-    out = np.empty((len(exponents), max_degree + 1), dtype=np.int64)
-    for start in range(0, len(exponents), size):
-        block = exponents[start : start + size]
-        h = np.zeros((max_degree + 1, len(block), len(reps)), dtype=np.int64)
+    size = max(1, BLOCK_BYTES // (8 * (max_degree + 1) * len(exponents)))
+
+    def divide(h: np.ndarray, w: np.ndarray) -> None:
+        """h_d += w h_(d-1) mod p in place, for increasing d."""
+        product = np.empty_like(h[0])
+        for d in range(1, max_degree + 1):
+            np.multiply(w, h[d - 1], out=product)
+            product += h[d]
+            np.remainder(product, p, out=h[d])
+
+    out = np.zeros((len(exponents), max_degree + 1), dtype=np.int64)
+    for start in range(0, len(reps), size):
+        block = slice(start, start + size)
+        h = np.zeros((max_degree + 1, 1, len(reps[block])), dtype=np.int64)
         h[0] = 1
-        w, product = np.empty((2, len(block), len(reps)), dtype=np.int64)
-        for _, ey, ez in x_free:
-            for d in range(1, max_degree + 1):
-                np.multiply(yz[ey, ez], h[d - 1, 0], out=product[0])
-                product[0] += h[d, 0]
-                np.remainder(product[0], p, out=h[d, 0])
-        for d in range(1, max_degree + 1):  # h[:, 1:] = h[:, :1] would copy h
-            h[d, 1:] = h[d, 0]
-        for ex, ey, ez in x_weights:
-            np.multiply(powers[ex * block % m, None], yz[ey, ez], out=w)
-            w %= p
-            for d in range(1, max_degree + 1):
-                np.multiply(w, h[d - 1], out=product)
-                product += h[d]
-                np.remainder(product, p, out=h[d])
-        h *= orbit_weyl
+        for u in WEIGHTS:
+            if u[0] == 0:
+                divide(h, yz[u[1:]][block])
+        h = np.repeat(h, len(exponents), axis=1)
+        for ex, ey, ez in WEIGHTS:
+            if ex != 0:
+                divide(h, powers[ex * exponents % m, None] * yz[ey, ez][block] % p)
+        h *= orbit_weyl[block]
         h %= p
-        # fewer than 2^32 orbits, each below p < 2^31
-        out[start : start + len(block)] = (h.sum(axis=2) % p).T
-        del h, w, product  # before the next block allocates its own
+        # below p, plus fewer than 2^32 orbits, each below p < 2^31
+        out += h.sum(axis=2).T
+        out %= p
+        del h  # before the next block allocates its own
     return out
 
 

@@ -856,6 +856,34 @@ def cli_argv(draw, state_files):
 
 
 class TestContract:
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--max-degree", "30"],
+            ["verify", "--format", "json"],
+            ["invariants", "--random", "--seed", "3"],
+        ],
+    )
+    def test_closed_stdout_is_a_resource_error(self, argv, buffered):
+        # the read end of stdout is closed before the process starts, so its first write
+        # fails, whether it goes out at once or at the last flush
+        src = str(Path(cli.__file__).resolve().parents[1])
+        # an empty PYTHONUNBUFFERED leaves stdout buffered
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "" if buffered else "1"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "luinv.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
     @settings(deadline=None)
     @given(data=st.data())
     def test_every_command_line_keeps_the_exit_contract(self, state_files, data):

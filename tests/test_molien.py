@@ -891,10 +891,12 @@ class TestQuadrature:
             quadrature_coefficients(37, memory_budget=budget)
 
     @pytest.mark.parametrize(
-        "max_degree, budget", [(0, None), (9, None), (15, None), (36, None), (36, 2_000_000)]
+        "max_degree, budget",
+        [(0, None), (9, None), (15, None), (36, None), (36, 2_000_000), (60, None), (80, None)],
     )
     def test_estimate_bounds_the_traced_peak(self, max_degree, budget):
-        # the budget goes in second and positionally, as verify passes it
+        # the budget goes in second and positionally, as verify passes it; from 60 on the
+        # orbits split into several blocks
         tracemalloc.start()
         try:
             quadrature_coefficients(max_degree, budget)
@@ -902,6 +904,17 @@ class TestQuadrature:
         finally:
             tracemalloc.stop()
         assert peak <= _quadrature_bytes(max_degree), peak
+
+    @pytest.mark.parametrize("orbits", [1, 3])
+    def test_orbit_blocks_do_not_change_the_residues(self, monkeypatch, orbits):
+        # BLOCK_BYTES holds h at every x value for that many orbits per block
+        degrees = [*range(13), 22]
+        exact = poincare_coefficients(22)
+        default = {d: quadrature_coefficients(d) for d in degrees}
+        for d in degrees:
+            m, p, _ = quadrature_grid(d)
+            monkeypatch.setattr(molien, "BLOCK_BYTES", 8 * (d + 1) * (m // 2) * orbits)
+            assert quadrature_coefficients(d) == default[d] == [c % p for c in exact[: d + 1]], d
 
     def test_feasible_degree_never_exceeds_the_engines(self):
         # so verify can run the quadrature first: every degree the engine refuses,
