@@ -3,12 +3,13 @@
 Every subcommand is deterministic for a fixed command line (randomized
 modes require an explicit seed) and follows one exit-code contract: 0
 for success or all checks passing, 1 for a verification failure, 2 for
-usage or resource errors, a closed stdout among them.  Each builds its
+usage or resource errors, a closed stdout among them, also under --help.
+The argparse tree is built once per process.  Each subcommand builds its
 result once, and ``_emit``, the one place that reads ``--format``,
-prints it: json is the whole
-payload on one line with a versioned "schema" field, csv one table with
-its header (verify's leaves out first_mismatch and max_residual), plain a
-few lines; multigraded builds its csv rows or plain lines only when printed.
+prints it: json is the whole payload on one line with a versioned
+"schema" field, csv one table with its header (verify's leaves out
+first_mismatch and max_residual), plain a few lines; multigraded builds
+its csv rows or plain lines only when printed.
 verify --with-quadrature runs the quadrature before the series engine, so
 a degree over the memory budget is refused before any work.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -210,8 +212,23 @@ def _integer(minimum: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that prints help as _emit prints output, flushed at once.
+
+    argparse swallows an OSError from writing help, and a buffered write
+    fails only at the interpreter's last flush; this way a closed stdout
+    raises BrokenPipeError inside parse_args, in cli.main's try.  The
+    subparsers are of this class too.
+    """
+
+    def print_help(self, file=None) -> None:
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The argparse tree, built once per process: parse_args leaves it unchanged."""
+    parser = _Parser(
         prog="luinv",
         description=(
             "Exact Poincare series and low-degree invariants of the "
@@ -255,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # which prints --help, so inside the try
         return args.func(args)
     # MemoryError covers MemoryBudgetError and an allocation refused outright
     except (MemoryError, ValueError, ArithmeticError) as err:

@@ -19,9 +19,16 @@ det Y = tr Y^3 / 3 for traceless X and Y, all seven are traces of
 products.
 
 Two evaluation routes are provided.  The matrix form works directly on
-X, Y, Z.  The basis form rewrites everything through Pauli traces and
-the correlation parts Y_k of Z = sum_k E_k (x) Y_k, so agreement of the
-two routes cross-checks both the algebra and the decomposition.  Both
+X, Y, Z and forms no Kronecker product: with tr_qubit the partial trace
+over the qubit,
+
+    i6 = tr(Y tr_qubit((X (x) I) Z)),    i7 = tr(Y tr_qubit Z^2),
+
+where J(X (x) I) J(Z) is J(X) times J(Z) read as a 4 x 36 array, and i2
+and i3 are the traces of the Y^2 and Z^2 built for i4 and i5.  The basis
+form rewrites everything through Pauli traces and the correlation parts
+Y_k of Z = sum_k E_k (x) Y_k, so agreement of the two routes
+cross-checks both the algebra and the decomposition.  Both
 work on the real embeddings of the scaled pieces (see
 :mod:`luinv.states`), the same code for exact and float states: a
 complex trace is a pair (re, im), the traces of the top-left and
@@ -60,7 +67,7 @@ from luinv.states import (
     _seeded,
     apply_local_unitary,
     decompose_state,
-    kron,
+    partial_trace_qubit,
 )
 
 COMPONENTS = ("i1", "i2", "i3", "i4", "i5", "i6", "i7")
@@ -115,6 +122,13 @@ def _trace(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return t[..., 0], t[..., 1]
 
 
+def _diagonal_trace(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(re, im) of tr M from J(M): the traces of its top-left and bottom-left blocks."""
+    n = m.shape[-1] // 2
+    t = np.trace(m[..., :n].reshape(*m.shape[:-2], 2, n, n), axis1=-2, axis2=-1)
+    return t[..., 0], t[..., 1]
+
+
 def _dot(u: Tuple, v: Tuple) -> Tuple:
     """(re, im) of sum u * v over complex arrays u, v held as (re, im) pairs."""
     # the real part needs Re*Re - Im*Im, not Re*Re alone
@@ -157,16 +171,19 @@ def eval_matrix_form(dec: StateDecomposition) -> InvariantVector:
     if dec.exact and dec.corr.ndim != 2:
         raise ValueError("eval_matrix_form takes one exact state, not a stack")
     x, y, z = dec.local_a, dec.local_b, dec.corr
-    z2 = z @ z
+    y2, z2 = y @ y, z @ z
+    # tr((X (x) Y) Z) = tr(Y tr_qubit((X (x) I) Z)), with J(X~ (x) I) J(Z~) = J(X~) times J(Z~)
+    # read as 4 x 36; (X (x) I) Z is freed at once, so it is not held beside Z^2's traces
+    raw_i6 = _trace(y, partial_trace_qubit((x @ z.reshape(*z.shape[:-2], 4, 36)).reshape(z.shape)))
     s = dec.scale
     values = (
         (_trace(x, x), -2 * s**2),
-        (_trace(y, y), s**2),
-        (_trace(z, z), s**2),
-        (_trace(y @ y, y), 3 * s**3),
+        (_diagonal_trace(y2), s**2),
+        (_diagonal_trace(z2), s**2),
+        (_trace(y2, y), 3 * s**3),
         (_trace(z2, z), s**3),
-        (_trace(kron(x, y), z), s**3),
-        (_trace(kron(np.eye(4, dtype=int), y), z2), s**3),
+        (raw_i6, s**3),
+        (_trace(y, partial_trace_qubit(z2)), s**3),  # tr((I (x) Y) Z^2) = tr(Y tr_qubit Z^2)
     )
     return _realize(values, dec.exact)
 

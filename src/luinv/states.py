@@ -33,8 +33,19 @@ draw comes from one stdlib random.Random(seed) stream: the integers of A
 directly, the normals by Box-Muller from its bytes (_normals), so numpy's
 random module is never imported.
 
+No Kronecker product is formed.  The block identities for A (x) I and
+(X (x) I)(I (x) Y) (C. F. Van Loan, "The ubiquitous Kronecker product",
+J. Comput. Appl. Math. 123, 2000) stand in for it: split as (re/im,
+qubit, qutrit) twice, J(X (x) I3) is J(X) in the blocks (j, l = j) and
+zero elsewhere, J(I2 (x) Y) is J(Y) in the blocks (i, k = i), so the
+decomposition subtracts the local parts there in place; u2 (x) u3 is
+formed in complex128 by broadcasting and embedded once; and each partial
+trace is a sum of slices of the split.
+
 The array functions act on the last two axes, so a stack (N, 12, 12) of
-float states takes the same code as one state, checked state by state.
+float states takes the same code as one state, checked state by state:
+every step is elementwise or a matmul per state, so a stack's pieces are
+bit for bit those of each state alone.
 """
 
 from __future__ import annotations
@@ -69,16 +80,6 @@ PAULIS = embed(
 PAULIS.flags.writeable = False
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """J(A (x) B) from the 4x4 J(A) and the 6x6 J(B); leading axes broadcast."""
-    out = np.einsum(
-        "...ciek,...ejdl->...cijdkl",
-        a.reshape(*a.shape[:-2], 2, 2, 2, 2),
-        b.reshape(*b.shape[:-2], 2, 3, 2, 3),
-    )
-    return out.reshape(*out.shape[:-6], 12, 12)
-
-
 def _split(m: np.ndarray) -> np.ndarray:
     """An embedded 6x6 array, or a stack of them, indexed (..., c, i, j, d, k, l)."""
     return m.reshape(*m.shape[:-2], 2, 2, 3, 2, 2, 3)
@@ -86,12 +87,15 @@ def _split(m: np.ndarray) -> np.ndarray:
 
 def partial_trace_qutrit(m: np.ndarray) -> np.ndarray:
     """Trace out the qutrit factor of an embedded 6x6 array, leaving the 4x4 J(2x2)."""
-    return np.trace(_split(m), axis1=-4, axis2=-1).reshape(*m.shape[:-2], 4, 4)
+    s = _split(m)  # the sum of the blocks (j, l = j)
+    traced = s[..., 0, :, :, 0] + s[..., 1, :, :, 1] + s[..., 2, :, :, 2]
+    return traced.reshape(*m.shape[:-2], 4, 4)
 
 
 def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
     """Trace out the qubit factor of an embedded 6x6 array, leaving the 6x6 J(3x3)."""
-    return np.trace(_split(m), axis1=-5, axis2=-2).reshape(*m.shape[:-2], 6, 6)
+    s = _split(m)  # the sum of the blocks (i, k = i)
+    return (s[..., 0, :, :, 0, :] + s[..., 1, :, :, 1, :]).reshape(*m.shape[:-2], 6, 6)
 
 
 #: The largest entry size max |den * rho| of an exact state's integer form
@@ -107,8 +111,10 @@ def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
 #: form's i5, the six nonzero Pauli traces tr(E_k E_l E_m) = +-2i times
 #: those: 1296 * (32B)^3 = 81 * 2^19 * B^3 bounds it and every partial sum
 #: on the way, and every other trace is smaller (the matrix form's
-#: largest, tr Z~^3, is at most 72 * 12 * 16^3 * B^3).  81 * 2^19 * B^3 is
-#: below 2^63 for B <= 6010.  Random rational states have B <= 108.
+#: largest, tr Z~^3, is at most 72 * 12 * 16^3 * B^3; its i6 and i7,
+#: through tr_qubit((X~ (x) I) Z~) and tr_qubit Z~^2, at most half that).
+#: 81 * 2^19 * B^3 is below 2^63 for B <= 6010.  Random rational states
+#: have B <= 108.
 INT64_LIMIT = 6010
 
 
@@ -185,7 +191,8 @@ def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
     must be ints or Fractions.
     """
     if rho.dtype != object:
-        return 1, rho.astype(float, copy=False)
+        # C order: decompose_state writes into views of arrays made from it
+        return 1, np.ascontiguousarray(rho, dtype=float)
     values = rho.ravel().tolist()
     if not set(map(type, values)) <= {int, Fraction}:
         raise ValueError("exact states must hold int or Fraction entries")
@@ -204,12 +211,23 @@ def _add_identity(m: np.ndarray, c) -> np.ndarray:
 
 
 def decompose_state(rho: np.ndarray) -> StateDecomposition:
-    """Split a state or a stack of them, validated by validate_state, into its pieces."""
+    """Split a state or a stack of them, validated by validate_state, into its pieces.
+
+    Z~ = 12n - 2den I - J(X~ (x) I) - J(I (x) Y~) for the integer form n,
+    J(X~) subtracted in place from the blocks (j, l = j) of the split and
+    J(Y~) from the blocks (i, k = i), the only ones the products fill.
+    """
     den, n = validate_state(rho)
     local_a = _add_identity(4 * partial_trace_qutrit(n), -2 * den)
     local_b = _add_identity(6 * partial_trace_qubit(n), -2 * den)
-    local_sum = kron(local_a, np.eye(6, dtype=int)) + kron(np.eye(4, dtype=int), local_b)
-    corr = _add_identity(12 * n, -2 * den) - local_sum
+    corr = _add_identity(12 * n, -2 * den)
+    blocks = _split(corr)
+    a = local_a.reshape(*local_a.shape[:-2], 2, 2, 2, 2)  # (c, i, d, k)
+    b = local_b.reshape(*local_b.shape[:-2], 2, 3, 2, 3)  # (c, j, d, l)
+    for j in range(3):
+        blocks[..., j, :, :, j] -= a
+    for i in range(2):
+        blocks[..., i, :, :, i, :] -= b
     return StateDecomposition(local_a, local_b, corr, 12 * den)
 
 
@@ -271,10 +289,16 @@ def random_state(seed: int, kind: str = "rational") -> np.ndarray:
 
 
 def _haar_special_unitary(g: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(g)  # g: Ginibre draws, one n x n matrix or a stack
+    """Haar-random special unitaries from Ginibre draws g, n x n complex, leading axes stacked.
+
+    numpy's QR g = q r, with each column of q times the phase of r's
+    diagonal entry (Mezzadri's fix, which makes q Haar on U(n)), then
+    divided by an n-th root of det q to land in SU(n).
+    """
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[..., None, :]
-    # into SU(n) by an n-th root of det q; np.power, as ** rounds arrays differently
+    # np.power, as ** rounds arrays differently
     return q / np.power(np.linalg.det(q), 1.0 / g.shape[-1])[..., None, None]
 
 
@@ -285,8 +309,14 @@ def _local_unitary(normals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def apply_local_unitary(rho: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
-    """Conjugate a state by u2 (x) u3, in float arithmetic; leading axes broadcast."""
-    ju = kron(embed(u2.real, u2.imag), embed(u3.real, u3.imag))
+    """Conjugate a state by u2 (x) u3, in float arithmetic; leading axes broadcast.
+
+    u2 (x) u3 is formed in complex128 by broadcasting, entry (i, j; k, l)
+    = u2[i, k] u3[j, l], and embedded once.
+    """
+    u = u2[..., :, None, :, None] * u3[..., None, :, None, :]
+    u = u.reshape(*u.shape[:-4], 6, 6)
+    ju = embed(u.real, u.imag)
     return ju @ rho.astype(float, copy=False) @ ju.swapaxes(-1, -2)
 
 

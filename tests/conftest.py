@@ -15,6 +15,7 @@ from luinv.states import (
     StateDecomposition,
     _local_unitary,
     _normals,
+    embed,
     random_state,
 )
 
@@ -40,6 +41,18 @@ def rational_states():
 def random_local_unitary(seed: int):
     """A Haar pair (u2, u3) in SU(2) x SU(3) from the first 26 normals of random.Random(seed)."""
     return _local_unitary(_normals(random.Random(seed), 26))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """J(A (x) B) from J(A) and J(B), the test oracle for the block identities.
+
+    The complex np.kron written out on the real and imaginary parts,
+    (Ar (x) Br - Ai (x) Bi) + i (Ar (x) Bi + Ai (x) Br), then embedded, so
+    exact entries stay exact; one matrix each, no stacks.
+    """
+    m, n = a.shape[-1] // 2, b.shape[-1] // 2
+    ar, ai, br, bi = a[:m, :m], a[m:, :m], b[:n, :n], b[n:, :n]
+    return embed(np.kron(ar, br) - np.kron(ai, bi), np.kron(ar, bi) + np.kron(ai, br))
 
 
 def scale_components(dec: StateDecomposition, a, b, c) -> StateDecomposition:

@@ -726,6 +726,36 @@ class TestDeterminism:
         _, out_b, _ = run_cli(capsys, "series", "--max-degree", "8", "--format", "json")
         assert out_a == out_b
 
+    def test_one_parser_serves_every_command_in_either_order(self, capsys, state_files):
+        # the parser is built once per process, so no run may leave anything in it for the next
+        commands = [
+            ["series", "--max-degree", "6"],
+            ["verify", "--max-degree", "8", "--with-quadrature", "--format", "json"],
+            ["invariants", "--random", "--seed", "3", "--format", "csv"],
+            ["invariants", "--state", state_files["rational"], "--scalar", "float"],
+            ["invariants", "--battery", "--trials", "5", "--seed", "1"],
+            ["multigraded", "--max-degree", "4"],
+            ["verify", "-h"],
+            ["series", "--max-degree", "x"],  # an argparse usage error
+            ["invariants", "--random"],  # a randomized mode without --seed
+        ]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # help and usage errors
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        cli.build_parser.cache_clear()
+        first = [run(argv) for argv in commands]
+        assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 0, 2, 2]
+        assert all(out or err for _, out, err in first)
+        assert [run(argv) for argv in commands] == first
+        assert [run(argv) for argv in commands[::-1]] == first[::-1]
+        assert cli.build_parser.cache_info().misses == 1
+
 
 ENGINE_OPTIONS = ["--max-degree MAX_DEGREE", "--memory-budget BYTES", "--format {plain,csv,json}"]
 
@@ -863,6 +893,8 @@ class TestContract:
             ["series", "--max-degree", "30"],
             ["verify", "--format", "json"],
             ["invariants", "--random", "--seed", "3"],
+            ["series", "--help"],  # help is printed inside parse_args
+            ["-h"],
         ],
     )
     def test_closed_stdout_is_a_resource_error(self, argv, buffered):

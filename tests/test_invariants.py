@@ -25,11 +25,10 @@ from luinv.states import (
     apply_local_unitary,
     decompose_state,
     embed,
-    kron,
     random_state,
 )
 
-from conftest import random_local_unitary, scale_components
+from conftest import kron, random_local_unitary, scale_components
 
 PURE_PRODUCT_VALUES = (
     Fraction(-1, 36),
@@ -47,6 +46,12 @@ def exact(re_rows, im_rows=None) -> np.ndarray:
     re = np.array(re_rows, dtype=object)
     im = np.zeros_like(re) if im_rows is None else np.array(im_rows, dtype=object)
     return embed(re, im)
+
+
+def as_complex(m: np.ndarray) -> np.ndarray:
+    """The complex128 matrix an embedding stands for."""
+    n = m.shape[-1] // 2
+    return m[:n, :n].astype(float) + 1j * m[n:, :n].astype(float)
 
 
 def exact_identity(n: int) -> np.ndarray:
@@ -106,6 +111,17 @@ class TestEvaluation:
         approx = eval_matrix_form(decompose_state(rho.astype(float)))
         for name in COMPONENTS:
             assert abs(float(exact.as_dict()[name]) - approx.as_dict()[name]) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_block_identities_match_complex_kronecker_traces(self, seed):
+        # i6 = tr((X (x) Y) Z) and i7 = tr((I (x) Y) Z^2), in complex128 with np.kron
+        dec = decompose_state(random_state(seed, "psd_float"))
+        x, y, z = (as_complex(m) for m in (dec.local_a, dec.local_b, dec.corr))
+        i6 = np.trace(np.kron(x, y) @ z) / dec.scale**3
+        i7 = np.trace(np.kron(np.eye(2), y) @ z @ z) / dec.scale**3
+        values = eval_matrix_form(dec)
+        assert abs(values.i6 - i6) <= 1e-12 * abs(i6)
+        assert abs(values.i7 - i7) <= 1e-12 * abs(i7)
 
     def test_non_hermitian_correlation_is_caught(self):
         # a doctored corr part with a genuinely non-real cubic trace
@@ -178,6 +194,12 @@ class TestInvarianceBattery:
         assert a == b
         assert a.passed and a.max_deviation <= 1e-9
         assert a.trials == 25
+
+    @pytest.mark.parametrize("seed", [5, 7, 21, 1234])
+    def test_deviation_stays_at_rounding_level(self, seed):
+        # the tolerance is 1e-9; a less stable Haar draw or conjugation would hide under it,
+        # so the precision itself is held, well above the 2.8e-16 to 5e-16 observed
+        assert invariance_battery(trials=3000, seed=seed).max_deviation < 1e-14
 
     def test_different_seeds_give_different_worst_cases(self):
         # the seeds differ in what they draw; max_deviation itself is quantised

@@ -16,7 +16,6 @@ from luinv.states import (
     apply_local_unitary,
     decompose_state,
     embed,
-    kron,
     partial_trace_qubit,
     partial_trace_qutrit,
     random_state,
@@ -24,7 +23,7 @@ from luinv.states import (
     validate_state,
 )
 
-from conftest import random_local_unitary, scale_components, state_to_json
+from conftest import kron, random_local_unitary, scale_components, state_to_json
 
 
 def exact(re_rows, im_rows=None) -> np.ndarray:
@@ -38,6 +37,16 @@ def defining_sum(dec) -> np.ndarray:
     """(s/6) I + X~ (x) I + I (x) Y~ + Z~, which is s rho for the scale s."""
     local = kron(dec.local_a, np.eye(6, dtype=int)) + kron(np.eye(4, dtype=int), dec.local_b)
     return (dec.scale // 6) * np.eye(12, dtype=int) + local + dec.corr
+
+
+def beyond_int64_state() -> np.ndarray:
+    """A state whose integer form has an entry of 6011, past INT64_LIMIT: the object route."""
+    re = [[int(i == j) for j in range(6)] for i in range(6)]
+    im = [[0] * 6 for _ in range(6)]
+    re[0][0] = 6011
+    re[0][1] = re[1][0] = 3
+    im[1][2], im[2][1] = 5, -5
+    return exact(re, im) * Fraction(1, 6016)
 
 
 def exact_identity(n: int) -> np.ndarray:
@@ -203,6 +212,14 @@ class TestPartialTraces:
         assert partial_trace_qutrit(m).tolist() == qutrit_out
         assert partial_trace_qubit(m).tolist() == qubit_out
 
+    def test_stack_equals_each_matrix_alone_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((5, 12, 12)) * 10.0 ** rng.integers(-3, 4, (5, 1, 1))
+        for trace in (partial_trace_qutrit, partial_trace_qubit):
+            traced = trace(stack)
+            for i, m in enumerate(stack):
+                assert np.array_equal(traced[i], trace(m))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             partial_trace_qubit(exact_identity(5))
@@ -323,6 +340,36 @@ class TestDecomposition:
         dec = decompose_state(rho)
         assert not dec.exact
         assert np.abs(defining_sum(dec) / dec.scale - rho).max() < 1e-14
+
+    @pytest.mark.parametrize("route", ["int64", "object", "float stack"])
+    def test_corr_is_the_rest_after_the_kronecker_oracle(self, route):
+        # Z~ = 12 n - 2 den I - J(X~ (x) I3) - J(I2 (x) Y~), products by the oracle
+        if route == "float stack":
+            rho = np.stack([random_state(seed, "psd_float") for seed in range(4)])
+        else:
+            rho = random_state(6, "rational") if route == "int64" else beyond_int64_state()
+        den, n = validate_state(rho)
+        dec = decompose_state(rho)
+        assert dec.corr.dtype == {"int64": np.int64, "object": object}.get(route, np.float64)
+        for i in np.ndindex(rho.shape[:-2]):
+            oracle = (
+                12 * n[i] - 2 * den * np.eye(12, dtype=int)
+                - kron(dec.local_a[i], np.eye(6, dtype=int))
+                - kron(np.eye(4, dtype=int), dec.local_b[i])
+            )
+            assert np.array_equal(dec.corr[i], oracle)
+
+    def test_memory_order_does_not_matter(self):
+        # the decomposition writes into views; a Fortran-order or strided input must not
+        # leave those writes in a copy
+        stack = np.stack([random_state(seed, "psd_float") for seed in range(6)])
+        expected = decompose_state(stack[::2].copy())
+        for rho in (np.asfortranarray(stack[::2]), stack[::2]):
+            dec = decompose_state(rho)
+            for name in ("local_a", "local_b", "corr"):
+                assert np.array_equal(getattr(dec, name), getattr(expected, name))
+        alone = decompose_state(stack[0])
+        assert np.array_equal(decompose_state(np.asfortranarray(stack[0])).corr, alone.corr)
 
     def test_scale_components(self):
         dec = decompose_state(random_state(5, "rational"))
