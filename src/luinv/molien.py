@@ -254,14 +254,12 @@ def _check_budget(
     what: str, max_degree: int, memory_budget: Optional[int], estimate: Callable[[int], int]
 ) -> None:
     """Raise MemoryBudgetError if estimate(max_degree) bytes exceed the budget, naming the largest
-    max degree whose estimate fits (they fit up to some degree): doubling, then bisection."""
+    max degree whose estimate fits (they fit up to some degree), by bisection below max_degree."""
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     need = estimate(max_degree)
     if need <= budget:
         return
-    lo, hi = -1, 1
-    while estimate(hi) <= budget:
-        lo, hi = hi, 2 * hi
+    lo, hi = -1, max_degree
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if estimate(mid) <= budget:

@@ -156,7 +156,8 @@ def validate_state(rho: np.ndarray) -> Tuple[int, np.ndarray]:
     state does.  The checks run on the integer form den * rho: exact states
     must hold int or Fraction entries only and pass exactly, float states
     are held to 1e-12 * max(1, max |entry|), each state at its own scale,
-    and a NaN anywhere fails the checks.  Returns _integer_form(rho).
+    and a NaN anywhere fails the checks.  Returns _integer_form(rho), which
+    refuses an exact state whose common denominator passes its cap.
     """
     if rho.shape[-2:] != (12, 12):
         raise ValueError(f"expected the 12x12 embedding of a 6x6 matrix, got shape {rho.shape}")
@@ -188,7 +189,11 @@ def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
 
     The integers are int64 while every one is within INT64_LIMIT in size
     and den within 6 * INT64_LIMIT, Python ints beyond.  Exact entries
-    must be ints or Fractions.
+    must be ints or Fractions, and den has at most 2 * limit digits for
+    Python's int-string limit: one part of a state file may carry about
+    that many, but coprime denominators multiply up (thirty of 3900
+    digits make about 117k, and each form then takes about a minute).
+    The lcm grows one distinct denominator at a time and stops at the cap.
     """
     if rho.dtype != object:
         # C order: decompose_state writes into views of arrays made from it
@@ -197,7 +202,14 @@ def _integer_form(rho: np.ndarray) -> Tuple[int, np.ndarray]:
     if not set(map(type, values)) <= {int, Fraction}:
         raise ValueError("exact states must hold int or Fraction entries")
     ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*{d for _, d in ratios})
+    limit, den = _digit_limit(), 1
+    for d in {d for _, d in ratios}:
+        den = math.lcm(den, d)
+        # 10^(2 limit) has over 6 limit bits, so an ordinary den never forms the power
+        if den.bit_length() > 6 * limit and den >= 10 ** (2 * limit):
+            raise ValueError(
+                f"the common denominator of the entries has more than {2 * limit} digits"
+            )
     ints = [p * (den // d) for p, d in ratios]
     # a valid state has den = tr(den * rho) <= 6 * INT64_LIMIT; a larger den stays a Python int
     small = max(map(abs, ints), default=0) <= INT64_LIMIT and den <= 6 * INT64_LIMIT
@@ -373,28 +385,14 @@ def _parse_entry(entry, scalar: str, where: str) -> Tuple[Scalar, Scalar]:
     return re_part, im_part
 
 
-def _check_common_denominator(parts) -> None:
-    """Refuse exact parts whose common denominator has more than 2 * limit digits.
-
-    One part may have a denominator of up to about 2 * limit digits, its
-    digits and its decimal exponent each held to the limit, and the state
-    may have as large a one.  But parts with coprime denominators multiply
-    up: thirty of 3900 digits make a common denominator of about 117k
-    digits, and the decomposition works over it.  The lcm is built part
-    by part and stops as soon as it passes the cap.
-    """
-    limit = _digit_limit()
-    cap, den = 10 ** (2 * limit), 1
-    for part in parts:
-        den = math.lcm(den, part.denominator)
-        if den >= cap:
-            raise ValueError(
-                f"the common denominator of the entries has more than {2 * limit} digits"
-            )
-
-
 def state_from_json(text: str) -> np.ndarray:
-    """Parse a state from the versioned JSON schema, validating shape and entries."""
+    """Parse a state from the versioned JSON schema, validating shape and entries.
+
+    Each rational part is held to the int-string limit here, but not the
+    entries' common denominator: validate_state refuses an exact state
+    whose denominator passes its cap, so such a state parses, and runs
+    once turned to floats.
+    """
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
@@ -416,7 +414,5 @@ def state_from_json(text: str) -> np.ndarray:
         for i, row in enumerate(matrix)
         for j, entry in enumerate(row)
     ]
-    if scalar == "rational":
-        _check_common_denominator(part for pair in pairs for part in pair)
     parts = np.array(pairs, dtype=object if scalar == "rational" else float).reshape(6, 6, 2)
     return embed(parts[..., 0], parts[..., 1])

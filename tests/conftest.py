@@ -1,5 +1,6 @@
 """Shared fixtures and helpers; expensive exact computations run once per session."""
 
+import itertools
 import json
 import math
 import random
@@ -90,3 +91,18 @@ def state_to_json(rho: np.ndarray) -> str:
         scalar = "float"
     payload = {"schema": STATE_SCHEMA, "scalar": scalar, "matrix": matrix}
     return json.dumps(payload)
+
+
+def coprime_denominators_payload(digits: int, count: int) -> dict:
+    """The maximally mixed state with count off-diagonal parts 1/(10^(digits-1) + k).
+
+    Consecutive integers are coprime, so the common denominator has about
+    count * digits digits while every part stays within the digit limit.
+    """
+    matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
+    dens = iter(10 ** (digits - 1) + k for k in range(1, count + 1))
+    for i, j in itertools.islice(itertools.combinations(range(6), 2), count // 2):
+        re_den, im_den = next(dens), next(dens)
+        matrix[i][j] = [f"1/{re_den}", f"1/{im_den}"]
+        matrix[j][i] = [f"1/{re_den}", f"-1/{im_den}"]
+    return {"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix}

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ from luinv import cli, molien, reference
 from luinv.molien import quadrature_grid
 from luinv.states import random_state
 
-from conftest import state_to_json
+from conftest import coprime_denominators_payload, state_to_json
 
 
 def run_cli(capsys, *argv):
@@ -472,6 +473,17 @@ class TestInvariants:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "common denominator" in err and "8600 digits" in err
+
+    def test_huge_common_denominator_runs_in_floats(self, capsys, tmp_path):
+        # the cap guards exact arithmetic only: as floats the state is the maximally mixed one
+        path = tmp_path / "coprime.json"
+        path.write_text(json.dumps(coprime_denominators_payload(3900, 30)))
+        code, out, err = run_cli(
+            capsys, "invariants", "--state", str(path), "--scalar", "float", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        values = json.loads(out)["values"]
+        assert len(values) == 7 and all(math.isfinite(v) for v in values.values())
 
     @pytest.mark.parametrize(
         "scalar, entry, message",

@@ -815,6 +815,35 @@ class TestSeries:
             assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+#: Weight systems the paper does not cover, each as one grade, with the invariant ring's series
+#: (numerator coefficients by degree, denominator factors (e, m) for (1 - t^e)^m) and its
+#: source.  The qubit weights are SO(3) on vectors, the qutrit weights SU(3) on traceless
+#: hermitian matrices.
+CLASSICAL = {
+    # one and two vectors: H. Weyl, The Classical Groups (1939), ch. II
+    "qubit": (["qubit"], [1], [(2, 1)]),
+    "qubit2": (["qubit"] * 2, [1], [(2, 3)]),
+    # three vectors: the same, with the determinant in degree 3
+    "qubit3": (["qubit"] * 3, [1, 0, 0, 1], [(2, 6)]),
+    # one matrix: C. Chevalley, "Invariants of finite groups generated by reflections",
+    # Amer. J. Math. 77 (1955); no weight has x-exponent +1, so P is the row 1
+    "qutrit": (["qutrit"], [1], [(2, 1), (3, 1)]),
+    # two matrices: Y. Teranishi, "The ring of invariants of matrices", Nagoya Math. J. 104 (1986)
+    "qutrit2": (["qutrit"] * 2, [1, 0, 0, 0, 0, 0, 1], [(2, 3), (3, 4), (4, 1)]),
+    # a vector and a matrix: the product of the first and the fourth
+    "qubit-qutrit": (["qubit", "qutrit"], [1], [(2, 2), (3, 1)]),
+}
+
+
+class TestClassicalClosedForms:
+    @pytest.mark.parametrize("name", CLASSICAL)
+    def test_series_through_degree_200(self, name):
+        tags, numerator, factors = CLASSICAL[name]
+        dims = _dimensions([sum((GRADES[t] for t in tags), ())], 200, None)
+        expected = _taylor_head(numerator, reference._expand_factors(factors), 200)
+        assert [dims[(d,)] for d in range(201)] == expected
+
+
 class TestQuadrature:
     def test_residues_match_the_engine_through_35(self):
         exact = poincare_coefficients(35)

@@ -1,8 +1,8 @@
 """Array algebra, state decomposition, sampling, and JSON round-trips."""
 
-import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,13 @@ from luinv.states import (
     validate_state,
 )
 
-from conftest import kron, random_local_unitary, scale_components, state_to_json
+from conftest import (
+    coprime_denominators_payload,
+    kron,
+    random_local_unitary,
+    scale_components,
+    state_to_json,
+)
 
 
 def exact(re_rows, im_rows=None) -> np.ndarray:
@@ -535,26 +541,22 @@ class TestJsonIO:
         assert state_from_json(json.dumps(payload))[3, 4] == Fraction(part)
 
 
-def coprime_denominators_payload(digits: int, count: int) -> dict:
-    """The maximally mixed state with count off-diagonal parts 1/(10^(digits-1) + k).
-
-    Consecutive integers are coprime, so the common denominator has about
-    count * digits digits while every part stays within the digit limit.
-    """
-    matrix = [[["1/6" if i == j else "0", "0"] for j in range(6)] for i in range(6)]
-    dens = iter(10 ** (digits - 1) + k for k in range(1, count + 1))
-    for i, j in itertools.islice(itertools.combinations(range(6), 2), count // 2):
-        re_den, im_den = next(dens), next(dens)
-        matrix[i][j] = [f"1/{re_den}", f"1/{im_den}"]
-        matrix[j][i] = [f"1/{re_den}", f"-1/{im_den}"]
-    return {"schema": "luinv.state.v1", "scalar": "rational", "matrix": matrix}
-
-
 class TestCommonDenominator:
     def test_rejects_common_denominator_beyond_twice_the_digit_limit(self):
         payload = coprime_denominators_payload(3900, 30)
         with pytest.raises(ValueError, match="common denominator .* more than 8600 digits"):
-            state_from_json(json.dumps(payload))
+            decompose_state(state_from_json(json.dumps(payload)))
+
+    @pytest.mark.parametrize("check", [validate_state, decompose_state])
+    def test_library_refuses_an_object_array_beyond_the_cap_quickly(self, check):
+        # no state file: the Fractions go straight in, as a library caller builds them
+        matrix = coprime_denominators_payload(3900, 30)["matrix"]
+        parts = np.array([[[Fraction(p) for p in e] for e in row] for row in matrix], dtype=object)
+        rho = embed(parts[..., 0], parts[..., 1])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="common denominator .* more than 8600 digits"):
+            check(rho)
+        assert time.perf_counter() - start < 0.1
 
     def test_accepts_common_denominator_within_twice_the_digit_limit(self):
         rho = state_from_json(json.dumps(coprime_denominators_payload(2140, 4)))
