@@ -133,6 +133,23 @@ def _load_state(args) -> np.ndarray:
     return random_state(args.seed, kind)
 
 
+def _printed(name: str, value):
+    """An exact value as its Fraction string, a float as it is.
+
+    Python refuses to print an int past its int-string limit, and an exact
+    state within the common-denominator cap can still have such values.
+    """
+    if not isinstance(value, Fraction):
+        return value
+    try:
+        return str(value)
+    except ValueError as err:
+        raise ValueError(
+            f"invariant {name} is too long to print: its numerator or denominator has more "
+            f"than {sys.get_int_max_str_digits()} digits; --scalar float evaluates the state"
+        ) from err
+
+
 def cmd_invariants(args) -> int:
     if (args.random or args.battery) and args.seed is None:
         raise ValueError("randomized modes require --seed")
@@ -158,7 +175,7 @@ def cmd_invariants(args) -> int:
     # a huge float state overflows quietly: _realize rejects the non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
         vec = eval_matrix_form(decompose_state(rho))
-    values = {name: str(v) if isinstance(v, Fraction) else v for name, v in vec.as_dict().items()}
+    values = {name: _printed(name, v) for name, v in vec.as_dict().items()}
     _emit(
         args.format,
         {

@@ -28,7 +28,9 @@ denominator, so exact pieces are integer arrays, int64 while the integer
 form's entries are within INT64_LIMIT and Python ints beyond it.  Exact
 random states come from A A^dagger / tr(A A^dagger) with Gaussian-integer
 A, float ones from the Ginibre ensemble, and Haar special unitaries from
-QR with the phase fix of Mezzadri (Notices AMS 54, 2007).  Every random
+the QR factor of a Ginibre draw whose R has a positive diagonal (the
+phase fix of Mezzadri, Notices AMS 54, 2007), built by Gram-Schmidt run
+twice per column, so no LAPACK routine is called.  Every random
 draw comes from one stdlib random.Random(seed) stream: the integers of A
 directly, the normals by Box-Muller from its bytes (_normals), so numpy's
 random module is never imported.
@@ -303,15 +305,30 @@ def random_state(seed: int, kind: str = "rational") -> np.ndarray:
 def _haar_special_unitary(g: np.ndarray) -> np.ndarray:
     """Haar-random special unitaries from Ginibre draws g, n x n complex, leading axes stacked.
 
-    numpy's QR g = q r, with each column of q times the phase of r's
-    diagonal entry (Mezzadri's fix, which makes q Haar on U(n)), then
-    divided by an n-th root of det q to land in SU(n).
+    n is 2 or 3.  Mezzadri's map: the QR factor q of g = q r whose r has a positive
+    real diagonal, which is Haar on U(n), divided by the principal n-th
+    root of det q to land in SU(n).  Gram-Schmidt over the columns builds
+    exactly that q, since each column is divided by the norm that becomes
+    r's diagonal entry, so no LAPACK call is needed.  Each column is
+    projected out of the earlier ones twice: one pass loses orthogonality
+    in proportion to the draw's condition number, two keep it at
+    rounding level (Giraud, Langou and Rozloznik, Numer. Math. 101, 2005).
+    det q is the 2 x 2 product formula or the 3 x 3 triple product.
     """
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
+    n = g.shape[-1]
+    cols = []
+    for k in range(n):
+        v = g[..., :, k]
+        for _ in range(2):
+            for c in cols:
+                v = v - c * np.sum(c.conj() * v, axis=-1, keepdims=True)
+        cols.append(v / np.sqrt(np.sum(v.real**2 + v.imag**2, axis=-1, keepdims=True)))
+    if n == 2:
+        det = cols[0][..., 0] * cols[1][..., 1] - cols[0][..., 1] * cols[1][..., 0]
+    else:
+        det = np.sum(cols[0] * np.cross(cols[1], cols[2]), axis=-1)
     # np.power, as ** rounds arrays differently
-    return q / np.power(np.linalg.det(q), 1.0 / g.shape[-1])[..., None, None]
+    return np.stack(cols, axis=-1) / np.power(det, 1.0 / n)[..., None, None]
 
 
 def _local_unitary(normals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

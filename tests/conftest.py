@@ -44,6 +44,19 @@ def random_local_unitary(seed: int):
     return _local_unitary(_normals(random.Random(seed), 26))
 
 
+def qr_haar_special_unitary(g: np.ndarray) -> np.ndarray:
+    """The reference for states._haar_special_unitary: numpy's QR with Mezzadri's phase fix.
+
+    g = q r by LAPACK, each column of q times the phase of r's diagonal
+    entry, so that r's diagonal turns positive and q is Haar on U(n), then
+    q divided by the principal n-th root of its determinant.
+    """
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    return q / np.power(np.linalg.det(q), 1.0 / g.shape[-1])[..., None, None]
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """J(A (x) B) from J(A) and J(B), the test oracle for the block identities.
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from luinv import cli, molien, reference
 from luinv.molien import quadrature_grid
-from luinv.states import random_state
+from luinv.invariants import eval_matrix_form
+from luinv.states import decompose_state, random_state, state_from_json
 
 from conftest import coprime_denominators_payload, state_to_json
 
@@ -484,6 +485,33 @@ class TestInvariants:
         assert code == 0 and err == ""
         values = json.loads(out)["values"]
         assert len(values) == 7 and all(math.isfinite(v) for v in values.values())
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_value_past_the_int_string_limit_exit_2(self, capsys, tmp_path, fmt):
+        # an 8560-digit common denominator, within the cap, but i2 is longer than Python prints
+        path = tmp_path / "coprime.json"
+        path.write_text(json.dumps(coprime_denominators_payload(2140, 4)))
+        code, out, err = run_cli(capsys, "invariants", "--state", str(path), "--format", fmt)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: invariant i2 ")
+        assert "--scalar float" in err and "set_int_max_str_digits" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    def test_value_past_the_int_string_limit_prints_without_the_limit(self, capsys, tmp_path):
+        text = json.dumps(coprime_denominators_payload(2140, 4))
+        path = tmp_path / "coprime.json"
+        path.write_text(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, err = run_cli(capsys, "invariants", "--state", str(path), "--format", "json")
+            values = {k: Fraction(v) for k, v in json.loads(out)["values"].items()}
+            expected = eval_matrix_form(decompose_state(state_from_json(text))).as_dict()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and err == ""
+        assert values == expected
 
     @pytest.mark.parametrize(
         "scalar, entry, message",
