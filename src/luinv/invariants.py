@@ -25,20 +25,34 @@ over the qubit,
     i6 = tr(Y tr_qubit((X (x) I) Z)),    i7 = tr(Y tr_qubit Z^2),
 
 where J(X (x) I) J(Z) is J(X) times J(Z) read as a 4 x 36 array, and i2
-and i3 are the traces of the Y^2 and Z^2 built for i4 and i5.  The basis
-form rewrites everything through Pauli traces and the correlation parts
-Y_k of Z = sum_k E_k (x) Y_k, so agreement of the two routes
-cross-checks both the algebra and the decomposition.  Both
-work on the real embeddings of the scaled pieces (see
-:mod:`luinv.states`), the same code for exact and float states: a
-complex trace is a pair (re, im), the traces of the top-left and
-bottom-left blocks, and each invariant is one such raw value divided
-once by its constant times scale^degree.  Exact raw values are
-integers, int64 up to states.INT64_LIMIT and Python ints beyond, and
-each becomes one Fraction.  All seven values are real; the exact route
-enforces a vanishing imaginary part and returns Fractions, the float
-route holds it to IMAG_TOLERANCE times max(1, |real part|).  The Pauli
-traces the basis form contracts with are built once, at import.
+and i3 are the traces of the Y^2 and Z^2 built for i4 and i5.  It works
+on the real embeddings of the scaled pieces (see :mod:`luinv.states`),
+the same code for exact and float states: a complex trace is a pair
+(re, im), the traces of the top-left and bottom-left blocks, and each
+invariant is one such raw value divided once by its constant times
+scale^degree.  Exact raw values are integers, int64 up to
+states.INT64_LIMIT and Python ints beyond.
+
+The basis form is compiled.  In the orthogonal integer basis
+B_a = E_k (x) G_m of the 6 x 6 hermitian matrices, with E and G the
+identity and the traceless hermitian units of the qubit and the qutrit,
+the 35 coordinates w_a = tr(B_a M) of M = s(rho - I/6) come from one
+integer matmul over the first block columns of the pieces, and each
+invariant is a fixed integer combination of monomials of degree 2 or 3
+in w: 3, 8, 24, 16, 54, 24 and 105 of them, 234 in all.  The tables are
+built once, at import, from the traces tr(B_a B_b B_c), which factor
+into traces of the units.  A state's integer coordinates stay int64
+when max|w|^degree times the sum of a row's |coefficients| is below
+2^63 for every row, and run the same code on Python ints otherwise.
+The tables come from the traces of the basis alone, never from
+eval_matrix_form, so equal values on the two routes cross-check both
+the algebra and the decomposition.
+
+Exact values become one Fraction per invariant.  All seven values are
+real: the basis form has no imaginary part, the exact matrix form
+enforces a vanishing one, and the float matrix form holds it to
+IMAG_TOLERANCE times max(1, |real part|).  Non-finite float values are
+refused on both routes.
 
 The matrix form also takes a decomposed stack of float states and returns
 (N,) arrays, bit for bit each state's values alone; the battery uses it,
@@ -51,6 +65,8 @@ forms take one exact state, not a stack.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -58,7 +74,6 @@ from typing import Dict, Tuple, Union
 import numpy as np
 
 from luinv.states import (
-    PAULIS,
     StateDecomposition,
     _ginibre,
     _gram_state,
@@ -67,7 +82,9 @@ from luinv.states import (
     _seeded,
     apply_local_unitary,
     decompose_state,
+    embed,
     partial_trace_qubit,
+    partial_trace_qutrit,
 )
 
 COMPONENTS = ("i1", "i2", "i3", "i4", "i5", "i6", "i7")
@@ -129,17 +146,6 @@ def _diagonal_trace(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return t[..., 0], t[..., 1]
 
 
-def _dot(u: Tuple, v: Tuple) -> Tuple:
-    """(re, im) of sum u * v over complex arrays u, v held as (re, im) pairs."""
-    # the real part needs Re*Re - Im*Im, not Re*Re alone
-    return (u[0] * v[0] - u[1] * v[1]).sum(), (u[0] * v[1] + u[1] * v[0]).sum()
-
-
-# traces of products of two and of three Pauli matrices E_k, E_l, E_m, indexed k, l, m
-_PAULI_TR2 = _trace(PAULIS[:, None], PAULIS[None, :])
-_PAULI_TR3 = _trace((PAULIS[:, None] @ PAULIS[None, :])[:, :, None], PAULIS[None, None, :])
-
-
 def _realize(values, exact: bool) -> InvariantVector:
     """The seven real invariants raw / divisor from (raw (re, im), divisor), checked per state.
 
@@ -188,35 +194,172 @@ def eval_matrix_form(dec: StateDecomposition) -> InvariantVector:
     return _realize(values, dec.exact)
 
 
-def eval_basis_form(dec: StateDecomposition) -> InvariantVector:
-    """Evaluate the invariants through Pauli traces and the parts Y_k.
+def _hermitian_units(n: int) -> np.ndarray:
+    """J(U_u) for the n^2 trace-orthogonal integer hermitian n x n units U_u.
 
-    Independent of eval_matrix_form wherever the correlation part
-    enters: i3, i5, i6, i7 are contractions of Pauli trace tensors with
-    traces of the Y_k, and i1 comes from the Bloch coefficients of X.
-    The parts are held as P_k = 2s Y_k.  One state only, not a stack.
+    I first, then E_jk + E_kj and -i E_jk + i E_kj for j < k, then
+    diag(1, ..., 1, -l, 0, ..., 0) with l ones for l = 1 .. n - 1; for n = 2
+    these are I and the Pauli matrices x, y, z.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    # each unit's nonzero entries {(row, column): (re, im)}
+    units = [{(j, j): (1, 0) for j in range(n)}]
+    units += [{(j, k): (1, 0), (k, j): (1, 0)} for j, k in pairs]
+    units += [{(j, k): (0, -1), (k, j): (0, 1)} for j, k in pairs]
+    units += [{**{(j, j): (1, 0) for j in range(l)}, (l, l): (-l, 0)} for l in range(1, n)]
+    parts = np.array([[[u.get((j, k), (0, 0)) for k in range(n)] for j in range(n)] for u in units])
+    return embed(parts[..., 0], parts[..., 1])
+
+
+def _triple_traces(u: np.ndarray) -> np.ndarray:
+    """(2, N, N, N): re and im of tr(U_a U_b U_c) for the N embedded units u.
+
+    What _trace computes, as one matmul of the halves of J(U_a U_b)
+    against the first block columns of J(U_c).
+    """
+    n, count = u.shape[-1] // 2, len(u)
+    halves = (u[:, None] @ u[None]).reshape(count * count, 2, 2 * n * n)
+    t = (halves @ u[:, :, :n].swapaxes(1, 2).reshape(count, 2 * n * n).T).swapaxes(0, 1)
+    return t.reshape(2, count, count, count)
+
+
+#: Each invariant as a trace of a product of pieces of M = X~ (x) I + I (x) Y~ + Z~:
+#: (c, pieces) gives c tr(M_p M_q M_r) / s^degree, piece 0 being I, 1 X~ (x) I,
+#: 2 I (x) Y~ and 3 Z~, in ascending order.  i1 = -tr X^2 / 2 and i4 = tr Y^3 / 3
+#: pick up 1/3 and 1/2 from the identity factor's trace.
+_TRACE_FORMS = (
+    (Fraction(-1, 6), (0, 1, 1)),
+    (Fraction(1, 2), (0, 2, 2)),
+    (Fraction(1), (0, 3, 3)),
+    (Fraction(1, 6), (2, 2, 2)),
+    (Fraction(1), (3, 3, 3)),
+    (Fraction(1), (1, 2, 3)),
+    (Fraction(1), (2, 3, 3)),
+)
+
+
+def _compile():
+    """(coordinates, monomials, coefficients, starts, divisors, degrees) of the basis form.
+
+    B_a = E_k (x) G_m for a = 9k + m, with E and G the units of the qubit
+    and the qutrit, is an orthogonal basis of the 6 x 6 hermitian matrices.
+    coordinates is the (36, 99) integer matrix taking the first block
+    columns of J(X~), J(Y~), J(Z~) and a trailing 1 to w, with w_0 = 1 and
+    w_a = tr(B_a M) for a > 0, so that M = sum_a w_a B_a / tr(B_a^2).  An
+    invariant c tr(M_p M_q M_r) is then the sum over the (a, b, c) whose
+    pieces are (p, q, r) of c Re tr(B_a B_b B_c) w_a w_b w_c over
+    tr(B_a^2) tr(B_b^2) tr(B_c^2), with B_0 = I padding the quadratics.
+    The trace factors as tr(E_k E_l E_n) tr(G_m G_p G_q), so only products
+    of nonzero factors are formed.  Column j of monomials and coefficients
+    stands for coefficients[j] times the product of w at monomials[:, j];
+    invariant i sums its columns from starts[i] and divides by
+    divisors[i] * s^degrees[i], in lowest terms.
+    """
+    e, g = _hermitian_units(2), _hermitian_units(3)
+    k, m = np.divmod(np.arange(36), 9)  # a = 9k + m
+    # J(B_a), the complex Kronecker product E_k (x) G_m on the real and imaginary parts
+    er, ei = e[:, None, :2, None, :2, None], e[:, None, 2:, None, :2, None]
+    gr, gi = g[None, :, None, :3, None, :3], g[None, :, None, 3:, None, :3]
+    basis = embed((er * gr - ei * gi).reshape(36, 6, 6), (er * gi + ei * gr).reshape(36, 6, 6))
+    # tr(B_a M) = tr(tr_qutrit(B_a) X~) + tr(tr_qubit(B_a) Y~) + tr(B_a Z~); for a = 0 it
+    # is tr M = 0, and the trailing 1 makes w_0 = 1
+    coordinates = np.concatenate(
+        [
+            partial_trace_qutrit(basis)[:, :, :2].reshape(36, 8),
+            partial_trace_qubit(basis)[:, :, :3].reshape(36, 18),
+            basis[:, :, :6].reshape(36, 72),
+            np.eye(36, 1, dtype=np.int64),
+        ],
+        axis=1,
+    )
+    # the piece B_a lies in: 0 the identity, 1 X~ (x) I, 2 I (x) Y~, 3 Z~
+    piece = np.array([(a // 9 > 0) + 2 * (a % 9 > 0) for a in range(36)])
+
+    e3, g3 = _triple_traces(e), _triple_traces(g)
+    norms = e3[0][k, 0, k] * g3[0][m, 0, m]  # tr(B_a^2), each dividing 12
+    norms[0] = 1  # w_0 = 1 stands for itself
+    on_e, on_g = (np.nonzero(np.where(t[0] == 0, t[1], t[0])) for t in (e3, g3))
+    abc = np.stack([(9 * i[:, None] + j).ravel() for i, j in zip(on_e, on_g)], axis=1)
+    re = (e3[0][on_e][:, None] * g3[0][on_g] - e3[1][on_e][:, None] * g3[1][on_g]).ravel()
+    form = np.full(64, 7)
+    form[[16 * p + 4 * q + r for _, (p, q, r) in _TRACE_FORMS]] = range(7)
+    parts = piece[abc]
+    # Re tr(B_a B_b B_c) is cyclic and fixed by reversal, so symmetric in (a, b, c): one
+    # ordering per monomial, the one whose (piece, index) pairs ascend, stands for all
+    # that spell its form, whose pieces ascend
+    key = 36 * parts + abc
+    ascending = (key[:, :2] <= key[:, 1:]).all(axis=1)
+    which = np.where(ascending, form[parts @ np.array([16, 4, 1])], 7)
+    which = np.where(re == 0, 7, which)
+    rows = np.concatenate([np.flatnonzero(which == i) for i in range(7)])
+    monomials, parts, re, which = abc[rows], parts[rows], re[rows], which[rows]
+    starts = np.flatnonzero(np.concatenate(([True], which[1:] != which[:-1])))
+
+    def symmetries(t):
+        """The permutations fixing each triple of t, whose equal entries are adjacent."""
+        equal = np.where(t[:, 0] == t[:, 1], 1, 0) + np.where(t[:, 1] == t[:, 2], 1, 0)
+        return np.array([1, 2, 6])[equal]
+
+    # coefficient c * orderings * Re tr / prod norms, over the denominator c's times 12^3
+    numerators = np.array([c.numerator for c, _ in _TRACE_FORMS])
+    denominators = np.array([c.denominator for c, _ in _TRACE_FORMS]) * 12**3
+    coefficients = numerators[which] * symmetries(parts) // symmetries(monomials) * re
+    coefficients *= 12**3 // norms[monomials].prod(axis=1)
+    groups = np.split(coefficients, starts[1:])
+    lowest = np.array([math.gcd(d, *c.tolist()) for d, c in zip(denominators.tolist(), groups)])
+    coefficients //= lowest[which]
+    degrees = tuple(3 - (pieces[0] == 0) for _, pieces in _TRACE_FORMS)
+    divisors = tuple(map(int, denominators // lowest))
+    tables = coordinates, np.ascontiguousarray(monomials.T), coefficients, starts
+    for table in tables:
+        table.flags.writeable = False
+    return (*tables, divisors, degrees)
+
+
+_COORDINATES, _MONOMIALS, _COEFFICIENTS, _STARTS, _DIVISORS, _DEGREES = _compile()
+#: (degree, sum of |coefficients|) of each invariant's row, for the int64 check.
+_LOADS = tuple(
+    (d, sum(map(abs, c.tolist()))) for d, c in zip(_DEGREES, np.split(_COEFFICIENTS, _STARTS[1:]))
+)
+
+
+def _coordinates(dec: StateDecomposition) -> np.ndarray:
+    """w (36,) of _compile: 1, then tr(B_a M) for the 35 basis matrices, by one matmul."""
+    columns = (dec.local_a[:, :2], dec.local_b[:, :3], dec.corr[:, :6])
+    return _COORDINATES @ np.concatenate([*(c.ravel() for c in columns), [1]])
+
+
+def _fits_int64(w: np.ndarray) -> bool:
+    """Whether every invariant's row evaluates within int64 at the integer coordinates w.
+
+    A row of degree d bounds each partial sum by max|w|^d times the sum
+    of its |coefficients|.
+    """
+    top = int(abs(w).max())
+    return all(top**d * load < 2**63 for d, load in _LOADS)
+
+
+def eval_basis_form(dec: StateDecomposition) -> InvariantVector:
+    """Evaluate the invariants as sparse integer polynomials in 35 basis coordinates.
+
+    Independent of eval_matrix_form: the coordinates w_a = tr(B_a M) come
+    from one matmul, and each invariant is a fixed integer combination of
+    the monomials of degree 2 or 3 in w that _compile derives from the
+    traces of products of the basis matrices.  Integer coordinates are
+    int64 while the check of _fits_int64 passes, Python ints beyond.  One
+    state only, not a stack.
     """
     if dec.corr.ndim != 2:
         raise ValueError("eval_basis_form takes one state, not a stack")
-    x, y, parts = dec.local_a, dec.local_b, dec.corr_parts
-    s = dec.scale
-
-    x_tr = _trace(x, PAULIS)  # tr(X~ E_k)
-    # traces of products of two and of three parts, k, l, m
-    part_tr2 = _trace(parts[:, None], parts[None, :])
-    part_tr3 = _trace((parts[:, None] @ parts[None, :])[:, :, None], parts[None, None, :])
-
-    values = (
-        # det of a traceless hermitian 2x2 is minus its squared Bloch length
-        (_dot(x_tr, x_tr), -4 * s**2),
-        (_trace(y, y), s**2),
-        (_dot(_PAULI_TR2, part_tr2), 4 * s**2),
-        (_trace(y @ y, y), 3 * s**3),
-        (_dot(_PAULI_TR3, part_tr3), 8 * s**3),
-        (_dot(x_tr, _trace(y, parts)), 2 * s**3),
-        (_dot(_PAULI_TR2, _trace((y @ parts)[:, None], parts[None, :])), 4 * s**3),
-    )
-    return _realize(values, dec.exact)
+    w = _coordinates(dec)
+    if w.dtype == np.int64 and not _fits_int64(w):
+        w = w.astype(object)
+    a, b, c = w[_MONOMIALS]
+    raw = np.add.reduceat(_COEFFICIENTS * a * b * c, _STARTS).tolist()
+    divisors = [d * dec.scale**n for d, n in zip(_DIVISORS, _DEGREES)]
+    if dec.exact:  # real by construction
+        return InvariantVector(*map(Fraction, raw, divisors))
+    return _realize([((r, 0), d) for r, d in zip(raw, divisors)], False)
 
 
 @dataclass(frozen=True)

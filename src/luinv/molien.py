@@ -27,9 +27,9 @@ the integrand is invariant under the 12 automorphisms of the SU(3)
 roots, A2_MAPS, which fix each grade's weights with each x-exponent and
 permute the grid, so the engine evaluates it at one point per orbit,
 about a twelfth of the grid, and weights each orbit by its sum of the
-Weyl factor.  The engine assumes both symmetries of its grades,
-unchecked, and every exponent in {-1, 0, 1}: in GRADES these weights are
-copies of the zero weight and the six roots.  There dividing by
+Weyl factor.  The engine checks both symmetries of its grades, and
+every exponent in {-1, 0, 1}, before any work: in GRADES these weights
+are copies of the zero weight and the six roots.  There dividing by
 (1 - t w) is the update G[d] += w * G[d-1] on int64 rows, and the K
 weights of one grade cross the rows as a wavefront (Lamport's hyperplane
 method): a row at depth L along that grade takes weight k at step k + L,
@@ -60,6 +60,7 @@ against the tabulated closed form in luinv.reference.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -143,6 +144,29 @@ A2_MAPS = tuple(
     for v in sorted(_A2_ROOTS)
     if {_apply(((u[0], v[0]), (u[1], v[1])), r) for r in _A2_ROOTS} == _A2_ROOTS
 )
+
+
+#: A rotation of order 6 and a reflection of the roots, which generate A2_MAPS.
+_A2_GENERATORS = (((1, -1), (1, 0)), ((0, 1), (1, 0)))
+
+
+def _check_grades(grades: Sequence[Sequence[Weight]]) -> None:
+    """Raise ValueError, naming the grade and the condition, unless every
+    exponent is in {-1, 0, 1}, x -> 1/x fixes each grade's weights (those
+    with x-exponent -1 have the (y, z) parts, with multiplicity, of those
+    with +1), and A2_MAPS fix each grade's weights of each x-exponent.  A map
+    fixes a multiset when it sends each distinct weight to one of the same
+    multiplicity, and A2_MAPS fix it when their generators do.
+    """
+    for g, weights in enumerate(grades):
+        counts = collections.Counter(weights)
+        if not set(itertools.chain.from_iterable(counts)) <= {-1, 0, 1}:
+            raise ValueError(f"grade {g}: a weight has an exponent outside {{-1, 0, 1}}")
+        if any(counts[-s, y, z] != n for (s, y, z), n in counts.items()):
+            raise ValueError(f"grade {g}: its weights with x-exponent -1 do not mirror those with +1")
+        for a in _A2_GENERATORS:
+            if any(counts[(s, *_apply(a, (y, z)))] != n for (s, y, z), n in counts.items()):
+                raise ValueError(f"grade {g}: A2_MAPS do not fix its weights of each x-exponent")
 
 
 def _orbit_count(m: int) -> int:
@@ -394,15 +418,16 @@ def _dimensions(
     from the Weyl factor, that rest is invariant under A2_MAPS, so it is
     evaluated at one point per orbit of _orbits, a column per orbit, and
     each residue is sum_orbits weyl E[delta_E] F[delta_F] over E's prefix
-    of total at most max_degree - |delta_F|.  Unchecked: every weight
-    exponent is in {-1, 0, 1}, A2_MAPS fixes each grade's weights with
-    each x-exponent, and in each grade the weights with x-exponent -1 have
-    the (y, z) parts, with multiplicity, of those with +1.  Raises
-    MemoryBudgetError, before allocating, if the estimated bytes held
-    exceed the budget.
+    of total at most max_degree - |delta_F|.  Raises ValueError, by
+    _check_grades, unless every weight exponent is in {-1, 0, 1}, A2_MAPS
+    fixes each grade's weights with each x-exponent, and in each grade the
+    weights with x-exponent -1 have the (y, z) parts, with multiplicity, of
+    those with +1.  Raises MemoryBudgetError, before allocating, if the
+    estimated bytes held exceed the budget.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    _check_grades(grades)
     k, m = len(grades), max_degree + 3
     estimate = functools.partial(_estimated_bytes, grades)
     _check_budget(f"max degree {max_degree}", max_degree, memory_budget, estimate)

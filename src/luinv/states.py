@@ -6,11 +6,10 @@ as
     rho = I6/6 + X (x) I3 + I2 (x) Y + Z
 
 with X, Y traceless hermitian of sizes 2 and 3 and Z a 6x6 correlation
-part whose partial traces over either factor vanish.  Z further expands
-over the Pauli basis of the qubit side as Z = sum_k E_k (x) Y_k with
-hermitian 3x3 parts Y_k.  These pieces are exactly the coordinates on
-which the local-unitary invariants act, so the decomposition is the
-bridge between raw states and invariant evaluation.
+part whose partial traces over either factor vanish.  These pieces are
+exactly the coordinates on which the local-unitary invariants act, so
+the decomposition is the bridge between raw states and invariant
+evaluation.
 
 Every complex matrix M is held as its real embedding
 
@@ -74,14 +73,6 @@ def embed(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     )
 
 
-#: The embedded Pauli matrices E_k, a read-only (3, 4, 4) int array; tr(E_k E_l) = 2 delta_kl.
-PAULIS = embed(
-    np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[1, 0], [0, -1]]]),
-    np.array([[[0, 0], [0, 0]], [[0, -1], [1, 0]], [[0, 0], [0, 0]]]),
-)
-PAULIS.flags.writeable = False
-
-
 def _split(m: np.ndarray) -> np.ndarray:
     """An embedded 6x6 array, or a stack of them, indexed (..., c, i, j, d, k, l)."""
     return m.reshape(*m.shape[:-2], 2, 2, 3, 2, 2, 3)
@@ -101,23 +92,21 @@ def partial_trace_qubit(m: np.ndarray) -> np.ndarray:
 
 
 #: The largest entry size max |den * rho| of an exact state's integer form
-#: that decompose_state and both evaluation forms handle in int64.
+#: that decompose_state and eval_matrix_form handle in int64.
 #:
 #: With entries |n| <= B of the integer form n = den * rho, den = tr n is
 #: at most 6B, and each piece entry is a linear form in the 36 real
 #: parameters of the hermitian n whose coefficients sum in size to 12 for
-#: X~, 16 for Y~ and Z~, 32 for the parts P_k and at most 20 for any other
-#: intermediate of decompose_state.  A trace tr(A B) of two embedded n x n
-#: arrays sums 2n^2 products of entries, and an entry of A B sums 2n, so
-#: tr(P_k P_l P_m) <= 18 * 6 * (32B)^3.  The largest value is the basis
-#: form's i5, the six nonzero Pauli traces tr(E_k E_l E_m) = +-2i times
-#: those: 1296 * (32B)^3 = 81 * 2^19 * B^3 bounds it and every partial sum
-#: on the way, and every other trace is smaller (the matrix form's
-#: largest, tr Z~^3, is at most 72 * 12 * 16^3 * B^3; its i6 and i7,
-#: through tr_qubit((X~ (x) I) Z~) and tr_qubit Z~^2, at most half that).
-#: 81 * 2^19 * B^3 is below 2^63 for B <= 6010.  Random rational states
-#: have B <= 108.
-INT64_LIMIT = 6010
+#: X~, 16 for Y~ and Z~ and at most 20 for any other intermediate of
+#: decompose_state.  A trace tr(A B) of two embedded n x n arrays sums
+#: 2n^2 products of entries, and an entry of A B sums 2n.  The largest
+#: value, and a bound on every partial sum on the way, is the matrix
+#: form's tr Z~^3 <= 72 * 12 * 16^3 * B^3; its i6 and i7, through
+#: tr_qubit((X~ (x) I) Z~) and tr_qubit Z~^2, are at most 1/8 and 1/2 of
+#: that.  72 * 12 * 16^3 * B^3 is below 2^63 for B <= 13761.  Random
+#: rational states have B <= 108.  eval_basis_form checks its own
+#: coordinates state by state.
+INT64_LIMIT = 13761
 
 
 @dataclass(frozen=True)
@@ -126,9 +115,8 @@ class StateDecomposition:
 
     The pieces are X~ = sX, Y~ = sY and Z~ = sZ, so that for an exact state
     every entry is an integer: int64 arrays while the state's integer form
-    is within INT64_LIMIT, Python ints (dtype=object) beyond it.  The parts
-    P_k = 2s Y_k of Z~ are computed on demand.  A stack's axes come before
-    each piece's shape given below.
+    is within INT64_LIMIT, Python ints (dtype=object) beyond it.  A stack's
+    axes come before each piece's shape given below.
     """
 
     local_a: np.ndarray  # J(X~): 4x4, X traceless hermitian, qubit side
@@ -140,14 +128,6 @@ class StateDecomposition:
     def exact(self) -> bool:
         """Whether the pieces are integers, int64 or object: those of an exact state."""
         return self.corr.dtype.kind in "iO"
-
-    @property
-    def corr_parts(self) -> np.ndarray:
-        """(3, 6, 6): J(P_k), Z~ = sum E_k (x) P_k / 2."""
-        # P_k = tr_qubit((E_k (x) I) Z~): E_k is indexed (k, c, a, e, b), Z~ (..., e, b, j, d, a, l)
-        paulis = PAULIS.reshape(3, 2, 2, 2, 2)
-        parts = np.tensordot(_split(self.corr), paulis, axes=([-6, -5, -2], [3, 4, 2]))
-        return np.moveaxis(parts, (-2, -1), (-5, -4)).reshape(*self.corr.shape[:-2], 3, 6, 6)
 
 
 def validate_state(rho: np.ndarray) -> Tuple[int, np.ndarray]:

@@ -1,5 +1,6 @@
 """Invariant evaluation: dual routes, stacks, invariance, homogeneity, independence."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,8 @@ from luinv.states import (
     apply_local_unitary,
     decompose_state,
     embed,
+    partial_trace_qubit,
+    partial_trace_qutrit,
     random_state,
 )
 
@@ -407,7 +410,7 @@ class TestInt64Route:
         # the 36 real parameters of the hermitian n.  The identity has no
         # pieces, so those of a unit input u are the pieces of the state
         # (u + I) / tr(u + I), times tr(u + I) * 12 / scale.
-        sums = dict.fromkeys(("local_a", "local_b", "corr", "corr_parts"), 0)
+        sums = dict.fromkeys(("local_a", "local_b", "corr"), 0)
         for i in range(6):
             for j in range(i, 6):
                 for imaginary in (False, True) if i < j else (False,):
@@ -423,21 +426,149 @@ class TestInt64Route:
                     for name in sums:
                         sums[name] = sums[name] + abs(getattr(dec, name) * unscale)
         bound = {name: max(total.flat) for name, total in sums.items()}
-        assert bound == {"local_a": 12, "local_b": 16, "corr": 16, "corr_parts": 32}
-        # the basis form's i5 bounds every intermediate: the Pauli traces
-        # tr(E_k E_l E_m) weigh 12 in all, and a trace tr(P_k P_l P_m) of
-        # embedded 3x3 matrices sums 18 products of entries of P_k P_l, each
-        # a sum of 6 products
-        weight = sum(abs(part).sum() for part in invariants._PAULI_TR3)
-        assert weight == 12
-        largest = lambda b: weight * 18 * 6 * (bound["corr_parts"] * b) ** 3
+        assert bound == {"local_a": 12, "local_b": 16, "corr": 16}
+        # the matrix form's tr Z~^3 bounds every intermediate: a trace tr(A B)
+        # of embedded n x n arrays sums 2n^2 products of entries, and an entry
+        # of A B sums 2n, so tr Z~^3 sums 72 products of an entry of Z~^2 and
+        # one of Z~; i6 and i7 are traces of Y~ against tr_qubit((X~ (x) I) Z~),
+        # whose entries sum 2 * 4 products, and tr_qubit Z~^2, 2 * 12
+        x, y, z = bound["local_a"], bound["local_b"], bound["corr"]
+        tr_z3 = 72 * (12 * z * z) * z
+        assert max(18 * y * (2 * 4 * x * z), 18 * y * (2 * 12 * z * z)) <= tr_z3 // 2
+        largest = lambda b: tr_z3 * b**3
         assert largest(states.INT64_LIMIT) < 2**63 <= largest(states.INT64_LIMIT + 1)
 
     def test_random_rational_states_decompose_to_int64(self):
         for seed in range(50):
             dec = decompose_state(random_state(seed, "rational"))
-            pieces = (dec.local_a, dec.local_b, dec.corr, dec.corr_parts)
+            pieces = (dec.local_a, dec.local_b, dec.corr)
             assert all(p.dtype == np.int64 for p in pieces), seed
+
+
+def int64_check_failing_state() -> np.ndarray:
+    """A state whose integer form has entries of size INT64_LIMIT, so its pieces are int64,
+    with every off-diagonal part at that size: its basis coordinates fail the int64 check."""
+    top = states.INT64_LIMIT
+    re = [[top * (-1) ** (i + j) for j in range(6)] for i in range(6)]
+    im = [[top * ((i < j) - (i > j)) for j in range(6)] for i in range(6)]
+    re[5][5] = top - 1  # the trace 6 top - 1 is coprime to top: den * rho is these entries
+    return exact(re, im) * Fraction(1, 6 * top - 1)
+
+
+class TestBasisForm:
+    def test_monomial_counts(self):
+        counts = np.diff([*invariants._STARTS, len(invariants._COEFFICIENTS)])
+        assert counts.tolist() == [3, 8, 24, 16, 54, 24, 105]
+        assert invariants._DEGREES == (2, 2, 2, 3, 3, 3, 3)
+
+    def test_equals_the_matrix_form_on_500_rational_states(self):
+        for seed in range(500):
+            dec = decompose_state(random_state(seed, "rational"))
+            assert eval_basis_form(dec).as_tuple() == eval_matrix_form(dec).as_tuple(), seed
+
+    def test_past_the_int64_check_equals_the_object_route(self):
+        rho = int64_check_failing_state()
+        dec = decompose_state(rho)
+        assert dec.corr.dtype == np.int64
+        assert not invariants._fits_int64(invariants._coordinates(dec))
+        fast = eval_basis_form(dec).as_tuple()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(states, "INT64_LIMIT", -1)  # every integer form on Python ints
+            slow_dec = decompose_state(rho)
+        assert slow_dec.corr.dtype == object
+        assert fast == eval_basis_form(slow_dec).as_tuple() == eval_matrix_form(dec).as_tuple()
+        # and the check is needed: int64 alone wraps around on this state
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "_fits_int64", lambda w: True)
+            assert eval_basis_form(dec).as_tuple() != fast
+
+    def test_float_state_agrees_with_the_matrix_form(self):
+        dec = decompose_state(random_state(3, "psd_float"))
+        basis, matrix = eval_basis_form(dec).as_tuple(), eval_matrix_form(dec).as_tuple()
+        assert all(type(v) is float for v in basis)
+        for b, m in zip(basis, matrix):
+            assert abs(b - m) <= 1e-12 * abs(m)
+
+
+def six_times_coordinates(m: np.ndarray) -> np.ndarray:
+    """6 w_a(M), a = 1 .. 35, for a traceless hermitian M embedded as 12 x 12 integers.
+
+    6M splits into integer pieces 2 tr_qutrit M (x) I + I (x) 3 tr_qubit M + the rest.
+    """
+    a, b = 2 * partial_trace_qutrit(m), 3 * partial_trace_qubit(m)
+    z = 6 * m - kron(a, np.eye(6, dtype=int)) - kron(np.eye(4, dtype=int), b)
+    return invariants._coordinates(StateDecomposition(a, b, z, 1))[1:]
+
+
+@pytest.fixture(scope="module")
+def derivations():
+    """L A for each of the 11 generators i H of su(2) + su(3), H = E_j (x) I or I (x) G_m.
+
+    On the coordinates w, d/dt w(e^(itH) M e^(-itH)) = A w at t = 0, so A's
+    column b is w(i[H, B_b]) / tr(B_b^2); L, the lcm of the 6 tr(B_b^2),
+    makes it integral.  Row and column 0, the constant w_0 = 1, are zero.
+    """
+    e, g = invariants._hermitian_units(2), invariants._hermitian_units(3)
+    basis = [kron(e[k], g[m]) for k in range(4) for m in range(9)][1:]
+    norms = np.array([six_times_coordinates(b) for b in basis])
+    assert np.array_equal(norms, np.diag(np.diag(norms)))  # orthogonal, w(B_b) on axis b
+    norms = np.diag(norms)
+    lcm = np.lcm.reduce(norms)
+    times_i = embed(np.zeros((6, 6), dtype=int), np.eye(6, dtype=int))
+    generators = [kron(h, np.eye(6, dtype=int)) for h in e[1:]]
+    generators += [kron(np.eye(4, dtype=int), h) for h in g[1:]]
+    found = []
+    for h in generators:
+        columns = [six_times_coordinates(times_i @ (h @ b - b @ h)) for b in basis]
+        a = np.zeros((36, 36), dtype=np.int64)
+        a[1:, 1:] = np.array(columns).T * (lcm // norms)
+        found.append(a)
+    return found
+
+
+def is_killed(a: np.ndarray, monomials: np.ndarray, coefficients: np.ndarray) -> bool:
+    """Whether the derivation A kills the polynomial sum_j coefficients[j] * w[monomials[j]].prod().
+
+    A quadratic form w^T Q w, padded by the constant w_0, is killed when
+    Q A + A^T Q = 0; a cubic sum T_abc w_a w_b w_c, T symmetric, when the
+    contraction sum_c T_abc A_cd symmetrised over (a, b, d) vanishes.  2Q
+    and 6T are integral.
+    """
+    if (monomials[:, 0] == 0).all():
+        q = np.zeros((36, 36), dtype=np.int64)
+        np.add.at(q, (monomials[:, 1], monomials[:, 2]), coefficients)
+        np.add.at(q, (monomials[:, 2], monomials[:, 1]), coefficients)
+        return not (q @ a + a.T @ q).any()
+    t = np.zeros((36, 36, 36), dtype=np.int64)
+    for order in itertools.permutations(range(3)):
+        np.add.at(t, tuple(monomials[:, order].T), coefficients)
+    s = np.tensordot(t, a, axes=(2, 0))
+    return not sum(s.transpose(order) for order in itertools.permutations(range(3))).any()
+
+
+def invariant_rows(name: str) -> slice:
+    i = COMPONENTS.index(name)
+    stops = [*invariants._STARTS[1:], len(invariants._COEFFICIENTS)]
+    return slice(invariants._STARTS[i], stops[i])
+
+
+class TestLieAlgebra:
+    """SU(2) x SU(3) is connected, so a polynomial is invariant exactly when
+    every generator of its Lie algebra, acting as a derivation, kills it."""
+
+    @pytest.mark.parametrize("name", COMPONENTS)
+    def test_every_generator_kills_the_invariant(self, derivations, name):
+        rows = invariant_rows(name)
+        monomials, coefficients = invariants._MONOMIALS[:, rows].T, invariants._COEFFICIENTS[rows]
+        assert len(derivations) == 11
+        assert all(is_killed(a, monomials, coefficients) for a in derivations)
+
+    @pytest.mark.parametrize("name", ["i1", "i7"])
+    def test_a_bent_coefficient_fails(self, derivations, name):
+        rows = invariant_rows(name)
+        monomials, bent = invariants._MONOMIALS[:, rows].T, invariants._COEFFICIENTS[rows].copy()
+        bent[len(bent) // 2] += 1
+        assert not all(is_killed(a, monomials, bent) for a in derivations)
 
 
 class TestIndependence:

@@ -24,6 +24,7 @@ from luinv.molien import (
     GRADES,
     WEIGHTS,
     MemoryBudgetError,
+    _check_grades,
     _contract,
     _crt_primes,
     _dimensions,
@@ -599,7 +600,7 @@ class TestOrbits:
             assert {apply_map(a, r) for r in ROOTS} == ROOTS
 
     def test_grades_meet_the_engine_precondition(self):
-        # the engine does not check its grades: the maps fix each grade's
+        # what _check_grades checks, written out: the maps fix each grade's
         # weights with each x-exponent, those with x-exponent -1 have the
         # (y, z) parts of those with +1, and every exponent is -1, 0 or 1
         for weights in [WEIGHTS, *GRADES.values()]:
@@ -610,6 +611,26 @@ class TestOrbits:
                 for a in A2_MAPS:
                     image = collections.Counter(apply_map(a, w) for w in part.elements())
                     assert image == part, (a, s)
+
+    def test_the_checked_generators_generate_the_maps(self):
+        assert generated_group(molien._A2_GENERATORS) == A2_GROUP
+
+    def test_grades_pass_the_run_time_check(self):
+        _check_grades([WEIGHTS])
+        _check_grades(list(GRADES.values()))
+
+    @pytest.mark.parametrize(
+        "weights, condition",
+        [
+            ([(2, 0, 0), (-2, 0, 0)], "outside {-1, 0, 1}"),
+            ([(1, 1, 0)], "do not mirror"),
+            ([(0, 1, 0), (0, -1, 0)], "A2_MAPS do not fix"),
+        ],
+        ids=["exponent", "mirror", "a2"],
+    )
+    def test_engine_refuses_a_grade_that_breaks_a_precondition(self, weights, condition):
+        with pytest.raises(ValueError, match="grade 1: .*" + re.escape(condition)):
+            _dimensions([WEIGHTS, weights], 2, None)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 7, 12, 25])
     def test_orbits_match_enumeration(self, m):

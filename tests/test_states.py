@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from luinv.invariants import _hermitian_units
 from luinv.states import (
-    PAULIS,
+    INT64_LIMIT,
     _ginibre,
     _haar_special_unitary,
     _gram_state,
@@ -41,6 +42,15 @@ def exact(re_rows, im_rows=None) -> np.ndarray:
     return embed(re, im)
 
 
+#: The embedded Pauli matrices E_k in the order x, y, z: the qubit's units after I.
+PAULIS = _hermitian_units(2)[1:]
+
+
+def corr_parts(dec) -> np.ndarray:
+    """(3, 6, 6): J(P_k), P_k = tr_qubit((E_k (x) I) Z~) = 2s Y_k, so Z~ = sum_k E_k (x) P_k / 2."""
+    return np.stack([partial_trace_qubit(kron(e, np.eye(6, dtype=int)) @ dec.corr) for e in PAULIS])
+
+
 def defining_sum(dec) -> np.ndarray:
     """(s/6) I + X~ (x) I + I (x) Y~ + Z~, which is s rho for the scale s."""
     local = kron(dec.local_a, np.eye(6, dtype=int)) + kron(np.eye(4, dtype=int), dec.local_b)
@@ -48,13 +58,13 @@ def defining_sum(dec) -> np.ndarray:
 
 
 def beyond_int64_state() -> np.ndarray:
-    """A state whose integer form has an entry of 6011, past INT64_LIMIT: the object route."""
+    """A state whose integer form has an entry one past INT64_LIMIT: the object route."""
     re = [[int(i == j) for j in range(6)] for i in range(6)]
     im = [[0] * 6 for _ in range(6)]
-    re[0][0] = 6011
+    re[0][0] = INT64_LIMIT + 1
     re[0][1] = re[1][0] = 3
     im[1][2], im[2][1] = 5, -5
-    return exact(re, im) * Fraction(1, 6016)
+    return exact(re, im) * Fraction(1, INT64_LIMIT + 6)
 
 
 def exact_identity(n: int) -> np.ndarray:
@@ -319,7 +329,7 @@ class TestDecomposition:
         rho = random_state(seed, "rational")
         dec = decompose_state(rho)
         assert dec.exact
-        pieces = (dec.local_a, dec.local_b, dec.corr, dec.corr_parts)
+        pieces = (dec.local_a, dec.local_b, dec.corr, corr_parts(dec))
         # scaled by 12 times the common denominator, every piece is integral
         # (int64, or Python ints in an object array past the int64 limit)
         assert all(p.dtype == np.int64 or all(type(v) is int for v in p.flat) for p in pieces)
@@ -335,7 +345,7 @@ class TestDecomposition:
         assert np.array_equal(partial_trace_qutrit(dec.corr), exact_zeros(2))
         # the Pauli expansion of the correlation part is exact: P_k = 2 Y_k
         rebuilt = exact_zeros(6)
-        for e, y in zip(PAULIS, dec.corr_parts):
+        for e, y in zip(PAULIS, corr_parts(dec)):
             assert is_hermitian(y)
             rebuilt = rebuilt + kron(e, y)
         assert np.array_equal(rebuilt, 2 * dec.corr)
@@ -387,7 +397,7 @@ class TestDecomposition:
         assert np.array_equal(scaled.local_a * s, dec.local_a * 2 * t)
         assert np.array_equal(scaled.local_b * s, dec.local_b * Fraction(1, 3) * t)
         assert np.array_equal(scaled.corr * s, -dec.corr * t)
-        assert np.array_equal(scaled.corr_parts[1] * s, -dec.corr_parts[1] * t)
+        assert np.array_equal(corr_parts(scaled)[1] * s, -corr_parts(dec)[1] * t)
         assert t == 3 * s and scaled.exact
 
 
