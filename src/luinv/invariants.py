@@ -278,6 +278,7 @@ def _compile():
     e3, g3 = _triple_traces(e), _triple_traces(g)
     norms = e3[0][k, 0, k] * g3[0][m, 0, m]  # tr(B_a^2), each dividing 12
     norms[0] = 1  # w_0 = 1 stands for itself
+    # the nonzero factor traces, and every ordered (a, b, c) whose trace is their product
     on_e, on_g = (np.nonzero(np.where(t[0] == 0, t[1], t[0])) for t in (e3, g3))
     abc = np.stack([(9 * i[:, None] + j).ravel() for i, j in zip(on_e, on_g)], axis=1)
     re = (e3[0][on_e][:, None] * g3[0][on_g] - e3[1][on_e][:, None] * g3[1][on_g]).ravel()

@@ -163,7 +163,7 @@ def _check_grades(grades: Sequence[Sequence[Weight]]) -> None:
         if not set(itertools.chain.from_iterable(counts)) <= {-1, 0, 1}:
             raise ValueError(f"grade {g}: a weight has an exponent outside {{-1, 0, 1}}")
         if any(counts[-s, y, z] != n for (s, y, z), n in counts.items()):
-            raise ValueError(f"grade {g}: its weights with x-exponent -1 do not mirror those with +1")
+            raise ValueError(f"grade {g}: weights with x-exponent -1 do not mirror those with +1")
         for a in _A2_GENERATORS:
             if any(counts[(s, *_apply(a, (y, z)))] != n for (s, y, z), n in counts.items()):
                 raise ValueError(f"grade {g}: A2_MAPS do not fix its weights of each x-exponent")
