@@ -202,13 +202,14 @@ def _hermitian_units(n: int) -> np.ndarray:
     these are I and the Pauli matrices x, y, z.
     """
     pairs = list(itertools.combinations(range(n), 2))
-    # each unit's nonzero entries {(row, column): (re, im)}
-    units = [{(j, j): (1, 0) for j in range(n)}]
-    units += [{(j, k): (1, 0), (k, j): (1, 0)} for j, k in pairs]
-    units += [{(j, k): (0, -1), (k, j): (0, 1)} for j, k in pairs]
-    units += [{**{(j, j): (1, 0) for j in range(l)}, (l, l): (-l, 0)} for l in range(1, n)]
-    parts = np.array([[[u.get((j, k), (0, 0)) for k in range(n)] for j in range(n)] for u in units])
-    return embed(parts[..., 0], parts[..., 1])
+    parts = np.zeros((2, n * n, n, n), dtype=np.int64)  # re, im
+    parts[0, 0] = np.eye(n, dtype=np.int64)
+    for u, (j, k) in enumerate(pairs, 1):
+        parts[0, u, j, k] = parts[0, u, k, j] = 1
+        parts[1, u + len(pairs), j, k], parts[1, u + len(pairs), k, j] = -1, 1
+    for l in range(1, n):
+        parts[0, 2 * len(pairs) + l, range(l + 1), range(l + 1)] = [1] * l + [-l]
+    return embed(*parts)
 
 
 def _triple_traces(u: np.ndarray) -> np.ndarray:
@@ -223,18 +224,19 @@ def _triple_traces(u: np.ndarray) -> np.ndarray:
     return t.reshape(2, count, count, count)
 
 
-#: Each invariant as a trace of a product of pieces of M = X~ (x) I + I (x) Y~ + Z~:
-#: (c, pieces) gives c tr(M_p M_q M_r) / s^degree, piece 0 being I, 1 X~ (x) I,
-#: 2 I (x) Y~ and 3 Z~, in ascending order.  i1 = -tr X^2 / 2 and i4 = tr Y^3 / 3
-#: pick up 1/3 and 1/2 from the identity factor's trace.
+#: Each invariant as c tr(M_p M_q M_r) / s^degree in the pieces of
+#: M = X~ (x) I + I (x) Y~ + Z~, piece 0 being I, 1 X~ (x) I, 2 I (x) Y~ and
+#: 3 Z~: a row (numerator of c, denominator of c, p, q, r), the pieces in
+#: ascending order.  i1 = -tr X^2 / 2 and i4 = tr Y^3 / 3 pick up 1/3 and 1/2
+#: from the identity factor's trace.
 _TRACE_FORMS = (
-    (Fraction(-1, 6), (0, 1, 1)),
-    (Fraction(1, 2), (0, 2, 2)),
-    (Fraction(1), (0, 3, 3)),
-    (Fraction(1, 6), (2, 2, 2)),
-    (Fraction(1), (3, 3, 3)),
-    (Fraction(1), (1, 2, 3)),
-    (Fraction(1), (2, 3, 3)),
+    (-1, 6, 0, 1, 1),
+    (1, 2, 0, 2, 2),
+    (1, 1, 0, 3, 3),
+    (1, 6, 2, 2, 2),
+    (1, 1, 3, 3, 3),
+    (1, 1, 1, 2, 3),
+    (1, 1, 2, 3, 3),
 )
 
 
@@ -255,6 +257,7 @@ def _compile():
     invariant i sums its columns from starts[i] and divides by
     divisors[i] * s^degrees[i], in lowest terms.
     """
+    forms = np.array(_TRACE_FORMS)
     e, g = _hermitian_units(2), _hermitian_units(3)
     k, m = np.divmod(np.arange(36), 9)  # a = 9k + m
     # J(B_a), the complex Kronecker product E_k (x) G_m on the real and imaginary parts
@@ -273,17 +276,18 @@ def _compile():
         axis=1,
     )
     # the piece B_a lies in: 0 the identity, 1 X~ (x) I, 2 I (x) Y~, 3 Z~
-    piece = np.array([(a // 9 > 0) + 2 * (a % 9 > 0) for a in range(36)])
+    piece = np.where(k > 0, 1, 0) + np.where(m > 0, 2, 0)
 
     e3, g3 = _triple_traces(e), _triple_traces(g)
     norms = e3[0][k, 0, k] * g3[0][m, 0, m]  # tr(B_a^2), each dividing 12
     norms[0] = 1  # w_0 = 1 stands for itself
     # the nonzero factor traces, and every ordered (a, b, c) whose trace is their product
-    on_e, on_g = (np.nonzero(np.where(t[0] == 0, t[1], t[0])) for t in (e3, g3))
-    abc = np.stack([(9 * i[:, None] + j).ravel() for i, j in zip(on_e, on_g)], axis=1)
+    on_e = np.nonzero(np.where(e3[0] == 0, e3[1], e3[0]))
+    on_g = np.nonzero(np.where(g3[0] == 0, g3[1], g3[0]))
+    abc = (9 * np.stack(on_e, axis=1)[:, None] + np.stack(on_g, axis=1)).reshape(-1, 3)
     re = (e3[0][on_e][:, None] * g3[0][on_g] - e3[1][on_e][:, None] * g3[1][on_g]).ravel()
     form = np.full(64, 7)
-    form[[16 * p + 4 * q + r for _, (p, q, r) in _TRACE_FORMS]] = range(7)
+    form[forms[:, 2:] @ np.array([16, 4, 1])] = np.arange(7)
     parts = piece[abc]
     # Re tr(B_a B_b B_c) is cyclic and fixed by reversal, so symmetric in (a, b, c): one
     # ordering per monomial, the one whose (piece, index) pairs ascend, stands for all
@@ -292,29 +296,26 @@ def _compile():
     ascending = (key[:, :2] <= key[:, 1:]).all(axis=1)
     which = np.where(ascending, form[parts @ np.array([16, 4, 1])], 7)
     which = np.where(re == 0, 7, which)
-    rows = np.concatenate([np.flatnonzero(which == i) for i in range(7)])
+    rows = np.nonzero(np.arange(7)[:, None] == which)[1]  # grouped by form
     monomials, parts, re, which = abc[rows], parts[rows], re[rows], which[rows]
     starts = np.flatnonzero(np.concatenate(([True], which[1:] != which[:-1])))
-
-    def symmetries(t):
-        """The permutations fixing each triple of t, whose equal entries are adjacent."""
-        equal = np.where(t[:, 0] == t[:, 1], 1, 0) + np.where(t[:, 1] == t[:, 2], 1, 0)
-        return np.array([1, 2, 6])[equal]
-
-    # coefficient c * orderings * Re tr / prod norms, over the denominator c's times 12^3
-    numerators = np.array([c.numerator for c, _ in _TRACE_FORMS])
-    denominators = np.array([c.denominator for c, _ in _TRACE_FORMS]) * 12**3
-    coefficients = numerators[which] * symmetries(parts) // symmetries(monomials) * re
-    coefficients *= 12**3 // norms[monomials].prod(axis=1)
-    groups = np.split(coefficients, starts[1:])
-    lowest = np.array([math.gcd(d, *c.tolist()) for d, c in zip(denominators.tolist(), groups)])
+    # a monomial stands for the permutations fixing its pieces over those fixing its
+    # indices, equal entries of each being adjacent
+    fixing = np.array([1, 2, 6])
+    orderings = fixing[(parts[:, :2] == parts[:, 1:]).sum(axis=1)]
+    orderings //= fixing[(monomials[:, :2] == monomials[:, 1:]).sum(axis=1)]
+    # c * orderings * Re tr / prod norms, over the denominator of c times 12^3
+    coefficients = forms[which, 0] * orderings * re * (12**3 // norms[monomials].prod(axis=1))
+    lowest = forms[:, 1] * 12**3
+    for i, row in enumerate(np.split(coefficients, starts[1:])):
+        lowest[i] = math.gcd(lowest[i], *row.tolist())
     coefficients //= lowest[which]
-    degrees = tuple(3 - (pieces[0] == 0) for _, pieces in _TRACE_FORMS)
-    divisors = tuple(map(int, denominators // lowest))
     tables = coordinates, np.ascontiguousarray(monomials.T), coefficients, starts
     for table in tables:
         table.flags.writeable = False
-    return (*tables, divisors, degrees)
+    divisors = forms[:, 1] * 12**3 // lowest
+    degrees = 3 - (forms[:, 2] == 0)
+    return (*tables, tuple(divisors.tolist()), tuple(degrees.tolist()))
 
 
 _COORDINATES, _MONOMIALS, _COEFFICIENTS, _STARTS, _DIVISORS, _DEGREES = _compile()
